@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 from math import asin, atan2, cos, degrees, pi, radians, sin
 
+import numpy as np
+
 from .flowfield import (
     ClosureError,
     ConstantPiece,
@@ -29,18 +31,19 @@ from .flowfield import (
     bv_decompose,
     build_flow,
     evaluate,
+    evaluate_many,
     sector_decompose,
 )
 from .gas import PhaseBounds, PrimitiveState, make_gas
-from .pmwave import integrate_pm, pm_wave_state
-from .polar import TWO_PI, flow_angle, to_polar
+from .pmwave import integrate_pm
+from .polar import TWO_PI
 from .shock import (
     Orientation,
     max_deflection,
     max_deflection_limit,
     solve_shock_angle,
 )
-from .verify import full_audit
+from .verify import _ENTROPY_TOL, _SMOOTH_TOL, _WEAK_TOL, full_audit
 
 DEFAULT_SAMPLES = 720
 DEFAULT_PM_STEPS_PER_RADIAN = 64
@@ -348,32 +351,26 @@ def _emit(text, out):
         _write_atomic(out, text)
 
 
-def _csv_row(gas, theta, state):
-    N, L = to_polar(state.u, state.v, theta)
-    c = state.sound_speed(gas)
-    cells = (
-        theta,
-        state.rho,
-        state.u,
-        state.v,
-        state.p,
-        N,
-        L,
-        c,
-        N / c,
-        state.entropy_indicator(gas),
-        flow_angle(N, L, theta),
-    )
-    return ",".join(repr(x) for x in cells)
+def _csv_text(gas, theta, rho, u, v, p):
+    """Header plus one row per angle, from state arrays at those angles.
+
+    N, L and phi are the values of polar.to_polar and polar.flow_angle;
+    cells are Python float reprs, so they round-trip exactly.
+    """
+    st, ct = np.sin(theta), np.cos(theta)
+    N, L = u * st - v * ct, u * ct + v * st
+    c = np.sqrt(gas.gamma * p / rho)
+    phi = np.arctan2(-N * ct + L * st, N * st + L * ct)
+    phi[phi == -pi] = pi
+    cols = (theta, rho, u, v, p, N, L, c, N / c, p / rho ** gas.gamma, phi)
+    rows = zip(*(col.tolist() for col in cols))
+    return "\n".join([CSV_COLUMNS] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
 def export_csv(flow, samples=DEFAULT_SAMPLES):
     """Right-continuous ring sampling; one row per sample plus the header."""
-    lines = [CSV_COLUMNS]
-    for j in range(samples):
-        theta = flow.anchor_theta + TWO_PI * j / samples
-        lines.append(_csv_row(flow.gas, theta, evaluate(flow, theta)))
-    return "\n".join(lines) + "\n"
+    theta = flow.anchor_theta + TWO_PI * np.arange(samples) / samples
+    return _csv_text(flow.gas, theta, *evaluate_many(flow, theta))
 
 
 def audit_to_document(report):
@@ -399,7 +396,7 @@ def audit_to_document(report):
             ],
         },
         "sector_count": report.sector_count,
-        "tolerances": {"weak": 1e-10, "entropy": 1e-10, "smooth": 1e-6},
+        "tolerances": {"weak": _WEAK_TOL, "entropy": _ENTROPY_TOL, "smooth": _SMOOTH_TOL},
     }
 
 
@@ -582,7 +579,7 @@ def _cmd_analyze(ns):
 def _cmd_export(ns):
     cfg = _load_config(ns.config)
     flow = _build(cfg)
-    samples = ns.samples if ns.samples is not None else cfg.samples
+    samples = cfg.samples if ns.samples is None else _count(ns.samples, "--samples", 2)
     out = ns.out
     if out is None:
         out = _artifact_path(".", ns.config, ns.format)
@@ -673,16 +670,16 @@ def _cmd_pm_trace(ns):
     span = _flag_angle(ns.span, "--span")
     if not span > 0.0:
         raise ConfigError("--span", "must be positive")
+    if ns.steps is not None:
+        _count(ns.steps, "--steps", 1)
     try:
         wave = integrate_pm(
             start, theta0, theta0 + span, orient, gas, steps=ns.steps
         )
     except ValueError as exc:
         raise BuildError(str(exc))
-    lines = [CSV_COLUMNS]
-    for i, t in enumerate(wave.thetas):
-        lines.append(_csv_row(gas, t, pm_wave_state(wave, t, exact_index=i)))
-    _emit("\n".join(lines) + "\n", ns.out)
+    states = np.array([(s.rho, s.u, s.v, s.p) for _, s in wave.samples])
+    _emit(_csv_text(gas, np.array(wave.thetas), *states.T), ns.out)
     return 0
 
 

@@ -26,9 +26,18 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from math import asin, atan2, ceil, cos, hypot, pi, sin, sqrt
 
+import numpy as np
+
 from .gas import PrimitiveState, in_phase_space, primitive_to_conserved
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
-from .pmwave import PMWave, WaveKind, classify_pm, integrate_pm, pm_wave_state
+from .pmwave import (
+    PMWave,
+    WaveKind,
+    classify_pm,
+    integrate_pm,
+    pm_wave_arrays,
+    pm_wave_state,
+)
 from .shock import (
     Orientation,
     ShockSolution,
@@ -56,6 +65,7 @@ __all__ = [
     "SBVDecomposition",
     "build_flow",
     "evaluate",
+    "evaluate_many",
     "sector_decompose",
     "validate_structure",
     "bv_decompose",
@@ -174,6 +184,32 @@ def evaluate(flow, theta):
     if isinstance(piece, ConstantPiece):
         return piece.state
     return pm_wave_state(piece.wave, min(t, piece.theta_end))
+
+
+def evaluate_many(flow, thetas):
+    """(rho, u, v, p) arrays at many angles, elementwise what evaluate gives.
+
+    Same periodic wrap and right-continuous piece lookup as evaluate, with
+    wave pieces interpolated as whole arrays and clamped at their end.
+    """
+    t = np.mod(np.asarray(thetas, dtype=float) - flow.anchor_theta, TWO_PI)
+    t = flow.anchor_theta + np.where(t >= TWO_PI, t - TWO_PI, t)
+    idx = np.maximum(np.searchsorted(flow._starts, t, side="right") - 1, 0)
+    pieces = flow.interval_pieces
+    table = np.array(
+        [
+            (p.state.rho, p.state.u, p.state.v, p.state.p)
+            if isinstance(p, ConstantPiece)
+            else (np.nan,) * 4
+            for p in pieces
+        ]
+    )
+    out = table[idx].T.copy()
+    for k, p in enumerate(pieces):
+        if isinstance(p, PMPiece):
+            on = idx == k
+            out[:, on] = pm_wave_arrays(p.wave, np.minimum(t[on], p.theta_end))
+    return tuple(out)
 
 
 def _polar_of(state, theta):
@@ -555,7 +591,7 @@ def _validate_flow(flow):
     for a, b in zip(intervals, intervals[1:]):
         boundary = a.theta_end
         la = _left_state(a, boundary)
-        rb = _left_state(b, boundary) if isinstance(b, PMPiece) else b.state
+        rb = _left_state(b, boundary)
         if boundary in jump_angles:
             continue
         if _rel_state_gap(la, rb) > 1e-8:
@@ -565,11 +601,7 @@ def _validate_flow(flow):
 
     first = intervals[0]
     last = intervals[-1]
-    start_state = (
-        first.state
-        if isinstance(first, ConstantPiece)
-        else _left_state(first, first.theta_start)
-    )
+    start_state = _left_state(first, first.theta_start)
     end_state = _left_state(last, last.theta_end)
     seam_jump = any(
         abs(p.theta - flow.anchor_theta) < 1e-11
@@ -601,11 +633,6 @@ class Sector:
 def _L_at(flow, theta):
     s = evaluate(flow, theta)
     return to_polar(s.u, s.v, theta)[1]
-
-
-def _N_at(flow, theta):
-    s = evaluate(flow, theta)
-    return to_polar(s.u, s.v, theta)[0]
 
 
 def sector_decompose(flow, samples=720):
@@ -642,18 +669,15 @@ def sector_decompose(flow, samples=720):
         if b <= a:
             b += TWO_PI
         n_probe = max(16, int(samples * (b - a) / TWO_PI))
-        sign = None
-        for j in range(1, n_probe):
-            t = a + (b - a) * j / n_probe
-            N = _N_at(flow, t)
-            if abs(N) <= 1e-12:
-                continue
-            if sign is None:
-                sign = 1.0 if N > 0.0 else -1.0
-            elif N * sign < 0.0:
-                raise ValueError("sector with sign-inconsistent N")
-        if sign is None:
+        t = a + (b - a) * np.arange(1, n_probe) / n_probe
+        _, u, v, _ = evaluate_many(flow, t)
+        N = u * np.sin(t) - v * np.cos(t)
+        N = N[np.abs(N) > 1e-12]
+        if not len(N):
             raise ValueError("sector with vanishing N throughout")
+        sign = 1.0 if N[0] > 0.0 else -1.0
+        if np.any(N * sign < 0.0):
+            raise ValueError("sector with sign-inconsistent N")
         direction = SectorDirection.FORWARD if sign > 0 else SectorDirection.BACKWARD
 
         L_in = _L_at(flow, a + eps)
@@ -973,34 +997,21 @@ def bv_decompose(flow, samples=720):
     )
     tv_jump = sum(sqrt(sum(d * d for d in dU)) for _, dU in jumps)
 
-    def saltus(theta):
-        out = [0.0, 0.0, 0.0, 0.0]
-        for a, dU in jumps:
-            if a <= theta:
-                for i in range(4):
-                    out[i] += dU[i]
-        return out
-
     base = flow.anchor_theta
-    ts = [base + TWO_PI * k / samples for k in range(samples + 1)]
-    lipschitz = []
-    for t in ts:
-        U = primitive_to_conserved(evaluate(flow, t), flow.gas).as_tuple()
-        S = saltus(t if t < base + TWO_PI else base + TWO_PI)
-        lipschitz.append((t, tuple(U[i] - S[i] for i in range(4))))
-
-    tv_l = 0.0
-    lip = 0.0
-    for (t0, a), (t1, b) in zip(lipschitz, lipschitz[1:]):
-        step = sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-        tv_l += step
-        if t1 > t0:
-            lip = max(lip, step / (t1 - t0))
+    ts = base + TWO_PI * np.arange(samples + 1) / samples
+    rho, u, v, p = evaluate_many(flow, ts)
+    E = p / (flow.gas.gamma - 1.0) + 0.5 * rho * (u ** 2 + v ** 2)
+    saltus = np.zeros((4, len(ts)))
+    for a, dU in jumps:
+        saltus += np.where(a <= ts, np.array(dU)[:, None], 0.0)
+    part = np.array([rho, rho * u, rho * v, E]) - saltus
+    d = np.diff(part, axis=1)
+    step = np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2)
 
     return SBVDecomposition(
         jump_part=tuple(jumps),
-        lipschitz_part=tuple(lipschitz),
+        lipschitz_part=tuple(zip(ts.tolist(), map(tuple, part.T.tolist()))),
         total_variation=tv_jump,
-        tv_lipschitz=tv_l,
-        lipschitz_constant=lip,
+        tv_lipschitz=sum(step.tolist()),
+        lipschitz_constant=max((step / np.diff(ts)).tolist()),
     )

@@ -9,6 +9,8 @@ points (zero velocity) throughout.
 from dataclasses import dataclass
 from math import sqrt
 
+import numpy as np
+
 __all__ = [
     "PhaseBounds",
     "GasModel",
@@ -19,6 +21,7 @@ __all__ = [
     "primitive_to_conserved",
     "conserved_to_primitive",
     "physical_fluxes",
+    "ray_fluxes",
     "in_phase_space",
 ]
 
@@ -164,6 +167,24 @@ def physical_fluxes(s, gas):
     fx = (rho * u, rho * u * u + p, rho * u * v, u * (E + p))
     fy = (rho * v, rho * u * v, rho * v * v + p, v * (E + p))
     return fx, fy
+
+
+def ray_fluxes(rho, u, v, p, theta, gamma):
+    """Fluxes through (G) and along (H) the ray at theta, elementwise on arrays.
+
+    Both come back as (5, n) arrays with rows mass, momentum x, momentum y,
+    energy and entropy: G = sin(theta) f^x - cos(theta) f^y and H =
+    cos(theta) f^x + sin(theta) f^y for the Euler rows, rho N s and rho L s
+    for the entropy surrogate s = p / rho^gamma (N, L as in polar.to_polar).
+    """
+    st, ct = np.sin(theta), np.cos(theta)
+    E = p / (gamma - 1.0) + 0.5 * rho * (u ** 2 + v ** 2)
+    fx = (rho * u, rho * u * u + p, rho * u * v, u * (E + p))
+    fy = (rho * v, rho * u * v, rho * v * v + p, v * (E + p))
+    s = p / rho ** gamma
+    G = [st * x - ct * y for x, y in zip(fx, fy)] + [rho * (u * st - v * ct) * s]
+    H = [ct * x + st * y for x, y in zip(fx, fy)] + [rho * (u * ct + v * st) * s]
+    return np.array(G), np.array(H)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import ceil, sqrt
 
+import numpy as np
+
 from .gas import PrimitiveState, in_phase_space
 from .polar import PolarState, from_polar
 
@@ -28,6 +30,7 @@ __all__ = [
     "integrate_pm",
     "classify_pm",
     "pm_wave_state",
+    "pm_wave_arrays",
     "pm_state_derivative",
 ]
 
@@ -93,26 +96,27 @@ class PMWave:
         ts = self.thetas
         if len(ts) == 1:
             return self.rhos[0], self.Ls[0]
-        ascending = ts[-1] >= ts[0]
-        lo_t, hi_t = (ts[0], ts[-1]) if ascending else (ts[-1], ts[0])
-        if not (lo_t - 1e-12 <= theta <= hi_t + 1e-12):
+        if not (ts[0] - 1e-12 <= theta <= ts[-1] + 1e-12):
             raise ValueError("angle outside the wave interval")
-        if ascending:
-            i = bisect_right(ts, theta) - 1
-        else:
-            i = len(ts) - 1 - bisect_right(ts[::-1], theta)
-        i = min(max(i, 0), len(ts) - 2)
-        h = ts[i + 1] - ts[i]
-        x = (theta - ts[i]) / h
-        out = []
-        for ys, ds in ((self.rhos, self.drhos), (self.Ls, self.dLs)):
-            y0, y1, d0, d1 = ys[i], ys[i + 1], ds[i] * h, ds[i + 1] * h
-            h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
-            h10 = x * (1.0 - x) ** 2
-            h01 = x * x * (3.0 - 2.0 * x)
-            h11 = x * x * (x - 1.0)
-            out.append(h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1)
-        return out[0], out[1]
+        i = min(max(bisect_right(ts, theta) - 1, 0), len(ts) - 2)
+        return _hermite(ts, i, theta, ((self.rhos, self.drhos), (self.Ls, self.dLs)))
+
+
+def _hermite(ts, i, theta, series):
+    """Cubic Hermite value of each (samples, slopes) pair on [ts[i], ts[i + 1]].
+
+    Takes one angle and an int i over tuples, or arrays throughout.
+    """
+    h = ts[i + 1] - ts[i]
+    x = (theta - ts[i]) / h
+    h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
+    h10 = x * (1.0 - x) ** 2
+    h01 = x * x * (3.0 - 2.0 * x)
+    h11 = x * x * (x - 1.0)
+    return tuple(
+        h00 * ys[i] + h10 * (ds[i] * h) + h01 * ys[i + 1] + h11 * (ds[i + 1] * h)
+        for ys, ds in series
+    )
 
 
 def pm_wave_state(wave, theta, exact_index=None):
@@ -125,6 +129,22 @@ def pm_wave_state(wave, theta, exact_index=None):
     N = wave.orientation.sign * c
     u, v = from_polar(N, L, theta)
     return PrimitiveState(rho=rho, u=u, v=v, p=wave.s_ref * rho ** wave.gamma)
+
+
+def pm_wave_arrays(wave, thetas):
+    """(rho, u, v, p) arrays of the wave at angles inside its interval.
+
+    Elementwise the same cubic Hermite interpolant and sonic state as
+    pm_wave_state, one array operation per term.
+    """
+    ts = np.asarray(wave.thetas)
+    t = np.asarray(thetas, dtype=float)
+    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    series = (wave.rhos, wave.drhos), (wave.Ls, wave.dLs)
+    rho, L = _hermite(ts, i, t, [(np.asarray(y), np.asarray(d)) for y, d in series])
+    N = wave.orientation.sign * np.sqrt(wave.gamma * wave.s_ref * rho ** (wave.gamma - 1.0))
+    st, ct = np.sin(t), np.cos(t)
+    return rho, N * st + L * ct, -N * ct + L * st, wave.s_ref * rho ** wave.gamma
 
 
 def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at_L_zero=False):
@@ -149,6 +169,8 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
         raise ValueError("starting state leaves phase space: " + "; ".join(rep.violations))
 
     span = theta_end - theta_start
+    if span < 0.0:
+        raise ValueError("wave end angle precedes its start")
     sign = orient.sign
 
     def rhs(y):
@@ -172,7 +194,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
         )
 
     if steps is None:
-        steps = max(4, ceil(64.0 * abs(span)))
+        steps = max(4, ceil(64.0 * span))
     h = span / steps
 
     thetas = [theta_start]
@@ -233,7 +255,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
             break
 
     if crossing is not None:
-        at_end = abs(crossing - thetas[-1]) <= 1e-9 * (1.0 + abs(span))
+        at_end = abs(crossing - thetas[-1]) <= 1e-9 * (1.0 + span)
         if stop_at_L_zero:
             if not at_end:
                 wave = _truncate(wave, crossing)
@@ -251,10 +273,8 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
 def _truncate(wave, theta_cut):
     """Rebuild a wave cut at an interior angle (last sample interpolated)."""
     keep_t, keep_r, keep_L, keep_dr, keep_dL = [], [], [], [], []
-    ascending = wave.theta_end >= wave.theta_start
     for i, t in enumerate(wave.thetas):
-        inside = t < theta_cut if ascending else t > theta_cut
-        if inside:
+        if t < theta_cut:
             keep_t.append(t)
             keep_r.append(wave.rhos[i])
             keep_L.append(wave.Ls[i])
@@ -286,8 +306,7 @@ def classify_pm(wave, theta_bar, tol=1e-9):
     compression at or above it with L <= 0. Backward waves mirror this.
     A wave straddling theta_bar with both L signs present is rejected.
     """
-    lo = min(wave.theta_start, wave.theta_end)
-    hi = max(wave.theta_start, wave.theta_end)
+    lo, hi = wave.theta_start, wave.theta_end
     scale = max(1.0, max(abs(x) for x in wave.Ls))
     has_pos = any(L > tol * scale for L in wave.Ls)
     has_neg = any(L < -tol * scale for L in wave.Ls)

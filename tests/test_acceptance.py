@@ -52,7 +52,7 @@ from sectorflow.shock import (
     shock_from_strength,
     solve_shock_angle,
 )
-from sectorflow.verify import _entropy_scaled, entropy_residual, weak_residual
+from sectorflow.verify import entropy_residual, scaled_residuals, weak_residual
 
 from test_flowfield import (
     THREE_SECTOR_BOUNDS,
@@ -411,14 +411,15 @@ def test_criterion_6_weak_form(report, shipped_two_sector):
         d2 = max(abs(a - b) for a, b in zip(r2, r4))
         orders.append(math.log2(d1 / d2) if d2 > 1e-14 else 4.0)
 
-    worst_prod = 0.0
     n_entropy = 1000
+    intervals = []
     for _ in range(n_entropy):
         a = rng.uniform(0.0, TWO_PI)
         w = rng.uniform(1e-3, TWO_PI)
         t1 = flow.local_angle(a)
-        prod = _entropy_scaled(flow, t1, t1 + w, 8)
-        worst_prod = min(worst_prod, prod)
+        intervals.append((t1, t1 + w))
+    _, prods = scaled_residuals(flow, intervals, 8)
+    worst_prod = min(0.0, float(prods.min()))
 
     ok = (
         worst_straddle <= 1e-10

@@ -163,6 +163,24 @@ def test_unknown_flags_exit_three(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_pm_trace_rejects_nonpositive_steps(capsys, steps):
+    assert main(["pm-trace", "--gamma", "1.4", "--mach", "2.0",
+                 "--steps", steps]) == 3
+    captured = capsys.readouterr()
+    assert "config error: --steps" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", ["-5", "1"])
+def test_export_rejects_too_few_samples(capsys, tmp_path, samples):
+    out = tmp_path / "u.csv"
+    assert main(["export", str(CONFIGS / "uniform.json"), "--format", "csv",
+                 "--samples", samples, "--out", str(out)]) == 3
+    assert "config error: --samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detached_deflection_exits_one(capsys):
     code = main(["shock-solve", "--mach", "2", "--deflection", "40deg",
                  "--gamma", "1.4"])
@@ -237,7 +255,9 @@ def test_csv_round_trip_recovers_boundaries(tmp_path):
     n = 720
     text = export_csv(flow, samples=n)
     lines = text.strip().splitlines()[1:]
+    # float() on every cell: array scalars would print as np.float64(...)
     rows = [list(map(float, line.split(","))) for line in lines]
+    assert len(rows) == n and all(len(r) == 11 for r in rows)
     spacing = TWO_PI / n
 
     found = []

@@ -1,6 +1,8 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,7 @@ from sectorflow.flowfield import (
     build_flow,
     bv_decompose,
     evaluate,
+    evaluate_many,
     sector_decompose,
     shock_separation_floor,
     validate_structure,
@@ -339,6 +342,31 @@ def test_evaluate_right_continuous_at_jumps(two_sector):
         assert at.p == pytest.approx(right.p, rel=1e-12)
         just_after = evaluate(two_sector, sp.theta + 1e-11)
         assert just_after.rho == pytest.approx(right.rho, rel=1e-9)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", ["two_sector", "three_sector_g112", "uniform"])
+def test_evaluate_many_matches_evaluate(name):
+    from sectorflow.cli import parse_config
+
+    cfg = parse_config((CONFIGS / ("%s.json" % name)).read_text())
+    flow = build_flow(cfg.gas, cfg.description)
+    base = [p.theta for p in flow.jump_points]
+    for piece in flow.interval_pieces:
+        base += [piece.theta_start, piece.theta_end]
+        if isinstance(piece, PMPiece):
+            base += list(piece.wave.thetas) + [piece.wave.theta_end]
+    base += [flow.anchor_theta + TWO_PI - 1e-12, flow.anchor_theta - 1e-17, -0.3, -4.0]
+    thetas = np.array(base + [t + TWO_PI for t in base] + [t - TWO_PI for t in base])
+    assert (thetas < 0.0).sum() >= len(base)
+
+    got = np.array(evaluate_many(flow, thetas))
+    want = np.array([
+        (s.rho, s.u, s.v, s.p) for s in (evaluate(flow, t) for t in thetas.tolist())
+    ]).T
+    assert (np.abs(got - want) <= 1e-15 * np.maximum(np.abs(got), np.abs(want))).all()
 
 
 def test_constant_pieces_rotate_exactly(two_sector):
