@@ -28,7 +28,12 @@ from math import asin, atan2, ceil, cos, hypot, pi, sin, sqrt
 
 import numpy as np
 
-from .gas import PrimitiveState, in_phase_space, primitive_to_conserved
+from .gas import (
+    PrimitiveState,
+    in_phase_space,
+    primitive_to_conserved,
+    relative_state_gap,
+)
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
 from .pmwave import (
     PMWave,
@@ -41,6 +46,7 @@ from .pmwave import (
 from .shock import (
     Orientation,
     ShockSolution,
+    brentq,
     check_admissibility,
     shock_from_strength,
     strength_from_normal_mach,
@@ -220,13 +226,6 @@ def _flow_angle_of(state):
     return atan2(state.v, state.u)
 
 
-def _rel_state_gap(a, b):
-    out = 0.0
-    for x, y in ((a.rho, b.rho), (a.u, b.u), (a.v, b.v), (a.p, b.p)):
-        out = max(out, abs(x - y) / max(1.0, abs(x), abs(y)))
-    return out
-
-
 # ------------------------------------------------------ flow description
 
 
@@ -402,7 +401,7 @@ def _march(gas, desc):
                 except ValueError as e:
                     raise err(idx, str(e))
                 got_back = sol.downstream.to_primitive()
-                if _rel_state_gap(got_back, state) > 1e-8:
+                if relative_state_gap(got_back, state) > 1e-8:
                     raise err(idx, "shock does not match the marching state")
                 new_state = sol.upstream.to_primitive()
             else:
@@ -489,7 +488,7 @@ def _march(gas, desc):
 
 
 def _closure_gap(desc, final_state):
-    return _rel_state_gap(final_state, desc.anchor_state)
+    return relative_state_gap(final_state, desc.anchor_state)
 
 
 def _angle_mismatch(desc, final_state):
@@ -543,8 +542,6 @@ def build_flow(gas, desc):
             root = x
             break
     if root is None:
-        from scipy.optimize import brentq
-
         for k in range(n_scan - 1):
             fa, fb = vals[k], vals[k + 1]
             if fa is None or fb is None or fa * fb > 0.0:
@@ -594,7 +591,7 @@ def _validate_flow(flow):
         rb = _left_state(b, boundary)
         if boundary in jump_angles:
             continue
-        if _rel_state_gap(la, rb) > 1e-8:
+        if relative_state_gap(la, rb) > 1e-8:
             raise ValueError(
                 "adjacent pieces disagree at their shared angle %.12g" % boundary
             )
@@ -608,7 +605,7 @@ def _validate_flow(flow):
         or abs(p.theta - (flow.anchor_theta + TWO_PI)) < 1e-11
         for p in flow.jump_points
     )
-    if not seam_jump and _rel_state_gap(start_state, end_state) > _MATCH_TOL:
+    if not seam_jump and relative_state_gap(start_state, end_state) > _MATCH_TOL:
         raise ValueError("flow is not periodic at the seam")
 
 
@@ -791,7 +788,7 @@ def _constant_width_around(flow, theta, side):
         if (
             isinstance(edge, ConstantPiece)
             and isinstance(other, ConstantPiece)
-            and _rel_state_gap(edge.state, other.state) <= 1e-9
+            and relative_state_gap(edge.state, other.state) <= 1e-9
         ):
             return other.theta_end - other.theta_start
         return 0.0

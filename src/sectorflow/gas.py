@@ -15,6 +15,7 @@ __all__ = [
     "PhaseBounds",
     "GasModel",
     "PrimitiveState",
+    "relative_state_gap",
     "ConservedState",
     "PhaseReport",
     "make_gas",
@@ -119,6 +120,14 @@ class PrimitiveState:
         so every inequality check on entropy uses it directly.
         """
         return self.p / self.rho ** gas.gamma
+
+
+def relative_state_gap(a, b):
+    """Max over (rho, u, v, p) of |a - b| / max(|a|, |b|, 1): the relative state gap."""
+    return max(
+        abs(x - y) / max(abs(x), abs(y), 1.0)
+        for x, y in ((a.rho, b.rho), (a.u, b.u), (a.v, b.v), (a.p, b.p))
+    )
 
 
 @dataclass(frozen=True)

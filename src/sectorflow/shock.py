@@ -24,9 +24,7 @@ import enum
 from dataclasses import dataclass
 from math import atan, cos, sin, sqrt, tan, asin, pi
 
-from scipy.optimize import brentq, minimize_scalar
-
-from .gas import PrimitiveState, in_phase_space, physical_fluxes
+from .gas import PrimitiveState, in_phase_space, physical_fluxes, relative_state_gap
 from .polar import PolarState, to_polar
 
 __all__ = [
@@ -43,11 +41,13 @@ __all__ = [
     "rh_residual",
     "check_admissibility",
     "deflection_angle",
+    "detachment_shock_angle",
     "solve_shock_angle",
     "max_deflection",
     "max_deflection_limit",
     "lax_neighborhood_bound",
     "normal_floor",
+    "brentq",
 ]
 
 
@@ -200,14 +200,6 @@ class Classification:
     reason: str | None = None
 
 
-def _relative_gap(left, right):
-    parts = []
-    for a, b in ((left.rho, right.rho), (left.u, right.u), (left.v, right.v), (left.p, right.p)):
-        scale = max(abs(a), abs(b), 1.0)
-        parts.append(abs(a - b) / scale)
-    return max(parts)
-
-
 def classify_discontinuity(left, right, theta, gas):
     """Decide what kind of jump, if any, the two states form at theta.
 
@@ -217,7 +209,7 @@ def classify_discontinuity(left, right, theta, gas):
     entropy condition; anything else is inadmissible with the first
     violated condition named.
     """
-    if _relative_gap(left, right) <= 1e-9:
+    if relative_state_gap(left, right) <= 1e-9:
         return Classification(DiscontinuityKind.NOT_A_JUMP)
 
     n_zero = 1e-9 * gas.bounds.speed_max
@@ -368,29 +360,20 @@ def deflection_angle(mach, shock_angle, gas):
     return max(a, 0.0)
 
 
+def detachment_shock_angle(mach, gas):
+    """Shock angle of the largest attached deflection (NACA Report 1135).
+
+    sin^2 b* = [(g+1) M^2/4 - 1 + sqrt((g+1)(1 + (g-1) M^2/2 + (g+1) M^4/16))]
+               / (g M^2), evaluated divided through by M^2 so M^4 cannot overflow.
+    """
+    g, r = gas.gamma, 1.0 / (mach * mach)
+    root = sqrt((g + 1.0) * (r * r + 0.5 * (g - 1.0) * r + (g + 1.0) / 16.0))
+    return asin(sqrt(min((0.25 * (g + 1.0) - r + root) / g, 1.0)))
+
+
 def max_deflection(mach, gas):
-    """Largest deflection an attached shock can produce at this Mach number."""
-    lo = asin(1.0 / mach)
-    hi = 0.5 * pi
-    res = minimize_scalar(
-        lambda t: -deflection_angle(mach, t, gas),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return -res.fun
-
-
-def _peak_shock_angle(mach, gas):
-    lo = asin(1.0 / mach)
-    hi = 0.5 * pi
-    res = minimize_scalar(
-        lambda t: -deflection_angle(mach, t, gas),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return res.x
+    """Largest attached deflection: the turning at the closed-form detachment_shock_angle."""
+    return deflection_angle(mach, detachment_shock_angle(mach, gas), gas)
 
 
 def max_deflection_limit(gas):
@@ -403,6 +386,9 @@ def solve_shock_angle(mach, alpha, branch, gas):
 
     branch "weak" returns the smaller shock angle, "strong" the larger.
     Rejects deflections beyond max_deflection(mach), the detached regime.
+    The closed-form detachment shock angle splits [asin(1/M), pi/2] into the
+    two monotone branches, and this module's brentq finds the root on the
+    requested one to xtol 1e-14.
     """
     if not mach > 1.0:
         raise ValueError("upstream Mach number must exceed 1")
@@ -415,7 +401,7 @@ def solve_shock_angle(mach, alpha, branch, gas):
     hi = 0.5 * pi
     if alpha == 0.0:
         return lo if branch == "weak" else hi
-    peak = _peak_shock_angle(mach, gas)
+    peak = detachment_shock_angle(mach, gas)
     alpha_peak = deflection_angle(mach, peak, gas)
     if alpha > alpha_peak:
         raise ValueError("detached shock regime: deflection exceeds the maximum")
@@ -433,6 +419,55 @@ def solve_shock_angle(mach, alpha, branch, gas):
         # alpha equals the peak value up to rounding
         return peak
     return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+
+
+def brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    A port of the algorithm behind SciPy's brentq: each step is an
+    inverse-quadratic (or secant) step when that stays well inside the
+    bracket and shrinks it fast enough, and a bisection otherwise. Stops
+    once the bracket half-width is below (xtol + rtol |x|) / 2. Raises
+    ValueError when f(a) and f(b) have the same sign and RuntimeError
+    when maxiter steps do not converge.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if interpolate:
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            interpolate = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        if interpolate:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("brentq did not converge in %d iterations" % maxiter)
 
 
 def lax_neighborhood_bound(gas):

@@ -556,9 +556,24 @@ def test_criterion_8_sbv_decomposition(report, shipped_two_sector):
 # ---------------------------------------------------------------------- 9
 
 
-def test_criterion_9_theta_beta_mach_inverse(report):
-    from scipy.optimize import minimize_scalar
+def _golden_section_max(fn, lo, hi, xatol):
+    """Maximizer of a unimodal fn on [lo, hi] by golden-section search."""
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    while hi - lo > xatol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = fn(d)
+    return 0.5 * (lo + hi)
 
+
+def test_criterion_9_theta_beta_mach_inverse(report):
     rng = random.Random(1409)
     gas = make_gas(1.4, WIDE)
     worst = 0.0
@@ -566,12 +581,10 @@ def test_criterion_9_theta_beta_mach_inverse(report):
     for _ in range(n):
         mach = math.exp(rng.uniform(math.log(1.05), math.log(20.0)))
         lo = math.asin(1.0 / mach)
-        peak_angle = minimize_scalar(
-            lambda t: -deflection_angle(mach, t, gas),
-            bounds=(lo, 0.5 * math.pi),
-            method="bounded",
-            options={"xatol": 1e-13},
-        ).x
+        # found independently of the closed form the solver splits at
+        peak_angle = _golden_section_max(
+            lambda t: deflection_angle(mach, t, gas), lo, 0.5 * math.pi, xatol=1e-13
+        )
         theta_s = rng.uniform(lo + 1e-6, 0.5 * math.pi - 1e-6)
         alpha = deflection_angle(mach, theta_s, gas)
         peak = max_deflection(mach, gas)

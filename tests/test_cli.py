@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -332,3 +334,14 @@ def test_analyze_reports_sectors_and_variation(capsys):
     assert total_turn == pytest.approx(-math.pi, abs=1e-9)
     assert doc["total_variation"] == pytest.approx(3496.518326026, rel=1e-6)
     assert doc["tv_lipschitz"] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sectorflow.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -8,9 +8,11 @@ from sectorflow.polar import PolarState, to_polar
 from sectorflow.shock import (
     DiscontinuityKind,
     Orientation,
+    brentq,
     check_admissibility,
     classify_discontinuity,
     deflection_angle,
+    detachment_shock_angle,
     downstream_normal_mach,
     hugoniot_value,
     lax_neighborhood_bound,
@@ -301,6 +303,29 @@ def test_max_deflection_oracle(gas):
     assert max_deflection(3.0, gas) == pytest.approx(0.5946937115643225, rel=1e-9)
 
 
+def test_detachment_oracle(gas):
+    # gamma = 1.4, M = 2: sin^2 b* = (1.4 + sqrt(10.08)) / 5.6 by hand,
+    # about 64.6689798 deg; the turning there is about 22.9735318 deg
+    # (both confirmed to 30 digits as the zero of d(alpha)/d(b))
+    assert math.degrees(detachment_shock_angle(2.0, gas)) == pytest.approx(
+        64.66897983057951, rel=1e-9
+    )
+    assert math.degrees(max_deflection(2.0, gas)) == pytest.approx(
+        22.97353176093794, rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("gamma", [1.12, 1.4, 5.0 / 3.0])
+@pytest.mark.parametrize("mach", [1.05, 1.5, 2.0, 3.0, 8.0, 40.0])
+def test_detachment_angle_is_the_maximum(gas, gamma, mach):
+    g = make_gas(gamma, gas.bounds)
+    peak = detachment_shock_angle(mach, g)
+    top = deflection_angle(mach, peak, g)
+    assert top == max_deflection(mach, g)
+    assert deflection_angle(mach, peak - 1e-6, g) < top
+    assert deflection_angle(mach, peak + 1e-6, g) < top
+
+
 def test_max_deflection_monotone_and_limited(gas):
     machs = [1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0]
     vals = [max_deflection(m, gas) for m in machs]
@@ -347,6 +372,39 @@ def test_solve_shock_angle_detached(gas):
 def test_solve_shock_angle_zero_deflection(gas):
     assert solve_shock_angle(2.0, 0.0, "weak", gas) == pytest.approx(math.asin(0.5))
     assert solve_shock_angle(2.0, 0.0, "strong", gas) == pytest.approx(math.pi / 2.0)
+
+
+# ------------------------------------------------------------ root finder
+
+
+def test_brentq_converges_to_xtol():
+    r = brentq(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    assert abs(r - 0.7390851332151607) <= 1e-14 + 8.9e-16 * r
+    r = brentq(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, xtol=1e-12, rtol=8.9e-16)
+    assert abs(r - 2.0945514815423265) <= 1e-12 + 8.9e-16 * r
+
+
+def test_brentq_returns_exact_endpoint_zero():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.25
+
+    assert brentq(f, 0.25, 3.0, xtol=1e-12, rtol=8.9e-16) == 0.25
+    assert brentq(f, -1.0, 0.25, xtol=1e-12, rtol=8.9e-16) == 0.25
+    assert len(calls) == 4
+
+
+def test_brentq_needs_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+
+
+def test_brentq_gives_up_after_maxiter():
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: math.tanh(50.0 * (x - 0.123)), -3.0, 4.0,
+               xtol=1e-14, rtol=8.9e-16, maxiter=1)
 
 
 def test_lax_neighborhood_bound_positive(gas, gas_heavy):
