@@ -1,129 +1,89 @@
-"""Piecewise self-similar flows of a polytropic gas on the circle of directions."""
+"""Piecewise self-similar flows of a polytropic gas on the circle of directions.
+
+The public names load on first use (PEP 562), so importing the package, the
+command line or the solver modules does not import numpy; only the array
+paths (evaluate_many, the audit, the exporters) do.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .gas import (
-    GasModel,
-    PhaseBounds,
-    PrimitiveState,
-    ConservedState,
-    make_gas,
-    primitive_to_conserved,
-    conserved_to_primitive,
-    physical_fluxes,
-    in_phase_space,
-)
-from .polar import to_polar, from_polar, flow_angle, PolarState
-from .shock import (
-    Orientation,
-    ShockSolution,
-    hugoniot_value,
-    shock_from_strength,
-    classify_discontinuity,
-    rh_residual,
-    check_admissibility,
-    deflection_angle,
-    solve_shock_angle,
-    max_deflection,
-    max_deflection_limit,
-    lax_neighborhood_bound,
-)
-from .pmwave import PMWave, WaveKind, pm_rhs, integrate_pm, classify_pm
-from .roe import jacobian, roe_average, roe_matrix, eigensystem, genuine_nonlinearity
-from .flowfield import (
-    ClosureError,
-    ConstantPiece,
-    ShockPoint,
-    ContactPoint,
-    PMPiece,
-    FlowField,
-    ShockEvent,
-    ContactEvent,
-    PMEvent,
-    Shooting,
-    FlowDescription,
-    SectorDirection,
-    Sector,
-    StructureReport,
-    SBVDecomposition,
-    build_flow,
-    evaluate,
-    evaluate_many,
-    sector_decompose,
-    validate_structure,
-    bv_decompose,
-    shock_separation_floor,
-)
-from .verify import (
-    AuditReport,
-    weak_residual,
-    entropy_residual,
-    smooth_residual,
-    full_audit,
-)
+_EXPORTS = {
+    "gas": (
+        "GasModel",
+        "PhaseBounds",
+        "PrimitiveState",
+        "ConservedState",
+        "make_gas",
+        "primitive_to_conserved",
+        "conserved_to_primitive",
+        "physical_fluxes",
+        "in_phase_space",
+    ),
+    "polar": ("to_polar", "from_polar", "flow_angle", "PolarState"),
+    "shock": (
+        "Orientation",
+        "ShockSolution",
+        "hugoniot_value",
+        "shock_from_strength",
+        "classify_discontinuity",
+        "rh_residual",
+        "check_admissibility",
+        "deflection_angle",
+        "solve_shock_angle",
+        "max_deflection",
+        "max_deflection_limit",
+        "lax_neighborhood_bound",
+    ),
+    "pmwave": ("PMWave", "WaveKind", "pm_rhs", "integrate_pm", "classify_pm"),
+    "roe": ("jacobian", "roe_average", "roe_matrix", "eigensystem", "genuine_nonlinearity"),
+    "flowfield": (
+        "ClosureError",
+        "ConstantPiece",
+        "ShockPoint",
+        "ContactPoint",
+        "PMPiece",
+        "FlowField",
+        "ShockEvent",
+        "ContactEvent",
+        "PMEvent",
+        "Shooting",
+        "FlowDescription",
+        "SectorDirection",
+        "Sector",
+        "StructureReport",
+        "SBVDecomposition",
+        "build_flow",
+        "evaluate",
+        "evaluate_many",
+        "sector_decompose",
+        "validate_structure",
+        "bv_decompose",
+        "shock_separation_floor",
+    ),
+    "verify": (
+        "AuditReport",
+        "weak_residual",
+        "entropy_residual",
+        "smooth_residual",
+        "full_audit",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "GasModel",
-    "PhaseBounds",
-    "PrimitiveState",
-    "ConservedState",
-    "make_gas",
-    "primitive_to_conserved",
-    "conserved_to_primitive",
-    "physical_fluxes",
-    "in_phase_space",
-    "to_polar",
-    "from_polar",
-    "flow_angle",
-    "PolarState",
-    "Orientation",
-    "ShockSolution",
-    "hugoniot_value",
-    "shock_from_strength",
-    "classify_discontinuity",
-    "rh_residual",
-    "check_admissibility",
-    "deflection_angle",
-    "solve_shock_angle",
-    "max_deflection",
-    "max_deflection_limit",
-    "lax_neighborhood_bound",
-    "PMWave",
-    "WaveKind",
-    "pm_rhs",
-    "integrate_pm",
-    "classify_pm",
-    "jacobian",
-    "roe_average",
-    "roe_matrix",
-    "eigensystem",
-    "genuine_nonlinearity",
-    "ClosureError",
-    "ConstantPiece",
-    "ShockPoint",
-    "ContactPoint",
-    "PMPiece",
-    "FlowField",
-    "ShockEvent",
-    "ContactEvent",
-    "PMEvent",
-    "Shooting",
-    "FlowDescription",
-    "SectorDirection",
-    "Sector",
-    "StructureReport",
-    "SBVDecomposition",
-    "build_flow",
-    "evaluate",
-    "evaluate_many",
-    "sector_decompose",
-    "validate_structure",
-    "bv_decompose",
-    "shock_separation_floor",
-    "AuditReport",
-    "weak_residual",
-    "entropy_residual",
-    "smooth_residual",
-    "full_audit",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,9 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import asin, atan2, cos, degrees, pi, radians, sin
-
-import numpy as np
+from math import asin, atan2, cos, degrees, isfinite, pi, radians, sin, sqrt
 
 from .flowfield import (
     ClosureError,
@@ -43,7 +41,6 @@ from .shock import (
     max_deflection_limit,
     solve_shock_angle,
 )
-from .verify import _ENTROPY_TOL, _SMOOTH_TOL, _WEAK_TOL, full_audit
 
 DEFAULT_SAMPLES = 720
 DEFAULT_PM_STEPS_PER_RADIAN = 64
@@ -352,29 +349,35 @@ def _emit(text, out):
 
 
 def _csv_text(gas, theta, rho, u, v, p):
-    """Header plus one row per angle, from state arrays at those angles.
+    """Header plus one row per angle, from lists of states at those angles.
 
     N, L and phi are the values of polar.to_polar and polar.flow_angle;
     cells are Python float reprs, so they round-trip exactly.
     """
-    st, ct = np.sin(theta), np.cos(theta)
-    N, L = u * st - v * ct, u * ct + v * st
-    c = np.sqrt(gas.gamma * p / rho)
-    phi = np.arctan2(-N * ct + L * st, N * st + L * ct)
-    phi[phi == -pi] = pi
-    cols = (theta, rho, u, v, p, N, L, c, N / c, p / rho ** gas.gamma, phi)
-    rows = zip(*(col.tolist() for col in cols))
-    return "\n".join([CSV_COLUMNS] + [",".join(map(repr, row)) for row in rows]) + "\n"
+    gamma = gas.gamma
+    lines = [CSV_COLUMNS]
+    for t, r, x, y, q in zip(theta, rho, u, v, p):
+        st, ct = sin(t), cos(t)
+        N, L = x * st - y * ct, x * ct + y * st
+        c = sqrt(gamma * q / r)
+        phi = atan2(-N * ct + L * st, N * st + L * ct)
+        if phi == -pi:
+            phi = pi
+        cells = (t, r, x, y, q, N, L, c, N / c, q / r ** gamma, phi)
+        lines.append(",".join(map(repr, cells)))
+    return "\n".join(lines) + "\n"
 
 
 def export_csv(flow, samples=DEFAULT_SAMPLES):
     """Right-continuous ring sampling; one row per sample plus the header."""
-    theta = flow.anchor_theta + TWO_PI * np.arange(samples) / samples
-    return _csv_text(flow.gas, theta, *evaluate_many(flow, theta))
+    theta = [flow.anchor_theta + TWO_PI * k / samples for k in range(samples)]
+    return _csv_text(flow.gas, theta, *(col.tolist() for col in evaluate_many(flow, theta)))
 
 
 def audit_to_document(report):
     """AuditReport as plain data, ready for json.dumps."""
+    from .verify import _ENTROPY_TOL, _SMOOTH_TOL, _WEAK_TOL
+
     return {
         "verdict": report.verdict,
         "weak_residual_max": list(report.weak_residual_max),
@@ -538,6 +541,8 @@ def _artifact_path(out_dir, config_path, fmt):
 
 
 def _render(flow, fmt, samples):
+    from .verify import full_audit
+
     if fmt == "csv":
         return export_csv(flow, samples)
     if fmt == "svg":
@@ -559,6 +564,8 @@ def _cmd_build(ns):
 
 
 def _cmd_verify(ns):
+    from .verify import full_audit
+
     cfg = _load_config(ns.config)
     flow = _build(cfg)
     report = full_audit(flow)
@@ -593,7 +600,12 @@ _SOLVER_BOUNDS = PhaseBounds(
 )
 
 
-def _solver_gas(gamma):
+def _solver_gas(gamma, mach=None):
+    if not isfinite(gamma):
+        raise ConfigError("--gamma", "must be finite")
+    # the shock algebra squares the Mach number
+    if mach is not None and not isfinite(mach * mach):
+        raise ConfigError("--mach", "must be finite, with a finite square")
     if not gamma > 1.0:
         raise ConfigError("--gamma", "must exceed 1")
     return make_gas(gamma, _SOLVER_BOUNDS)
@@ -602,15 +614,16 @@ def _solver_gas(gamma):
 def _flag_angle(text, flag):
     t = text.strip()
     try:
-        if t.endswith("deg"):
-            return radians(float(t[:-3]))
-        return float(t)
+        rad = radians(float(t[:-3])) if t.endswith("deg") else float(t)
     except ValueError:
         raise ConfigError(flag, "cannot parse %r as an angle" % text)
+    if not isfinite(rad):
+        raise ConfigError(flag, "must be finite")
+    return rad
 
 
 def _cmd_shock_solve(ns):
-    gas = _solver_gas(ns.gamma)
+    gas = _solver_gas(ns.gamma, ns.mach)
     alpha = _flag_angle(ns.deflection, "--deflection")
     try:
         theta_s = solve_shock_angle(ns.mach, alpha, ns.branch, gas)
@@ -631,7 +644,7 @@ def _cmd_shock_solve(ns):
 
 
 def _cmd_max_turn(ns):
-    gas = _solver_gas(ns.gamma)
+    gas = _solver_gas(ns.gamma, ns.mach)
     if ns.mach is not None:
         if not ns.mach > 1.0:
             raise ConfigError("--mach", "must exceed 1")
@@ -654,7 +667,7 @@ def _cmd_max_turn(ns):
 
 
 def _cmd_pm_trace(ns):
-    gas = _solver_gas(ns.gamma)
+    gas = _solver_gas(ns.gamma, ns.mach)
     if not ns.mach > 1.0:
         raise ConfigError("--mach", "must exceed 1 (the wave edge is sonic)")
     try:
@@ -678,8 +691,8 @@ def _cmd_pm_trace(ns):
         )
     except ValueError as exc:
         raise BuildError(str(exc))
-    states = np.array([(s.rho, s.u, s.v, s.p) for _, s in wave.samples])
-    _emit(_csv_text(gas, np.array(wave.thetas), *states.T), ns.out)
+    states = zip(*((s.rho, s.u, s.v, s.p) for _, s in wave.samples))
+    _emit(_csv_text(gas, wave.thetas, *states), ns.out)
     return 0
 
 

@@ -26,8 +26,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from math import asin, atan2, ceil, cos, hypot, pi, sin, sqrt
 
-import numpy as np
-
 from .gas import (
     PrimitiveState,
     in_phase_space,
@@ -198,6 +196,8 @@ def evaluate_many(flow, thetas):
     Same periodic wrap and right-continuous piece lookup as evaluate, with
     wave pieces interpolated as whole arrays and clamped at their end.
     """
+    import numpy as np
+
     t = np.mod(np.asarray(thetas, dtype=float) - flow.anchor_theta, TWO_PI)
     t = flow.anchor_theta + np.where(t >= TWO_PI, t - TWO_PI, t)
     idx = np.maximum(np.searchsorted(flow._starts, t, side="right") - 1, 0)
@@ -639,6 +639,8 @@ def sector_decompose(flow, samples=720):
     consistent normal sign inside each sector, the entry and exit signs
     of L, and the hard cap of three sectors.
     """
+    import numpy as np
+
     contacts = flow.contact_points
     if contacts:
         boundaries = sorted(p.theta for p in contacts)
@@ -988,6 +990,8 @@ class SBVDecomposition:
 
 def bv_decompose(flow, samples=720):
     """Cumulative-jump decomposition U = U_L + U_S sampled on the circle."""
+    import numpy as np
+
     jumps = sorted(
         ((flow.local_angle(p.theta), _conserved_jump(flow, p)) for p in flow.jump_points),
         key=lambda q: q[0],

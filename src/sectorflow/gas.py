@@ -9,8 +9,6 @@ points (zero velocity) throughout.
 from dataclasses import dataclass
 from math import sqrt
 
-import numpy as np
-
 __all__ = [
     "PhaseBounds",
     "GasModel",
@@ -186,6 +184,8 @@ def ray_fluxes(rho, u, v, p, theta, gamma):
     cos(theta) f^x + sin(theta) f^y for the Euler rows, rho N s and rho L s
     for the entropy surrogate s = p / rho^gamma (N, L as in polar.to_polar).
     """
+    import numpy as np
+
     st, ct = np.sin(theta), np.cos(theta)
     E = p / (gamma - 1.0) + 0.5 * rho * (u ** 2 + v ** 2)
     fx = (rho * u, rho * u * u + p, rho * u * v, u * (E + p))

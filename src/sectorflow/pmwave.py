@@ -18,8 +18,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import ceil, sqrt
 
-import numpy as np
-
 from .gas import PrimitiveState, in_phase_space
 from .polar import PolarState, from_polar
 
@@ -137,6 +135,8 @@ def pm_wave_arrays(wave, thetas):
     Elementwise the same cubic Hermite interpolant and sonic state as
     pm_wave_state, one array operation per term.
     """
+    import numpy as np
+
     ts = np.asarray(wave.thetas)
     t = np.asarray(thetas, dtype=float)
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)

@@ -8,6 +8,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sectorflow.cli import (
@@ -16,7 +17,7 @@ from sectorflow.cli import (
     main,
     parse_config,
 )
-from sectorflow.flowfield import build_flow
+from sectorflow.flowfield import build_flow, evaluate_many
 from sectorflow.gas import make_gas
 from sectorflow.polar import TWO_PI
 from sectorflow.shock import deflection_angle
@@ -183,6 +184,35 @@ def test_export_rejects_too_few_samples(capsys, tmp_path, samples):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["max-turn", "--gamma", "1.4", "--mach", "inf"], "--mach"),
+        (["max-turn", "--gamma", "1.4", "--mach", "1e160"], "--mach"),
+        (["max-turn", "--gamma", "inf"], "--gamma"),
+        (["shock-solve", "--gamma", "1.4", "--mach", "inf", "--deflection", "10deg"], "--mach"),
+        (["shock-solve", "--gamma", "1.4", "--mach", "1e160", "--deflection", "10deg"], "--mach"),
+        (["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "nan"], "--deflection"),
+        (["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "infdeg"], "--deflection"),
+        (["pm-trace", "--gamma", "1.4", "--mach", "2", "--span", "inf"], "--span"),
+    ],
+)
+def test_nonfinite_flags_exit_three_and_name_the_flag(capsys, argv, flag):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: %s: " % flag)
+    assert captured.out == ""
+
+
+def test_huge_but_squarable_mach_still_solves(capsys):
+    # 1e150 squared is finite, so the shock algebra still answers
+    assert main(["max-turn", "--gamma", "1.4", "--mach", "1e150"]) == 0
+    assert ": 45.5847 deg (0.795602953 rad)" in capsys.readouterr().out
+    assert main(["shock-solve", "--gamma", "1.4", "--mach", "1e150",
+                 "--deflection", "10deg"]) == 0
+    assert "= 12.0350 deg (weak branch)" in capsys.readouterr().out
+
+
 def test_detached_deflection_exits_one(capsys):
     code = main(["shock-solve", "--mach", "2", "--deflection", "40deg",
                  "--gamma", "1.4"])
@@ -279,6 +309,41 @@ def test_csv_round_trip_recovers_boundaries(tmp_path):
     assert recovered == true
 
 
+def _array_csv_columns(gamma, theta, rho, u, v, p):
+    """Every CSV column computed with numpy on arrays of states."""
+    st, ct = np.sin(theta), np.cos(theta)
+    N, L = u * st - v * ct, u * ct + v * st
+    c = np.sqrt(gamma * p / rho)
+    phi = np.arctan2(-N * ct + L * st, N * st + L * ct)
+    phi[phi == -math.pi] = math.pi
+    return (theta, rho, u, v, p, N, L, c, N / c, p / rho ** gamma, phi)
+
+
+def _assert_cells_within_2ulp(text, columns):
+    rows = text.splitlines()[1:]
+    assert len(rows) == len(columns[0])
+    for row, expected in zip(rows, zip(*(col.tolist() for col in columns))):
+        for cell, want in zip(row.split(","), expected):
+            got = float(cell)
+            assert abs(got - want) <= 2 * math.ulp(max(abs(got), abs(want))), (row, want)
+
+
+@pytest.mark.parametrize("name", ["two_sector", "three_sector_g112", "uniform"])
+def test_csv_cells_match_the_array_formulas(name):
+    cfg = parse_config((CONFIGS / ("%s.json" % name)).read_text())
+    flow = build_flow(cfg.gas, cfg.description)
+    theta = flow.anchor_theta + TWO_PI * np.arange(cfg.samples) / cfg.samples
+    columns = _array_csv_columns(cfg.gas.gamma, theta, *evaluate_many(flow, theta))
+    _assert_cells_within_2ulp(export_csv(flow, cfg.samples), columns)
+
+
+def test_pm_trace_csv_cells_match_the_array_formulas(capsys):
+    assert main(["pm-trace", "--gamma", "1.12", "--mach", "3", "--span", "20deg"]) == 0
+    text = capsys.readouterr().out
+    states = np.array([[float(x) for x in row.split(",")[:5]] for row in text.splitlines()[1:]])
+    _assert_cells_within_2ulp(text, _array_csv_columns(1.12, *states.T))
+
+
 def test_svg_is_selfcontained_xml(tmp_path):
     out = tmp_path / "f.svg"
     assert main(["export", str(CONFIGS / "two_sector.json"), "--format", "svg",
@@ -336,12 +401,54 @@ def test_analyze_reports_sectors_and_variation(capsys):
     assert doc["tv_lipschitz"] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_cli_import_does_not_load_scipy():
+def _python(code):
+    """Run code in a fresh interpreter that imports this source tree."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sectorflow.cli, sys; assert 'scipy' not in sys.modules"],
-        env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
+
+
+def test_cli_import_does_not_load_scipy():
+    done = _python("import sectorflow.cli, sys; assert 'scipy' not in sys.modules")
     assert done.returncode == 0, done.stderr
+
+
+def _main_returns(argv, code):
+    return "from sectorflow.cli import main; assert main(%r) == %d" % (argv, code)
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import sectorflow",
+        "import sectorflow.cli",
+        _main_returns(["max-turn", "--gamma", "1.4", "--mach", "2"], 0),
+        _main_returns(["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "10deg"], 0),
+        _main_returns(["pm-trace", "--gamma", "1.4", "--mach", "2"], 0),
+        # a build that fails closure never reaches the array code
+        _main_returns(["build", str(CONFIGS / "three_sector_g14.json")], 2),
+    ],
+    ids=["package", "cli", "max-turn", "shock-solve", "pm-trace", "build-unclosed"],
+)
+def test_cold_paths_do_not_load_numpy(statement):
+    done = _python("import sys\n%s\nassert 'numpy' not in sys.modules" % statement)
+    assert done.returncode == 0, done.stderr
+
+
+def test_package_names_resolve_lazily():
+    import sectorflow
+    from sectorflow import flowfield, gas
+
+    for name in sectorflow.__all__:
+        assert getattr(sectorflow, name) is not None, name
+    assert sectorflow.build_flow is flowfield.build_flow
+    assert sectorflow.GasModel is gas.GasModel
+    assert set(sectorflow.__all__) <= set(dir(sectorflow))
+    with pytest.raises(AttributeError):
+        sectorflow.no_such_name
+    namespace = {}
+    exec("from sectorflow import *", namespace)
+    assert set(sectorflow.__all__) <= set(namespace)
+    assert namespace["full_audit"] is sectorflow.verify.full_audit
