@@ -683,6 +683,8 @@ def _cmd_pm_trace(ns):
     span = _flag_angle(ns.span, "--span")
     if not span > 0.0:
         raise ConfigError("--span", "must be positive")
+    if span > TWO_PI:
+        raise ConfigError("--span", "must be at most one turn (2 pi)")
     if ns.steps is not None:
         _count(ns.steps, "--steps", 1)
     try:

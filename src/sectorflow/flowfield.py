@@ -24,7 +24,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import asin, atan2, ceil, cos, hypot, pi, sin, sqrt
+from math import asin, atan2, ceil, hypot, pi, sqrt
 
 from .gas import (
     PrimitiveState,
@@ -46,6 +46,7 @@ from .shock import (
     ShockSolution,
     brentq,
     check_admissibility,
+    downstream_normal_mach,
     shock_from_strength,
     strength_from_normal_mach,
     lax_neighborhood_bound,
@@ -102,6 +103,14 @@ class ShockPoint:
     theta: float
     solution: ShockSolution
 
+    @property
+    def left(self):
+        return self.solution.left_state().to_primitive()
+
+    @property
+    def right(self):
+        return self.solution.right_state().to_primitive()
+
 
 @dataclass(frozen=True)
 class ContactPoint:
@@ -121,12 +130,6 @@ class PMPiece:
     @property
     def theta_end(self):
         return self.wave.theta_end
-
-
-def _piece_angle(piece):
-    if isinstance(piece, (ShockPoint, ContactPoint)):
-        return piece.theta
-    return piece.theta_start
 
 
 def _left_state(piece, theta):
@@ -216,10 +219,6 @@ def evaluate_many(flow, thetas):
             on = idx == k
             out[:, on] = pm_wave_arrays(p.wave, np.minimum(t[on], p.theta_end))
     return tuple(out)
-
-
-def _polar_of(state, theta):
-    return to_polar(state.u, state.v, theta)
 
 
 def _flow_angle_of(state):
@@ -341,26 +340,25 @@ def _march(gas, desc):
             c_cur = state.sound_speed(gas)
             sign = ev.orientation.sign
             g = gas.gamma
+            # the marching state is the shock's left side: the back of a
+            # forward shock, the front of a backward one
+            back = ev.orientation is Orientation.FORWARD
             if ev.theta is not None:
                 theta_s = ev.theta
                 if not theta_s > cur_start:
                     raise err(idx, "event angle does not advance the march")
-                N_cur, L_cur = _polar_of(state, theta_s)
-                mach = sign * N_cur / c_cur
+                N_cur, L_cur = to_polar(state.u, state.v, theta_s)
                 try:
-                    if ev.orientation is Orientation.FORWARD:
-                        # marching side is the back of a forward shock
-                        z = strength_from_normal_mach(mach, g, "back")
-                    else:
-                        z = strength_from_normal_mach(mach, g, "front")
+                    z = strength_from_normal_mach(
+                        sign * N_cur / c_cur, g, "back" if back else "front"
+                    )
                 except ValueError as e:
                     raise err(idx, str(e))
             else:
                 if ev.balance:
-                    if ev.orientation is Orientation.FORWARD:
-                        z = state.p / desc.anchor_state.p - 1.0
-                    else:
-                        z = desc.anchor_state.p / state.p - 1.0
+                    # the new state's pressure returns to the anchor value
+                    p_left, p_right = state.p, desc.anchor_state.p
+                    z = (p_left / p_right if back else p_right / p_left) - 1.0
                     if not z > 0.0:
                         raise err(
                             idx,
@@ -370,51 +368,35 @@ def _march(gas, desc):
                     z = ev.z
                     if not z > 0.0:
                         raise err(idx, "declared shock strength must be positive")
-                rp = 1.0 + z * (g + 1.0) / (2.0 * g)
-                if ev.orientation is Orientation.FORWARD:
-                    # marching state is the back side: |N| = c sqrt(rm/(1+z))
-                    rm = 1.0 + z * (g - 1.0) / (2.0 * g)
-                    target = c_cur * sqrt(rm / (1.0 + z))
+                # normal Mach number of the marching side at strength z
+                if back:
+                    mach_n = downstream_normal_mach(z, g)
                 else:
-                    # marching state is the front side: N = -c sqrt(rp)
-                    target = -c_cur * sqrt(rp)
+                    mach_n = sqrt(1.0 + z * (g + 1.0) / (2.0 * g))
+                target = sign * c_cur * mach_n
                 theta_s = _next_angle_with_normal(
                     state, target, cur_start, "piece %d" % idx, L_sign=ev.L_sign
                 )
-                N_cur, L_cur = _polar_of(state, theta_s)
+                _, L_cur = to_polar(state.u, state.v, theta_s)
 
             if theta_s >= horizon - 1e-12:
                 raise err(idx, "event angle passes the closure seam")
 
-            if ev.orientation is Orientation.FORWARD:
-                # current state is the downstream (back) side; rebuild the
-                # front from the closed forms and let the constructor verify
+            # the constructor stands on the front side; a forward shock's
+            # front follows from the marching back side by the closed forms
+            rho_f, p_f = state.rho, state.p
+            if back:
                 rp = 1.0 + z * (g + 1.0) / (2.0 * g)
                 rm = 1.0 + z * (g - 1.0) / (2.0 * g)
-                rho_f = state.rho * rm / rp
-                p_f = state.p / (1.0 + z)
-                upstream_seed = PolarState(
-                    theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f
-                )
-                try:
-                    sol = shock_from_strength(upstream_seed, z, ev.orientation, gas)
-                except ValueError as e:
-                    raise err(idx, str(e))
-                got_back = sol.downstream.to_primitive()
-                if relative_state_gap(got_back, state) > 1e-8:
-                    raise err(idx, "shock does not match the marching state")
-                new_state = sol.upstream.to_primitive()
-            else:
-                upstream_seed = PolarState(
-                    theta=theta_s, N=0.0, L=L_cur, rho=state.rho, p=state.p
-                )
-                try:
-                    sol = shock_from_strength(upstream_seed, z, ev.orientation, gas)
-                except ValueError as e:
-                    raise err(idx, str(e))
-                if abs(sol.upstream.N - N_cur) > 1e-8 * max(1.0, abs(N_cur)):
-                    raise err(idx, "shock does not match the marching state")
-                new_state = sol.downstream.to_primitive()
+                rho_f, p_f = state.rho * rm / rp, state.p / (1.0 + z)
+            front = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
+            try:
+                sol = shock_from_strength(front, z, ev.orientation, gas)
+            except ValueError as e:
+                raise err(idx, str(e))
+            if relative_state_gap(sol.left_state().to_primitive(), state) > 1e-8:
+                raise err(idx, "shock does not match the marching state")
+            new_state = sol.right_state().to_primitive()
 
             pieces.append(ConstantPiece(cur_start, theta_s, state))
             pieces.append(ShockPoint(theta_s, sol))
@@ -426,7 +408,7 @@ def _march(gas, desc):
             theta_c = _next_angle_with_normal(state, 0.0, cur_start, "piece %d" % idx)
             if theta_c >= horizon - 1e-12:
                 raise err(idx, "contact angle passes the closure seam")
-            _, L_left = _polar_of(state, theta_c)
+            _, L_left = to_polar(state.u, state.v, theta_c)
             if abs(ev.L) <= 0.0 or not ev.rho > 0.0:
                 raise err(idx, "contact needs positive density and moving gas")
             jump = max(
@@ -454,7 +436,7 @@ def _march(gas, desc):
                 if a < cur_start - 1e-12:
                     raise err(idx, "wave start angle precedes the march")
             else:
-                N_now, _ = _polar_of(state, cur_start)
+                N_now, _ = to_polar(state.u, state.v, cur_start)
                 if abs(N_now - sign * c_cur) <= 1e-9 * c_cur:
                     a = cur_start
                 else:
@@ -749,7 +731,7 @@ def _pieces_in(flow, a, b):
     for shift in (0.0, TWO_PI):
         for p in flow.pieces:
             if isinstance(p, (ShockPoint, ContactPoint)):
-                t = _piece_angle(p) + shift
+                t = p.theta + shift
                 if a + 1e-12 < t < b - 1e-12:
                     out.append((t, p, shift))
             else:
@@ -761,13 +743,8 @@ def _pieces_in(flow, a, b):
 
 
 def _conserved_jump(flow, point):
-    if isinstance(point, ShockPoint):
-        left = point.solution.left_state().to_primitive()
-        right = point.solution.right_state().to_primitive()
-    else:
-        left, right = point.left, point.right
-    ul = primitive_to_conserved(left, flow.gas).as_tuple()
-    ur = primitive_to_conserved(right, flow.gas).as_tuple()
+    ul = primitive_to_conserved(point.left, flow.gas).as_tuple()
+    ur = primitive_to_conserved(point.right, flow.gas).as_tuple()
     return tuple(r - l for l, r in zip(ul, ur))
 
 
@@ -775,45 +752,24 @@ def _jump_norm(flow, point):
     return sqrt(sum(d * d for d in _conserved_jump(flow, point)))
 
 
-def _constant_width_around(flow, theta, side):
-    """Width of the constant piece touching theta from one side.
+def _constant_width(flow, piece):
+    """Width of an interval piece if it is a constant, else 0.
 
     A constant that straddles the closure seam is stored as two pieces;
     the builder never places a jump at the seam, so their widths merge.
     """
-    intervals = flow.interval_pieces
-    t = flow.local_angle(theta)
-
-    def seam_extension(direction):
-        edge = intervals[0] if direction == "down" else intervals[-1]
-        other = intervals[-1] if direction == "down" else intervals[0]
+    if not isinstance(piece, ConstantPiece):
+        return 0.0
+    width = piece.theta_end - piece.theta_start
+    first, last = flow.interval_pieces[0], flow.interval_pieces[-1]
+    if piece is first or piece is last:
+        other = last if piece is first else first
         if (
-            isinstance(edge, ConstantPiece)
-            and isinstance(other, ConstantPiece)
-            and relative_state_gap(edge.state, other.state) <= 1e-9
+            isinstance(other, ConstantPiece)
+            and relative_state_gap(piece.state, other.state) <= 1e-9
         ):
-            return other.theta_end - other.theta_start
-        return 0.0
-
-    if side == "right":
-        for p in intervals:
-            if abs(p.theta_start - t) < 1e-11:
-                if not isinstance(p, ConstantPiece):
-                    return 0.0
-                width = p.theta_end - p.theta_start
-                if p is intervals[-1]:
-                    width += seam_extension("up")
-                return width
-        return 0.0
-    for p in intervals:
-        if abs(p.theta_end - t) < 1e-11:
-            if not isinstance(p, ConstantPiece):
-                return 0.0
-            width = p.theta_end - p.theta_start
-            if p is intervals[0]:
-                width += seam_extension("down")
-            return width
-    return 0.0
+            width += other.theta_end - other.theta_start
+    return width
 
 
 def _piece_turning(flow, a, b):
@@ -825,12 +781,7 @@ def _piece_turning(flow, a, b):
     total = 0.0
     for _, p, shift in _pieces_in(flow, a, b):
         if isinstance(p, (ShockPoint, ContactPoint)):
-            if isinstance(p, ShockPoint):
-                left = p.solution.left_state().to_primitive()
-                right = p.solution.right_state().to_primitive()
-            else:
-                left, right = p.left, p.right
-            total += wrap_signed(_flow_angle_of(right) - _flow_angle_of(left))
+            total += wrap_signed(_flow_angle_of(p.right) - _flow_angle_of(p.left))
         elif isinstance(p, PMPiece):
             w = p.wave
             lo = max(w.theta_start, a - shift)
@@ -850,11 +801,13 @@ def validate_structure(flow):
     delta_L = lax_neighborhood_bound(gas)
     worst = None
     ok1 = True
-    for sp in flow.shock_points:
-        J = _jump_norm(flow, sp)
-        need = delta_L * J
-        wl = _constant_width_around(flow, sp.theta, "left")
-        wr = _constant_width_around(flow, sp.theta, "right")
+    pieces = flow.pieces
+    for k, sp in enumerate(pieces):
+        if not isinstance(sp, ShockPoint):
+            continue
+        need = delta_L * _jump_norm(flow, sp)
+        wl = _constant_width(flow, pieces[k - 1])
+        wr = _constant_width(flow, pieces[(k + 1) % len(pieces)])
         margin = min(wl, wr) - need
         if worst is None or margin < worst:
             worst = margin

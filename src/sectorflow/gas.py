@@ -163,17 +163,21 @@ def conserved_to_primitive(c, gas):
     return PrimitiveState(rho=c.rho, u=u, v=v, p=p)
 
 
+def _euler_fluxes(rho, u, v, p, gamma):
+    """f^x and f^y as two 4-tuples, in plain arithmetic on floats or arrays."""
+    E = p / (gamma - 1.0) + 0.5 * rho * (u ** 2 + v ** 2)
+    fx = (rho * u, rho * u * u + p, rho * u * v, u * (E + p))
+    fy = (rho * v, rho * u * v, rho * v * v + p, v * (E + p))
+    return fx, fy
+
+
 def physical_fluxes(s, gas):
     """Euler fluxes f^x and f^y of the state, as two 4-tuples.
 
     f^x = (rho u, rho u^2 + p, rho u v, u (E + p))
     f^y = (rho v, rho u v, rho v^2 + p, v (E + p))
     """
-    rho, u, v, p = s.rho, s.u, s.v, s.p
-    E = s.total_energy(gas)
-    fx = (rho * u, rho * u * u + p, rho * u * v, u * (E + p))
-    fy = (rho * v, rho * u * v, rho * v * v + p, v * (E + p))
-    return fx, fy
+    return _euler_fluxes(s.rho, s.u, s.v, s.p, gas.gamma)
 
 
 def ray_fluxes(rho, u, v, p, theta, gamma):
@@ -187,9 +191,7 @@ def ray_fluxes(rho, u, v, p, theta, gamma):
     import numpy as np
 
     st, ct = np.sin(theta), np.cos(theta)
-    E = p / (gamma - 1.0) + 0.5 * rho * (u ** 2 + v ** 2)
-    fx = (rho * u, rho * u * u + p, rho * u * v, u * (E + p))
-    fy = (rho * v, rho * u * v, rho * v * v + p, v * (E + p))
+    fx, fy = _euler_fluxes(rho, u, v, p, gamma)
     s = p / rho ** gamma
     G = [st * x - ct * y for x, y in zip(fx, fy)] + [rho * (u * st - v * ct) * s]
     H = [ct * x + st * y for x, y in zip(fx, fy)] + [rho * (u * ct + v * st) * s]

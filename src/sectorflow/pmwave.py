@@ -9,17 +9,23 @@ with c = c(rho) on the isentrope through the starting state. N never
 appears as an unknown: it is slaved to +-c(rho), which keeps the sonic
 and isentropic invariants exact at every sample by construction.
 
+One private rhs, _sonic_rhs, evaluates this system for pm_rhs, the RK4
+loop, the cut at an L zero and pm_state_derivative. It raises ValueError
+when the density is not positive: a fan marched that far has reached
+vacuum before its end angle.
+
 Integration is fixed-step RK4 with cubic Hermite dense output (the rhs is
 cheap, so sample derivatives are stored alongside the samples).
 """
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from math import ceil, sqrt
 
 from .gas import PrimitiveState, in_phase_space
-from .polar import PolarState, from_polar
+from .polar import from_polar
+from .shock import brentq
 
 __all__ = [
     "WaveKind",
@@ -44,18 +50,25 @@ def _sound_speed_isentrope(rho, s_ref, gamma):
     return sqrt(gamma * s_ref * rho ** (gamma - 1.0))
 
 
+def _sonic_rhs(rho, L, sign, s_ref, gamma):
+    """(d rho / d theta, d L / d theta) on the isentrope p = s_ref rho^gamma."""
+    if not rho > 0.0:
+        raise ValueError("wave reaches vacuum before its end angle")
+    c = _sound_speed_isentrope(rho, s_ref, gamma)
+    return sign * 2.0 * rho * L / ((gamma + 1.0) * c), -sign * c
+
+
 def pm_rhs(state, orient, gas):
     """(d rho / d theta, d L / d theta) at a sonic state.
 
     Raises when the state is not sonic for the requested orientation.
     """
     c = state.sound_speed(gas)
-    sign = orient.sign
-    if abs(state.N - sign * c) > SONIC_TOL * c:
+    if abs(state.N - orient.sign * c) > SONIC_TOL * c:
         raise ValueError("state is not sonic for this orientation")
-    drho = sign * 2.0 * state.rho * state.L / ((gas.gamma + 1.0) * c)
-    dL = -sign * c
-    return drho, dL
+    return _sonic_rhs(
+        state.rho, state.L, orient.sign, state.p / state.rho ** gas.gamma, gas.gamma
+    )
 
 
 @dataclass(frozen=True)
@@ -152,9 +165,10 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
 
     start must be sonic at theta_start for the orientation. steps defaults
     to 64 per radian of span. With stop_at_L_zero the wave is cut where L
-    crosses zero (located by bisection on the dense output); otherwise an
+    crosses zero (located by brentq on the dense output); otherwise an
     interior sign change is an error, since a wave of one kind cannot
-    continue through the tangential-velocity zero.
+    continue through the tangential-velocity zero. A wave that reaches
+    vacuum before its end angle is an error either way.
     """
     from .polar import to_polar
 
@@ -173,52 +187,31 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
         raise ValueError("wave end angle precedes its start")
     sign = orient.sign
 
-    def rhs(y):
-        rho, L = y
-        c = _sound_speed_isentrope(rho, s_ref, gamma)
-        return sign * 2.0 * rho * L / ((gamma + 1.0) * c), -sign * c
+    def rhs(rho, L):
+        return _sonic_rhs(rho, L, sign, s_ref, gamma)
 
     if span == 0.0:
-        d0 = rhs((start.rho, L0))
-        return PMWave(
-            orientation=orient,
-            theta_start=theta_start,
-            theta_end=theta_end,
-            thetas=(theta_start,),
-            rhos=(start.rho,),
-            Ls=(L0,),
-            drhos=(d0[0],),
-            dLs=(d0[1],),
-            s_ref=s_ref,
-            gamma=gamma,
-        )
-
-    if steps is None:
+        steps = 0  # the wave is its start sample
+    elif steps is None:
         steps = max(4, ceil(64.0 * span))
-    h = span / steps
+    h = span / steps if span else 0.0
 
-    thetas = [theta_start]
-    rhos = [start.rho]
-    Ls = [L0]
-    d = rhs((start.rho, L0))
+    thetas, rhos, Ls = [theta_start], [start.rho], [L0]
+    d = rhs(start.rho, L0)
     drhos, dLs = [d[0]], [d[1]]
-
-    y = (start.rho, L0)
-    t = theta_start
     for k in range(steps):
-        k1 = rhs(y)
-        k2 = rhs((y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]))
-        k3 = rhs((y[0] + 0.5 * h * k2[0], y[1] + 0.5 * h * k2[1]))
-        k4 = rhs((y[0] + h * k3[0], y[1] + h * k3[1]))
-        y = (
-            y[0] + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            y[1] + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        )
-        t = theta_start + (k + 1) * h
-        thetas.append(t)
-        rhos.append(y[0])
-        Ls.append(y[1])
-        d = rhs(y)
+        # k1 is the slope stored at the node
+        rho, L = rhos[-1], Ls[-1]
+        k1 = drhos[-1], dLs[-1]
+        k2 = rhs(rho + 0.5 * h * k1[0], L + 0.5 * h * k1[1])
+        k3 = rhs(rho + 0.5 * h * k2[0], L + 0.5 * h * k2[1])
+        k4 = rhs(rho + h * k3[0], L + h * k3[1])
+        rho += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        L += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        thetas.append(theta_start + (k + 1) * h)
+        rhos.append(rho)
+        Ls.append(L)
+        d = rhs(rho, L)
         drhos.append(d[0])
         dLs.append(d[1])
 
@@ -235,32 +228,21 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
         gamma=gamma,
     )
 
-    # locate any zero of L on the dense output
-    crossing = None
+    # the first zero of L past the start sample, on the dense output
     for i in range(len(thetas) - 1):
-        if Ls[i] == 0.0 and i > 0:
-            crossing = thetas[i]
-            break
-        if Ls[i] * Ls[i + 1] < 0.0:
-            a, b = thetas[i], thetas[i + 1]
-            fa = Ls[i]
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                fm = wave.reduced_at(m)[1]
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            crossing = 0.5 * (a + b)
-            break
-
-    if crossing is not None:
-        at_end = abs(crossing - thetas[-1]) <= 1e-9 * (1.0 + span)
-        if stop_at_L_zero:
-            if not at_end:
+        if (Ls[i] == 0.0 and i > 0) or Ls[i] * Ls[i + 1] < 0.0:
+            crossing = brentq(
+                lambda t: wave.reduced_at(t)[1],
+                thetas[i],
+                thetas[i + 1],
+                xtol=1e-15,
+                rtol=8.9e-16,
+            )
+            if abs(crossing - thetas[-1]) > 1e-9 * (1.0 + span):
+                if not stop_at_L_zero:
+                    raise ValueError("tangential velocity changes sign inside the wave")
                 wave = _truncate(wave, crossing)
-        elif not at_end:
-            raise ValueError("tangential velocity changes sign inside the wave")
+            break
 
     n = len(wave.thetas)
     for i in (0, n // 2, n - 1):
@@ -272,30 +254,17 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
 
 def _truncate(wave, theta_cut):
     """Rebuild a wave cut at an interior angle (last sample interpolated)."""
-    keep_t, keep_r, keep_L, keep_dr, keep_dL = [], [], [], [], []
-    for i, t in enumerate(wave.thetas):
-        if t < theta_cut:
-            keep_t.append(t)
-            keep_r.append(wave.rhos[i])
-            keep_L.append(wave.Ls[i])
-            keep_dr.append(wave.drhos[i])
-            keep_dL.append(wave.dLs[i])
+    k = bisect_left(wave.thetas, theta_cut)
     rho, L = wave.reduced_at(theta_cut)
-    c = _sound_speed_isentrope(rho, wave.s_ref, wave.gamma)
-    sign = wave.orientation.sign
-    keep_t.append(theta_cut)
-    keep_r.append(rho)
-    keep_L.append(L)
-    keep_dr.append(sign * 2.0 * rho * L / ((wave.gamma + 1.0) * c))
-    keep_dL.append(-sign * c)
+    drho, dL = _sonic_rhs(rho, L, wave.orientation.sign, wave.s_ref, wave.gamma)
     return replace(
         wave,
         theta_end=theta_cut,
-        thetas=tuple(keep_t),
-        rhos=tuple(keep_r),
-        Ls=tuple(keep_L),
-        drhos=tuple(keep_dr),
-        dLs=tuple(keep_dL),
+        thetas=wave.thetas[:k] + (theta_cut,),
+        rhos=wave.rhos[:k] + (rho,),
+        Ls=wave.Ls[:k] + (L,),
+        drhos=wave.drhos[:k] + (drho,),
+        dLs=wave.dLs[:k] + (dL,),
     )
 
 
@@ -330,11 +299,10 @@ def pm_state_derivative(wave, theta, gas):
 
     rho, L = wave.reduced_at(theta)
     gamma = wave.gamma
-    c = _sound_speed_isentrope(rho, wave.s_ref, gamma)
     sign = wave.orientation.sign
+    drho, dL = _sonic_rhs(rho, L, sign, wave.s_ref, gamma)
+    c = -sign * dL
     N = sign * c
-    drho = sign * 2.0 * rho * L / ((gamma + 1.0) * c)
-    dL = -sign * c
     dc = 0.5 * (gamma - 1.0) * c / rho * drho
     dN = sign * dc
 

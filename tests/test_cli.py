@@ -195,12 +195,31 @@ def test_export_rejects_too_few_samples(capsys, tmp_path, samples):
         (["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "nan"], "--deflection"),
         (["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "infdeg"], "--deflection"),
         (["pm-trace", "--gamma", "1.4", "--mach", "2", "--span", "inf"], "--span"),
+        (["pm-trace", "--gamma", "1.4", "--mach", "2", "--span", "10"], "--span"),
+        (["pm-trace", "--gamma", "1.4", "--mach", "2", "--span", "1e300"], "--span"),
     ],
 )
 def test_nonfinite_flags_exit_three_and_name_the_flag(capsys, argv, flag):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: %s: " % flag)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pm-trace", "--gamma", "1.4", "--mach", "2", "--span", "6"],
+        ["pm-trace", "--gamma", "1.6666666666666667", "--mach", "4", "--span", "1",
+         "--orientation", "backward"],
+    ],
+)
+def test_pm_trace_reaching_vacuum_is_a_construction_failure(capsys, argv):
+    # the fan's density falls to zero before the end angle
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("construction failure: ")
+    assert "vacuum" in captured.err
     assert captured.out == ""
 
 

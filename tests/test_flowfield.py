@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sectorflow.cli import parse_config
 from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas, primitive_to_conserved
 from sectorflow.polar import TWO_PI, from_polar, to_polar
 from sectorflow.pmwave import integrate_pm
@@ -515,6 +516,31 @@ def test_three_sector_is_pure_saltus(three_sector):
     assert bv.total_variation == pytest.approx(THREE_SECTOR_TV_JUMP, rel=1e-6)
     assert bv.tv_lipschitz == pytest.approx(0.0, abs=1e-6)
     assert bv.lipschitz_constant == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["two_sector", "three_sector_g112"])
+def test_declared_angle_shocks_reproduce_the_built_strengths(name):
+    """Each shock placed at its built angle gets back its strength, either orientation."""
+    cfg = parse_config((CONFIGS / (name + ".json")).read_text())
+    flow = build_flow(cfg.gas, cfg.description)
+    # events and the non-constant pieces they produced come in the same order
+    built = [p for p in flow.pieces if not isinstance(p, ConstantPiece)]
+    events = []
+    for ev, piece in zip(cfg.description.events, built):
+        if isinstance(ev, PMEvent):
+            ev = replace(ev, theta_end=piece.theta_end)  # resolves a wave-end shot
+        elif isinstance(ev, ShockEvent) and ev.z is not None:
+            ev = ShockEvent(orientation=ev.orientation, theta=piece.theta)
+        events.append(ev)
+    assert len(events) == len(cfg.description.events)
+    rebuilt = build_flow(
+        cfg.gas, replace(cfg.description, events=tuple(events), shooting=None)
+    )
+    assert {p.solution.orientation for p in rebuilt.shock_points} == set(Orientation)
+    assert len(rebuilt.shock_points) == len(flow.shock_points)
+    for a, b in zip(flow.shock_points, rebuilt.shock_points):
+        assert b.solution.orientation is a.solution.orientation
+        assert b.solution.z == pytest.approx(a.solution.z, rel=1e-12)
 
 
 def test_three_sector_needs_small_gamma(gas112):

@@ -162,6 +162,29 @@ def test_stop_at_l_zero_cuts_the_wave(gas):
     assert abs(w.Ls[-1]) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "L0, span, orient, stop",
+    [
+        (0.7, 0.5, Orientation.FORWARD, False),
+        (-0.6, 0.45, Orientation.BACKWARD, False),
+        (0.3, 1.5, Orientation.FORWARD, True),
+    ],
+)
+def test_stored_slopes_are_the_rhs(gas, L0, span, orient, stop):
+    """Every stored (drho, dL), the cut's last one too, is pm_rhs at its sample."""
+    theta0 = 0.8
+    start = _sonic_start(gas, L0, theta0, orient=orient)
+    w = integrate_pm(start, theta0, theta0 + span, orient, gas, stop_at_L_zero=stop)
+    assert (w.theta_end < theta0 + span) == stop
+    for i, (t, prim) in enumerate(w.samples):
+        N, L = to_polar(prim.u, prim.v, t)
+        ps = PolarState(theta=t, N=N, L=L, rho=prim.rho, p=prim.p)
+        # relative, but absolute for d rho at the cut, where L = 0
+        near_zero = 1e-14 if abs(L) < 1e-8 else 0.0
+        for got, want in zip((w.drhos[i], w.dLs[i]), pm_rhs(ps, orient, gas)):
+            assert got == pytest.approx(want, rel=1e-14, abs=near_zero)
+
+
 def test_nonsonic_start_rejected(gas):
     s = PrimitiveState(rho=1.0, u=2.0, v=0.0, p=1.0)
     with pytest.raises(ValueError, match="sonic"):
