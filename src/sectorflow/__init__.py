@@ -52,18 +52,18 @@ _EXPORTS = {
         "FlowDescription",
         "SectorDirection",
         "Sector",
-        "StructureReport",
         "SBVDecomposition",
         "build_flow",
         "evaluate",
         "evaluate_many",
         "sector_decompose",
-        "validate_structure",
         "bv_decompose",
         "shock_separation_floor",
     ),
     "verify": (
         "AuditReport",
+        "StructureReport",
+        "validate_structure",
         "weak_residual",
         "entropy_residual",
         "smooth_residual",

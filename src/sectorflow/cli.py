@@ -43,8 +43,6 @@ from .shock import (
 )
 
 DEFAULT_SAMPLES = 720
-DEFAULT_PM_STEPS_PER_RADIAN = 64
-DEFAULT_QUAD_POINTS = 8
 KNOWN_FORMATS = ("csv", "json", "svg")
 
 CSV_COLUMNS = "theta,rho,u,v,p,N,L,c,mach_n,s,phi"

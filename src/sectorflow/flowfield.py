@@ -35,8 +35,6 @@ from .gas import (
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
 from .pmwave import (
     PMWave,
-    WaveKind,
-    classify_pm,
     integrate_pm,
     pm_wave_arrays,
     pm_wave_state,
@@ -45,11 +43,9 @@ from .shock import (
     Orientation,
     ShockSolution,
     brentq,
-    check_admissibility,
     downstream_normal_mach,
     shock_from_strength,
     strength_from_normal_mach,
-    lax_neighborhood_bound,
 )
 
 __all__ = [
@@ -66,13 +62,11 @@ __all__ = [
     "FlowDescription",
     "SectorDirection",
     "Sector",
-    "StructureReport",
     "SBVDecomposition",
     "build_flow",
     "evaluate",
     "evaluate_many",
     "sector_decompose",
-    "validate_structure",
     "bv_decompose",
     "shock_separation_floor",
 ]
@@ -469,10 +463,6 @@ def _march(gas, desc):
     return pieces, state
 
 
-def _closure_gap(desc, final_state):
-    return relative_state_gap(final_state, desc.anchor_state)
-
-
 def _angle_mismatch(desc, final_state):
     return wrap_signed(_flow_angle_of(final_state) - _flow_angle_of(desc.anchor_state))
 
@@ -485,23 +475,8 @@ def _with_param(desc, value):
     return replace(desc, events=tuple(events), shooting=None)
 
 
-def build_flow(gas, desc):
-    """Build a closed flow from a description, shooting if one is declared.
-
-    The shooting variable is adjusted by scalar root finding on the
-    flow-angle mismatch at the seam (the remaining closure components are
-    matched structurally by the description: a balance shock for pressure
-    and the final contact data for density and tangential velocity).
-    """
-    if desc.shooting is None:
-        pieces, final = _march(gas, desc)
-        gap = _closure_gap(desc, final)
-        if gap > _MATCH_TOL:
-            raise ClosureError(
-                "flow does not close up around the circle (residual %.3e)" % gap
-            )
-        return _assemble(gas, desc, pieces)
-
+def _shooting_root(gas, desc):
+    """First root of the seam mismatch found by scanning the shooting bracket."""
     lo, hi = desc.shooting.bracket
 
     def mismatch(x):
@@ -518,33 +493,39 @@ def build_flow(gas, desc):
         except (ValueError, ClosureError):
             vals.append(None)
 
-    root = None
     for x, fx in zip(xs, vals):
         if fx is not None and fx == 0.0:
-            root = x
-            break
-    if root is None:
-        for k in range(n_scan - 1):
-            fa, fb = vals[k], vals[k + 1]
-            if fa is None or fb is None or fa * fb > 0.0:
-                continue
-            root = brentq(mismatch, xs[k], xs[k + 1], xtol=1e-13, rtol=8.9e-16)
-            break
-    if root is None:
-        raise ClosureError(
-            "flow does not close up around the circle "
-            "(no sign change of the seam mismatch inside the shooting bracket)"
-        )
+            return x
+    for k in range(n_scan - 1):
+        fa, fb = vals[k], vals[k + 1]
+        if fa is None or fb is None or fa * fb > 0.0:
+            continue
+        return brentq(mismatch, xs[k], xs[k + 1], xtol=1e-13, rtol=8.9e-16)
+    raise ClosureError(
+        "flow does not close up around the circle "
+        "(no sign change of the seam mismatch inside the shooting bracket)"
+    )
 
-    resolved = _with_param(desc, root)
-    pieces, final = _march(gas, resolved)
-    gap = _closure_gap(resolved, final)
+
+def build_flow(gas, desc):
+    """Build a closed flow from a description, shooting if one is declared.
+
+    The shooting variable is adjusted by scalar root finding on the
+    flow-angle mismatch at the seam (the remaining closure components are
+    matched structurally by the description: a balance shock for pressure
+    and the final contact data for density and tangential velocity).
+    """
+    note = ""
+    if desc.shooting is not None:
+        desc = _with_param(desc, _shooting_root(gas, desc))
+        note = " after shooting"
+    pieces, final = _march(gas, desc)
+    gap = relative_state_gap(final, desc.anchor_state)
     if gap > _MATCH_TOL:
         raise ClosureError(
-            "flow does not close up around the circle (residual %.3e after shooting)"
-            % gap
+            "flow does not close up around the circle (residual %.3e%s)" % (gap, note)
         )
-    return _assemble(gas, resolved, pieces)
+    return _assemble(gas, desc, pieces)
 
 
 def _assemble(gas, desc, pieces):
@@ -670,22 +651,11 @@ def sector_decompose(flow, samples=720):
             if not (L_in < 0.0 < L_out):
                 raise ValueError("backward sector tangential signs are wrong")
 
-        # L is monotone and continuous inside the sector: bisect its zero
-        lo_t, hi_t = a + eps, b - eps
-        flo = L_in
-        for _ in range(200):
-            if hi_t - lo_t <= 1e-13:
-                break
-            mid = 0.5 * (lo_t + hi_t)
-            fm = _L_at(flow, mid)
-            if fm == 0.0:
-                lo_t = hi_t = mid
-                break
-            if (fm > 0.0) == (flo > 0.0):
-                lo_t, flo = mid, fm
-            else:
-                hi_t = mid
-        theta_bar = 0.5 * (lo_t + hi_t)
+        # L is monotone and continuous inside the sector, and the signs
+        # checked above bracket its zero
+        theta_bar = brentq(
+            lambda t: _L_at(flow, t), a + eps, b - eps, xtol=1e-15, rtol=8.9e-16
+        )
         sectors.append(
             Sector(theta_start=a, theta_end=b, direction=direction, theta_bar=theta_bar)
         )
@@ -703,230 +673,6 @@ def shock_separation_floor(gas):
     return gas.c_min * b.rho_min / (b.rho_max * b.speed_max)
 
 
-# ------------------------------------------------------------- structure
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    checks: tuple
-
-    @property
-    def ok(self):
-        return all(passed for _, passed, _ in self.checks)
-
-    def named(self, name):
-        for n, passed, detail in self.checks:
-            if n == name:
-                return passed, detail
-        raise KeyError(name)
-
-
-def _pieces_in(flow, a, b):
-    """Pieces intersecting the unwrapped interval [a, b].
-
-    b may exceed anchor_theta + 2 pi; pieces reached through the seam come
-    back with the matching shift. Entries are (sort angle, piece, shift).
-    """
-    out = []
-    for shift in (0.0, TWO_PI):
-        for p in flow.pieces:
-            if isinstance(p, (ShockPoint, ContactPoint)):
-                t = p.theta + shift
-                if a + 1e-12 < t < b - 1e-12:
-                    out.append((t, p, shift))
-            else:
-                s, e = p.theta_start + shift, p.theta_end + shift
-                if e > a + 1e-12 and s < b - 1e-12:
-                    out.append((max(s, a), p, shift))
-    out.sort(key=lambda q: q[0])
-    return out
-
-
-def _conserved_jump(flow, point):
-    ul = primitive_to_conserved(point.left, flow.gas).as_tuple()
-    ur = primitive_to_conserved(point.right, flow.gas).as_tuple()
-    return tuple(r - l for l, r in zip(ul, ur))
-
-
-def _jump_norm(flow, point):
-    return sqrt(sum(d * d for d in _conserved_jump(flow, point)))
-
-
-def _constant_width(flow, piece):
-    """Width of an interval piece if it is a constant, else 0.
-
-    A constant that straddles the closure seam is stored as two pieces;
-    the builder never places a jump at the seam, so their widths merge.
-    """
-    if not isinstance(piece, ConstantPiece):
-        return 0.0
-    width = piece.theta_end - piece.theta_start
-    first, last = flow.interval_pieces[0], flow.interval_pieces[-1]
-    if piece is first or piece is last:
-        other = last if piece is first else first
-        if (
-            isinstance(other, ConstantPiece)
-            and relative_state_gap(piece.state, other.state) <= 1e-9
-        ):
-            width += other.theta_end - other.theta_start
-    return width
-
-
-def _piece_turning(flow, a, b):
-    """Signed flow-angle change accumulated from a to b along theta.
-
-    Constants contribute nothing, jumps their deflection, smooth waves the
-    flow-angle difference between their clipped endpoints.
-    """
-    total = 0.0
-    for _, p, shift in _pieces_in(flow, a, b):
-        if isinstance(p, (ShockPoint, ContactPoint)):
-            total += wrap_signed(_flow_angle_of(p.right) - _flow_angle_of(p.left))
-        elif isinstance(p, PMPiece):
-            w = p.wave
-            lo = max(w.theta_start, a - shift)
-            hi = min(w.theta_end, b - shift)
-            s_lo = pm_wave_state(w, lo)
-            s_hi = pm_wave_state(w, hi)
-            total += wrap_signed(_flow_angle_of(s_hi) - _flow_angle_of(s_lo))
-    return total
-
-
-def validate_structure(flow):
-    """Report-valued checks of the structural theorems on a built flow."""
-    gas = flow.gas
-    checks = []
-
-    # (1) constant neighborhoods around every shock, width >= delta_L * J
-    delta_L = lax_neighborhood_bound(gas)
-    worst = None
-    ok1 = True
-    pieces = flow.pieces
-    for k, sp in enumerate(pieces):
-        if not isinstance(sp, ShockPoint):
-            continue
-        need = delta_L * _jump_norm(flow, sp)
-        wl = _constant_width(flow, pieces[k - 1])
-        wr = _constant_width(flow, pieces[(k + 1) % len(pieces)])
-        margin = min(wl, wr) - need
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < 0.0:
-            ok1 = False
-    checks.append(("shock neighborhoods", ok1, worst if worst is not None else 0.0))
-
-    sectors = sector_decompose(flow)
-
-    # split each sector at theta_bar into its L>0 and L<0 parts
-    def region(sec, positive):
-        if sec.direction is SectorDirection.FORWARD:
-            return (sec.theta_start, sec.theta_bar) if positive else (
-                sec.theta_bar, sec.theta_end
-            )
-        return (sec.theta_bar, sec.theta_end) if positive else (
-            sec.theta_start, sec.theta_bar
-        )
-
-    # (2) no two compression waves without a shock between (L<0 side)
-    ok2 = True
-    detail2 = ""
-    for sec in sectors:
-        a, b = region(sec, positive=False)
-        seen_wave = False
-        for _, p, shift in _pieces_in(flow, a, b):
-            if isinstance(p, ShockPoint):
-                seen_wave = False
-            elif isinstance(p, PMPiece):
-                try:
-                    kind = classify_pm(p.wave, sec.theta_bar - shift, tol=1e-6)
-                except ValueError as e:
-                    ok2 = False
-                    detail2 = str(e)
-                    continue
-                if kind is WaveKind.COMPRESSION:
-                    if seen_wave:
-                        ok2 = False
-                        detail2 = "two compression waves share a continuous stretch"
-                    seen_wave = True
-    checks.append(("single compression per stretch", ok2, detail2))
-
-    # (3) the L>0 part realizes one of the five admitted shapes
-    ok3 = True
-    detail3 = ""
-    for sec in sectors:
-        a, b = region(sec, positive=True)
-        feats = [
-            (t, p, shift)
-            for t, p, shift in _pieces_in(flow, a, b)
-            if isinstance(p, (ShockPoint, PMPiece))
-        ]
-        label = None
-        if not feats:
-            label = "constant"
-        elif len(feats) == 1:
-            t, p, shift = feats[0]
-            if isinstance(p, ShockPoint):
-                if abs(p.solution.upstream.L) <= 1e-6 and abs(t - sec.theta_bar) <= 1e-6:
-                    label = "normal shock at the turn"
-                else:
-                    label = "one shock"
-            else:
-                try:
-                    kind = classify_pm(p.wave, sec.theta_bar - shift, tol=1e-6)
-                except ValueError:
-                    kind = None
-                if kind is WaveKind.EXPANSION:
-                    if sec.direction is SectorDirection.FORWARD:
-                        edge = abs(p.theta_end + shift - sec.theta_bar) <= 1e-6
-                    else:
-                        edge = abs(p.theta_start + shift - sec.theta_bar) <= 1e-6
-                    label = "expansion to the turn" if edge else "one expansion"
-        if label is None:
-            ok3 = False
-            detail3 = "inflow region fails the five-case classification"
-    checks.append(("inflow region shape", ok3, detail3))
-
-    # (4) forward/backward shock separation
-    floor = shock_separation_floor(gas)
-    fwd = [p.theta for p in flow.shock_points if p.solution.orientation is Orientation.FORWARD]
-    bwd = [p.theta for p in flow.shock_points if p.solution.orientation is Orientation.BACKWARD]
-    sep_margin = None
-    ok4 = True
-    for tf in fwd:
-        for tb in bwd:
-            d = abs(wrap_signed(tf - tb))
-            m = d - floor
-            if sep_margin is None or m < sep_margin:
-                sep_margin = m
-            if m < 0.0:
-                ok4 = False
-    checks.append(("opposite shock separation", ok4, sep_margin if sep_margin is not None else float("inf")))
-
-    # (5) admissibility at every shock
-    ok5 = True
-    detail5 = ""
-    for sp in flow.shock_points:
-        rep = check_admissibility(sp.solution, gas)
-        if not rep.ok:
-            ok5 = False
-            detail5 = "shock at %.6g fails: %s" % (sp.theta, rep.first_failure())
-    checks.append(("shock admissibility", ok5, detail5))
-
-    # (6) turning bookkeeping per sector
-    ok6 = True
-    worst6 = 0.0
-    for sec in sectors:
-        T = _piece_turning(flow, sec.theta_start, sec.theta_end)
-        expect = (sec.theta_end - sec.theta_start) - pi
-        gap = abs(T - expect)
-        worst6 = max(worst6, gap)
-        if gap > 1e-6:
-            ok6 = False
-    checks.append(("sector turning", ok6, worst6))
-
-    return StructureReport(checks=tuple(checks))
-
-
 # ------------------------------------------------------------------- SBV
 
 
@@ -939,6 +685,12 @@ class SBVDecomposition:
     total_variation: float
     tv_lipschitz: float
     lipschitz_constant: float
+
+
+def _conserved_jump(flow, point):
+    ul = primitive_to_conserved(point.left, flow.gas).as_tuple()
+    ur = primitive_to_conserved(point.right, flow.gas).as_tuple()
+    return tuple(r - l for l, r in zip(ul, ur))
 
 
 def bv_decompose(flow, samples=720):

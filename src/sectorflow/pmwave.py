@@ -95,12 +95,10 @@ class PMWave:
     @property
     def samples(self):
         """Ordered (theta, PrimitiveState) pairs at the integration nodes."""
-        return tuple(
-            (t, pm_wave_state(self, t, exact_index=i)) for i, t in enumerate(self.thetas)
-        )
+        return tuple((t, pm_wave_state(self, t)) for t in self.thetas)
 
     def end_state(self):
-        return pm_wave_state(self, self.thetas[-1], exact_index=len(self.thetas) - 1)
+        return pm_wave_state(self, self.thetas[-1])
 
     def reduced_at(self, theta):
         """Hermite-interpolated (rho, L) at an interior angle."""
@@ -130,12 +128,9 @@ def _hermite(ts, i, theta, series):
     )
 
 
-def pm_wave_state(wave, theta, exact_index=None):
+def pm_wave_state(wave, theta):
     """Primitive state of the wave at an angle (exact at sample nodes)."""
-    if exact_index is not None:
-        rho, L = wave.rhos[exact_index], wave.Ls[exact_index]
-    else:
-        rho, L = wave.reduced_at(theta)
+    rho, L = wave.reduced_at(theta)
     c = _sound_speed_isentrope(rho, wave.s_ref, wave.gamma)
     N = wave.orientation.sign * c
     u, v = from_polar(N, L, theta)
@@ -164,11 +159,12 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
     """Integrate a sonic wave from a starting state to a target angle.
 
     start must be sonic at theta_start for the orientation. steps defaults
-    to 64 per radian of span. With stop_at_L_zero the wave is cut where L
-    crosses zero (located by brentq on the dense output); otherwise an
-    interior sign change is an error, since a wave of one kind cannot
-    continue through the tangential-velocity zero. A wave that reaches
-    vacuum before its end angle is an error either way.
+    to 64 per radian of span. With stop_at_L_zero the march ends at the
+    first step across a zero of L, and the wave is cut at that zero
+    (located by brentq on the dense output); otherwise an interior sign
+    change is an error, since a wave of one kind cannot continue through
+    the tangential-velocity zero. A wave that reaches vacuum before its
+    end angle is an error either way.
     """
     from .polar import to_polar
 
@@ -214,6 +210,8 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
         d = rhs(rho, L)
         drhos.append(d[0])
         dLs.append(d[1])
+        if stop_at_L_zero and Ls[-2] * L < 0.0:
+            break  # the cut lies in this step; the rest of the span is never used
 
     wave = PMWave(
         orientation=orient,
@@ -238,7 +236,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
                 xtol=1e-15,
                 rtol=8.9e-16,
             )
-            if abs(crossing - thetas[-1]) > 1e-9 * (1.0 + span):
+            if abs(crossing - theta_end) > 1e-9 * (1.0 + span):
                 if not stop_at_L_zero:
                     raise ValueError("tangential velocity changes sign inside the wave")
                 wave = _truncate(wave, crossing)
@@ -246,7 +244,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
 
     n = len(wave.thetas)
     for i in (0, n // 2, n - 1):
-        rep = in_phase_space(pm_wave_state(wave, wave.thetas[i], exact_index=i), gas)
+        rep = in_phase_space(pm_wave_state(wave, wave.thetas[i]), gas)
         if not rep.ok:
             raise ValueError("wave leaves phase space: " + "; ".join(rep.violations))
     return wave

@@ -1,4 +1,4 @@
-"""Quadrature checks of the integrated balance laws on a built flow.
+"""The audit of a built flow: balance-law quadrature and structure checks.
 
 Everything here rests on one identity: along the circle of directions the
 normal flux G(theta) = sin(theta) f^x(U) - cos(theta) f^y(U) is an exact
@@ -20,27 +20,40 @@ analytic and discontinuities only ever sit on panel edges, never inside.
 The quadrature nodes of all audited intervals, together with their
 endpoints, go through one batched evaluation (evaluate_many) and one flux
 call; each interval's sums are reductions over that single node array.
+
+validate_structure checks shock neighborhoods, one compression per stretch,
+the inflow region's shape, opposite-shock separation, shock admissibility
+and each sector's turning. It decomposes the sectors and checks each shock
+once; full_audit reads its sector count and shock rows from that report.
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 
 from .flowfield import (
+    ConstantPiece,
+    ContactPoint,
     PMPiece,
+    SectorDirection,
+    ShockPoint,
+    _conserved_jump,
+    _flow_angle_of,
     evaluate,  # noqa: F401 -- bench/workloads.py counts calls made through verify.evaluate
     evaluate_many,
     sector_decompose,
-    validate_structure,
+    shock_separation_floor,
 )
-from .gas import ray_fluxes
-from .polar import TWO_PI, to_polar
-from .shock import check_admissibility
+from .gas import ray_fluxes, relative_state_gap
+from .pmwave import WaveKind, classify_pm, pm_wave_state
+from .polar import TWO_PI, to_polar, wrap_signed
+from .shock import Orientation, check_admissibility, lax_neighborhood_bound
 
 _WEAK_TOL = 1e-10
 _ENTROPY_TOL = 1e-10
 _SMOOTH_TOL = 1e-6
+_STRUCTURE_TOL = 1e-6
 
 _MAX_PANEL = 0.25
 
@@ -171,6 +184,230 @@ def smooth_residual(flow, samples=720, h=1e-5):
 
 
 @dataclass(frozen=True)
+class StructureReport:
+    """Named checks, the sectors they used and one AdmissibilityReport per shock."""
+
+    checks: tuple
+    sectors: tuple
+    shock_reports: tuple
+
+    @property
+    def ok(self):
+        return all(passed for _, passed, _ in self.checks)
+
+    def named(self, name):
+        for n, passed, detail in self.checks:
+            if n == name:
+                return passed, detail
+        raise KeyError(name)
+
+
+def _pieces_in(flow, a, b):
+    """Pieces intersecting the unwrapped interval [a, b].
+
+    b may exceed anchor_theta + 2 pi; pieces reached through the seam come
+    back with the matching shift. Entries are (sort angle, piece, shift).
+    """
+    out = []
+    for shift in (0.0, TWO_PI):
+        for p in flow.pieces:
+            if isinstance(p, (ShockPoint, ContactPoint)):
+                t = p.theta + shift
+                if a + 1e-12 < t < b - 1e-12:
+                    out.append((t, p, shift))
+            else:
+                s, e = p.theta_start + shift, p.theta_end + shift
+                if e > a + 1e-12 and s < b - 1e-12:
+                    out.append((max(s, a), p, shift))
+    out.sort(key=lambda q: q[0])
+    return out
+
+
+def _jump_norm(flow, point):
+    return sqrt(sum(d * d for d in _conserved_jump(flow, point)))
+
+
+def _constant_width(flow, piece):
+    """Width of an interval piece if it is a constant, else 0.
+
+    A constant that straddles the closure seam is stored as two pieces;
+    the builder never places a jump at the seam, so their widths merge.
+    """
+    if not isinstance(piece, ConstantPiece):
+        return 0.0
+    width = piece.theta_end - piece.theta_start
+    first, last = flow.interval_pieces[0], flow.interval_pieces[-1]
+    if piece is first or piece is last:
+        other = last if piece is first else first
+        if (
+            isinstance(other, ConstantPiece)
+            and relative_state_gap(piece.state, other.state) <= 1e-9
+        ):
+            width += other.theta_end - other.theta_start
+    return width
+
+
+def _piece_turning(flow, a, b):
+    """Signed flow-angle change accumulated from a to b along theta.
+
+    Constants contribute nothing, jumps their deflection, smooth waves the
+    flow-angle difference between their clipped endpoints.
+    """
+    total = 0.0
+    for _, p, shift in _pieces_in(flow, a, b):
+        if isinstance(p, (ShockPoint, ContactPoint)):
+            total += wrap_signed(_flow_angle_of(p.right) - _flow_angle_of(p.left))
+        elif isinstance(p, PMPiece):
+            w = p.wave
+            lo = max(w.theta_start, a - shift)
+            hi = min(w.theta_end, b - shift)
+            s_lo = pm_wave_state(w, lo)
+            s_hi = pm_wave_state(w, hi)
+            total += wrap_signed(_flow_angle_of(s_hi) - _flow_angle_of(s_lo))
+    return total
+
+
+def validate_structure(flow):
+    """Report-valued checks of the structural theorems on a built flow."""
+    gas = flow.gas
+    checks = []
+
+    # (1) constant neighborhoods around every shock, width >= delta_L * J
+    delta_L = lax_neighborhood_bound(gas)
+    worst = None
+    ok1 = True
+    pieces = flow.pieces
+    for k, sp in enumerate(pieces):
+        if not isinstance(sp, ShockPoint):
+            continue
+        need = delta_L * _jump_norm(flow, sp)
+        wl = _constant_width(flow, pieces[k - 1])
+        wr = _constant_width(flow, pieces[(k + 1) % len(pieces)])
+        margin = min(wl, wr) - need
+        if worst is None or margin < worst:
+            worst = margin
+        if margin < 0.0:
+            ok1 = False
+    checks.append(("shock neighborhoods", ok1, worst if worst is not None else 0.0))
+
+    sectors = tuple(sector_decompose(flow))
+
+    # split each sector at theta_bar into its L>0 and L<0 parts
+    def region(sec, positive):
+        if sec.direction is SectorDirection.FORWARD:
+            return (sec.theta_start, sec.theta_bar) if positive else (
+                sec.theta_bar, sec.theta_end
+            )
+        return (sec.theta_bar, sec.theta_end) if positive else (
+            sec.theta_start, sec.theta_bar
+        )
+
+    # (2) no two compression waves without a shock between (L<0 side)
+    ok2 = True
+    detail2 = ""
+    for sec in sectors:
+        a, b = region(sec, positive=False)
+        seen_wave = False
+        for _, p, shift in _pieces_in(flow, a, b):
+            if isinstance(p, ShockPoint):
+                seen_wave = False
+            elif isinstance(p, PMPiece):
+                try:
+                    kind = classify_pm(p.wave, sec.theta_bar - shift, tol=_STRUCTURE_TOL)
+                except ValueError as e:
+                    ok2 = False
+                    detail2 = str(e)
+                    continue
+                if kind is WaveKind.COMPRESSION:
+                    if seen_wave:
+                        ok2 = False
+                        detail2 = "two compression waves share a continuous stretch"
+                    seen_wave = True
+    checks.append(("single compression per stretch", ok2, detail2))
+
+    # (3) the L>0 part realizes one of the five admitted shapes
+    ok3 = True
+    detail3 = ""
+    for sec in sectors:
+        a, b = region(sec, positive=True)
+        feats = [
+            (t, p, shift)
+            for t, p, shift in _pieces_in(flow, a, b)
+            if isinstance(p, (ShockPoint, PMPiece))
+        ]
+        label = None
+        if not feats:
+            label = "constant"
+        elif len(feats) == 1:
+            t, p, shift = feats[0]
+            if isinstance(p, ShockPoint):
+                if (
+                    abs(p.solution.upstream.L) <= _STRUCTURE_TOL
+                    and abs(t - sec.theta_bar) <= _STRUCTURE_TOL
+                ):
+                    label = "normal shock at the turn"
+                else:
+                    label = "one shock"
+            else:
+                try:
+                    kind = classify_pm(p.wave, sec.theta_bar - shift, tol=_STRUCTURE_TOL)
+                except ValueError:
+                    kind = None
+                if kind is WaveKind.EXPANSION:
+                    if sec.direction is SectorDirection.FORWARD:
+                        edge = abs(p.theta_end + shift - sec.theta_bar) <= _STRUCTURE_TOL
+                    else:
+                        edge = abs(p.theta_start + shift - sec.theta_bar) <= _STRUCTURE_TOL
+                    label = "expansion to the turn" if edge else "one expansion"
+        if label is None:
+            ok3 = False
+            detail3 = "inflow region fails the five-case classification"
+    checks.append(("inflow region shape", ok3, detail3))
+
+    # (4) forward/backward shock separation
+    floor = shock_separation_floor(gas)
+    fwd = [p.theta for p in flow.shock_points if p.solution.orientation is Orientation.FORWARD]
+    bwd = [p.theta for p in flow.shock_points if p.solution.orientation is Orientation.BACKWARD]
+    sep_margin = None
+    ok4 = True
+    for tf in fwd:
+        for tb in bwd:
+            d = abs(wrap_signed(tf - tb))
+            m = d - floor
+            if sep_margin is None or m < sep_margin:
+                sep_margin = m
+            if m < 0.0:
+                ok4 = False
+    checks.append(("opposite shock separation", ok4, sep_margin if sep_margin is not None else float("inf")))
+
+    # (5) admissibility at every shock
+    shock_reports = tuple(check_admissibility(sp.solution, gas) for sp in flow.shock_points)
+    ok5 = True
+    detail5 = ""
+    for sp, rep in zip(flow.shock_points, shock_reports):
+        if not rep.ok:
+            ok5 = False
+            detail5 = "shock at %.6g fails: %s" % (sp.theta, rep.first_failure())
+    checks.append(("shock admissibility", ok5, detail5))
+
+    # (6) turning bookkeeping per sector
+    ok6 = True
+    worst6 = 0.0
+    for sec in sectors:
+        T = _piece_turning(flow, sec.theta_start, sec.theta_end)
+        expect = (sec.theta_end - sec.theta_start) - pi
+        gap = abs(T - expect)
+        worst6 = max(worst6, gap)
+        if gap > _STRUCTURE_TOL:
+            ok6 = False
+    checks.append(("sector turning", ok6, worst6))
+
+    return StructureReport(
+        checks=tuple(checks), sectors=sectors, shock_reports=shock_reports
+    )
+
+
+@dataclass(frozen=True)
 class AuditReport:
     """Aggregated verification results for one flow.
 
@@ -234,11 +471,11 @@ def full_audit(flow, quad_points=8, samples=720):
 
     smooth = smooth_residual(flow, samples=samples)
 
-    admissibility = []
-    for sp in flow.shock_points:
-        rep = check_admissibility(sp.solution, flow.gas)
-        detail = "" if rep.ok else rep.first_failure()
-        admissibility.append((sp.theta, "shock", rep.ok, detail))
+    structure = validate_structure(flow)
+    admissibility = [
+        (sp.theta, "shock", rep.ok, "" if rep.ok else rep.first_failure())
+        for sp, rep in zip(flow.shock_points, structure.shock_reports)
+    ]
     for cp in flow.contact_points:
         Nl, _ = to_polar(cp.left.u, cp.left.v, cp.theta)
         Nr, _ = to_polar(cp.right.u, cp.right.v, cp.theta)
@@ -253,9 +490,6 @@ def full_audit(flow, quad_points=8, samples=720):
         detail = "" if good else "contact jumps pressure or normal velocity"
         admissibility.append((cp.theta, "contact", good, detail))
 
-    structure = validate_structure(flow)
-    sector_count = len(sector_decompose(flow))
-
     return AuditReport(
         weak_residual_max=tuple(weak.max(axis=0).tolist()),
         entropy_min=float(production.min()),
@@ -263,5 +497,5 @@ def full_audit(flow, quad_points=8, samples=720):
         smooth_residual_max=smooth,
         admissibility=tuple(admissibility),
         structure=structure,
-        sector_count=sector_count,
+        sector_count=len(structure.sectors),
     )

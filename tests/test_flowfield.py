@@ -30,8 +30,8 @@ from sectorflow.flowfield import (
     evaluate_many,
     sector_decompose,
     shock_separation_floor,
-    validate_structure,
 )
+from sectorflow.verify import validate_structure
 
 # ----------------------------------------------------------- golden flows
 #
@@ -139,6 +139,13 @@ def conserved_at(flow, theta):
     return primitive_to_conserved(evaluate(flow, theta), flow.gas).as_tuple()
 
 
+def assert_L_vanishes_at_theta_bar(flow, sectors):
+    for s in sectors:
+        state = evaluate(flow, s.theta_bar)
+        _, L = to_polar(state.u, state.v, s.theta_bar)
+        assert abs(L) <= 1e-14 * max(1.0, math.hypot(state.u, state.v))
+
+
 def jump_sides(point):
     if isinstance(point, ShockPoint):
         return (
@@ -164,6 +171,7 @@ def test_uniform_flow_builds_and_decomposes(gas14):
         SectorDirection.FORWARD,
         SectorDirection.BACKWARD,
     }
+    assert_L_vanishes_at_theta_bar(flow, secs)
     assert validate_structure(flow).ok
 
 
@@ -289,6 +297,7 @@ def test_two_sector_sectors(two_sector):
     )
     assert fwd.theta_bar == pytest.approx(TWO_SECTOR_BARS["forward"], abs=1e-7)
     assert bwd.theta_bar == pytest.approx(TWO_SECTOR_BARS["backward"], abs=1e-7)
+    assert_L_vanishes_at_theta_bar(two_sector, secs)
 
 
 def test_two_sector_structure_checks(two_sector):
@@ -499,6 +508,7 @@ def test_three_sector_sector_turns(three_sector):
     for t in turns:
         assert -63.3 < t < -55.0
     assert sum(turns) == pytest.approx(-180.0, abs=1e-9)
+    assert_L_vanishes_at_theta_bar(three_sector, secs)
 
 
 def test_three_sector_structure(three_sector):

@@ -160,6 +160,12 @@ def test_stop_at_l_zero_cuts_the_wave(gas):
     )
     assert w.theta_end < theta0 + 1.5
     assert abs(w.Ls[-1]) <= 1e-10
+    # an end angle past the vacuum edge: the march ends at the cut, and the
+    # same 64 steps per radian give the same wave
+    far = integrate_pm(
+        start, theta0, theta0 + 6.0, Orientation.FORWARD, gas, stop_at_L_zero=True
+    )
+    assert far == w
 
 
 @pytest.mark.parametrize(

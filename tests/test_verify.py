@@ -286,3 +286,22 @@ def test_audit_report_scales_with_flow_magnitude(three_sector):
     # meaningless, so reported maxima must be scale-normalized
     rep = full_audit(three_sector)
     assert max(rep.weak_residual_max) <= 1e-12
+
+
+def test_full_audit_decomposes_once_and_checks_each_shock_once(two_sector, monkeypatch):
+    from sectorflow import flowfield, verify
+
+    calls = {"sector_decompose": 0, "check_admissibility": 0}
+    for module in (flowfield, verify):
+        for name in calls:
+            if hasattr(module, name):
+
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    report = full_audit(two_sector)
+    n = len(two_sector.shock_points)
+    assert calls == {"sector_decompose": 1, "check_admissibility": n}
+    assert report.sector_count == 2 and len(report.admissibility) == n + 2
