@@ -21,7 +21,9 @@ seam. The built flow is immutable; evaluation is right-continuous.
 """
 
 import enum
+import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import asin, atan2, ceil, hypot, pi, sqrt
@@ -36,6 +38,7 @@ from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_si
 from .pmwave import (
     PMWave,
     integrate_pm,
+    pm_exact,
     pm_wave_arrays,
     pm_wave_state,
 )
@@ -72,6 +75,16 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
+
+# The closure scan takes a wave's end state from the closed form only when
+# the RK4 march it stands for steps at most _EXACT_MAX_STEP rad. The two seam
+# mismatches then differ by at most about 5.5e-3 h^4, so 5.2e-9 (measured on
+# two_sector at gamma 1.1-1.67, brackets up to 0.41-2.0, anchor speed
+# x0.96-1.04 and steps 1/4096-1/2 rad). A scan mismatch under
+# _SCAN_RECHECK, far above that, is marched again with RK4 before its sign
+# is used.
+_EXACT_MAX_STEP = 1.0 / 32.0
+_SCAN_RECHECK = 1e-6
 
 
 class ClosureError(Exception):
@@ -311,8 +324,29 @@ def _next_angle_with_normal(state, target_N, above, label, L_sign=None):
     return best
 
 
-def _march(gas, desc):
-    """Resolve all pieces from the anchor; no closure check here."""
+def _rk4_wave(state, a, b, orient, gas, steps):
+    """The RK4 wave piece from a to b and its end state."""
+    wave = integrate_pm(state, a, b, orient, gas, steps=steps)
+    return PMPiece(wave), wave.end_state()
+
+
+def _exact_wave(state, a, b, orient, gas, steps):
+    """No piece, and the end state: a scan march keeps only the wave's end.
+
+    The end state is the closed form's where RK4 would step at most
+    _EXACT_MAX_STEP (always, for the default steps), and RK4's otherwise.
+    """
+    if steps is not None and b - a > _EXACT_MAX_STEP * steps:
+        return None, _rk4_wave(state, a, b, orient, gas, steps)[1]
+    return None, pm_exact(state, a, b, orient, gas)
+
+
+def _march(gas, desc, march_wave=_rk4_wave):
+    """Resolve all pieces from the anchor; no closure check here.
+
+    march_wave(state, a, b, orientation, gas, steps) gives a wave's piece
+    (None to leave it out) and its end state.
+    """
     theta0 = desc.anchor_theta
     state = desc.anchor_state
     pieces = []
@@ -442,15 +476,14 @@ def _march(gas, desc):
             if ev.theta_end >= horizon - 1e-12:
                 raise err(idx, "wave end passes the closure seam")
             try:
-                wave = integrate_pm(
-                    state, a, ev.theta_end, ev.orientation, gas, steps=ev.steps
-                )
+                wave, end = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
             except ValueError as e:
                 raise err(idx, str(e))
             if a > cur_start + 1e-12:
                 pieces.append(ConstantPiece(cur_start, a, state))
-            pieces.append(PMPiece(wave))
-            state = wave.end_state()
+            if wave is not None:
+                pieces.append(wave)
+            state = end
             check_phase(idx, state, "wave end state")
             cur_start = ev.theta_end
 
@@ -475,36 +508,92 @@ def _with_param(desc, value):
     return replace(desc, events=tuple(events), shooting=None)
 
 
-def _shooting_root(gas, desc):
-    """First root of the seam mismatch found by scanning the shooting bracket."""
+def _shooting_roots(gas, desc):
+    """Shooting values to try, in order, each as a call that finds it.
+
+    The bracket is scanned on 65 points with _exact_wave. A point whose
+    scan march fails, or whose mismatch is under _SCAN_RECHECK, is marched
+    again with RK4; the failures the ClosureError counts are RK4's. Each
+    sign-change cell of the scan is kept only if RK4's mismatch changes
+    sign across it too. Elsewhere the two mismatches differ by far less
+    than _SCAN_RECHECK, so the cells are those of an RK4-only scan. Grid
+    zeros come first, then each cell in order, solved by Brent on the RK4
+    mismatch. A cell whose ends differ by more than pi straddles the +-pi
+    wrap of the mismatch, not a root, and is skipped.
+    """
     lo, hi = desc.shooting.bracket
 
-    def mismatch(x):
-        _, final = _march(gas, _with_param(desc, x))
+    def mismatch(x, march_wave=_rk4_wave):
+        _, final = _march(gas, _with_param(desc, x), march_wave)
         return _angle_mismatch(desc, final)
 
-    # bracket scan: the mismatch may be undefined on parts of the interval
+    rk4 = {}  # RK4 mismatch by shooting value, None where the march fails
+    failures = {}
+
+    def rk4_at(x):
+        if x not in rk4:
+            try:
+                rk4[x] = mismatch(x)
+            except ValueError as e:
+                rk4[x] = None
+                failures[x] = str(e)
+        return rk4[x]
+
+    def scan(x):
+        try:
+            f = mismatch(x, _exact_wave)
+            if abs(f) >= _SCAN_RECHECK:
+                return f
+        except ValueError:
+            pass
+        return rk4_at(x)
+
+    def brent(a, b):
+        def f(x):
+            return rk4[x] if x in rk4 else mismatch(x)
+
+        return brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
+
     n_scan = 65
     xs = [lo + (hi - lo) * k / (n_scan - 1) for k in range(n_scan)]
-    vals = []
-    for x in xs:
-        try:
-            vals.append(mismatch(x))
-        except (ValueError, ClosureError):
-            vals.append(None)
+    vals = [scan(x) for x in xs]
 
-    for x, fx in zip(xs, vals):
-        if fx is not None and fx == 0.0:
-            return x
-    for k in range(n_scan - 1):
-        fa, fb = vals[k], vals[k + 1]
-        if fa is None or fb is None or fa * fb > 0.0:
+    roots = [lambda x=x: x for x, fx in zip(xs, vals) if fx == 0.0]
+    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
+        if fa is None or fb is None or not fa * fb < 0.0:
             continue
-        return brentq(mismatch, xs[k], xs[k + 1], xtol=1e-13, rtol=8.9e-16)
+        fa, fb = rk4_at(a), rk4_at(b)
+        if fa is None or fb is None or not fa * fb < 0.0 or abs(fa - fb) > pi:
+            continue
+        roots.append(lambda a=a, b=b: brent(a, b))
+    if roots:
+        return roots
+    detail = ""
+    undefined = [failures[x] for x in xs if x in failures]
+    if undefined:
+        reasons = Counter(_failure_reason(m) for m in undefined)
+        detail = "; undefined at %d of %d scan points: %s" % (
+            len(undefined),
+            n_scan,
+            ", ".join("%dx %s" % (n, r) for r, n in reasons.most_common()),
+        )
     raise ClosureError(
         "flow does not close up around the circle "
-        "(no sign change of the seam mismatch inside the shooting bracket)"
+        "(no sign change of the seam mismatch inside the shooting bracket%s)" % detail
     )
+
+
+# a measured value in a failure message: a parenthesised phrase holding a
+# number, or a number that is not a piece index (compiled on first use, as
+# only a failed scan needs it)
+_MEASURED = (
+    r" \([^()]*\d[^()]*\)|(?<!piece) [-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
+)
+
+
+def _failure_reason(message):
+    """A failure message without its measured values, so like failures group."""
+    return re.sub(_MEASURED, lambda m: " ..." if m.group().startswith(" (") else "", message)
 
 
 def build_flow(gas, desc):
@@ -513,12 +602,22 @@ def build_flow(gas, desc):
     The shooting variable is adjusted by scalar root finding on the
     flow-angle mismatch at the seam (the remaining closure components are
     matched structurally by the description: a balance shock for pressure
-    and the final contact data for density and tangential velocity).
+    and the final contact data for density and tangential velocity). The
+    roots are tried in the order _shooting_roots gives them and the first
+    that closes is built; when none does, the first one's failure is raised.
     """
-    note = ""
-    if desc.shooting is not None:
-        desc = _with_param(desc, _shooting_root(gas, desc))
-        note = " after shooting"
+    if desc.shooting is None:
+        return _closed_flow(gas, desc, "")
+    first = None
+    for root in _shooting_roots(gas, desc):
+        try:
+            return _closed_flow(gas, _with_param(desc, root()), " after shooting")
+        except (ValueError, ClosureError) as e:
+            first = first or e
+    raise first
+
+
+def _closed_flow(gas, desc, note):
     pieces, final = _march(gas, desc)
     gap = relative_state_gap(final, desc.anchor_state)
     if gap > _MATCH_TOL:

@@ -16,15 +16,23 @@ vacuum before its end angle.
 
 Integration is fixed-step RK4 with cubic Hermite dense output (the rhs is
 cheap, so sample derivatives are stored alongside the samples).
+
+The system also has a closed form, the centered Prandtl-Meyer fan
+(Courant & Friedrichs, Supersonic Flow and Shock Waves, 1948): with
+k^2 = (gamma-1)/(gamma+1) and R^2 = L0^2 + c0^2/k^2,
+
+    L = R sin(phi),  c = k R cos(phi),  phi = phi0 -+ k (theta - theta0)
+
+(upper sign forward). pm_exact gives a wave's end state from it.
 """
 
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from math import ceil, sqrt
+from math import atan2, ceil, cos, hypot, pi, sin, sqrt
 
 from .gas import PrimitiveState, in_phase_space
-from .polar import from_polar
+from .polar import from_polar, to_polar
 from .shock import brentq
 
 __all__ = [
@@ -32,6 +40,7 @@ __all__ = [
     "PMWave",
     "pm_rhs",
     "integrate_pm",
+    "pm_exact",
     "classify_pm",
     "pm_wave_state",
     "pm_wave_arrays",
@@ -95,10 +104,14 @@ class PMWave:
     @property
     def samples(self):
         """Ordered (theta, PrimitiveState) pairs at the integration nodes."""
-        return tuple((t, pm_wave_state(self, t)) for t in self.thetas)
+        return tuple((t, self.node_state(i)) for i, t in enumerate(self.thetas))
+
+    def node_state(self, i):
+        """Primitive state at sample i, read from the stored node values."""
+        return _sonic_state(self, self.thetas[i], self.rhos[i], self.Ls[i])
 
     def end_state(self):
-        return pm_wave_state(self, self.thetas[-1])
+        return self.node_state(-1)
 
     def reduced_at(self, theta):
         """Hermite-interpolated (rho, L) at an interior angle."""
@@ -128,13 +141,15 @@ def _hermite(ts, i, theta, series):
     )
 
 
+def _sonic_state(wave, theta, rho, L):
+    c = _sound_speed_isentrope(rho, wave.s_ref, wave.gamma)
+    u, v = from_polar(wave.orientation.sign * c, L, theta)
+    return PrimitiveState(rho=rho, u=u, v=v, p=wave.s_ref * rho ** wave.gamma)
+
+
 def pm_wave_state(wave, theta):
     """Primitive state of the wave at an angle (exact at sample nodes)."""
-    rho, L = wave.reduced_at(theta)
-    c = _sound_speed_isentrope(rho, wave.s_ref, wave.gamma)
-    N = wave.orientation.sign * c
-    u, v = from_polar(N, L, theta)
-    return PrimitiveState(rho=rho, u=u, v=v, p=wave.s_ref * rho ** wave.gamma)
+    return _sonic_state(wave, theta, *wave.reduced_at(theta))
 
 
 def pm_wave_arrays(wave, thetas):
@@ -155,21 +170,12 @@ def pm_wave_arrays(wave, thetas):
     return rho, N * st + L * ct, -N * ct + L * st, wave.s_ref * rho ** wave.gamma
 
 
-def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at_L_zero=False):
-    """Integrate a sonic wave from a starting state to a target angle.
+def _wave_start(start, theta_start, theta_end, orient, gas):
+    """Checks on a wave's start and span, shared by both ways to march it.
 
-    start must be sonic at theta_start for the orientation. steps defaults
-    to 64 per radian of span. With stop_at_L_zero the march ends at the
-    first step across a zero of L, and the wave is cut at that zero
-    (located by brentq on the dense output); otherwise an interior sign
-    change is an error, since a wave of one kind cannot continue through
-    the tangential-velocity zero. A wave that reaches vacuum before its
-    end angle is an error either way.
+    Returns (L0, c0, span): the start's tangential velocity and sound
+    speed, and the span.
     """
-    from .polar import to_polar
-
-    gamma = gas.gamma
-    s_ref = start.p / start.rho ** gamma
     N0, L0 = to_polar(start.u, start.v, theta_start)
     c0 = start.sound_speed(gas)
     if abs(N0 - orient.sign * c0) > SONIC_TOL * c0:
@@ -181,6 +187,23 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
     span = theta_end - theta_start
     if span < 0.0:
         raise ValueError("wave end angle precedes its start")
+    return L0, c0, span
+
+
+def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at_L_zero=False):
+    """Integrate a sonic wave from a starting state to a target angle.
+
+    start must be sonic at theta_start for the orientation. steps defaults
+    to 64 per radian of span. With stop_at_L_zero the march ends at the
+    first step across a zero of L, and the wave is cut at that zero
+    (located by brentq on the dense output); otherwise an interior sign
+    change is an error, since a wave of one kind cannot continue through
+    the tangential-velocity zero. A wave that reaches vacuum before its
+    end angle is an error either way.
+    """
+    gamma = gas.gamma
+    s_ref = start.p / start.rho ** gamma
+    L0, _, span = _wave_start(start, theta_start, theta_end, orient, gas)
     sign = orient.sign
 
     def rhs(rho, L):
@@ -243,11 +266,46 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
             break
 
     n = len(wave.thetas)
-    for i in (0, n // 2, n - 1):
-        rep = in_phase_space(pm_wave_state(wave, wave.thetas[i]), gas)
+    _check_wave_phase((wave.node_state(i) for i in (0, n // 2, n - 1)), gas)
+    return wave
+
+
+def _check_wave_phase(states, gas):
+    for state in states:
+        rep = in_phase_space(state, gas)
         if not rep.ok:
             raise ValueError("wave leaves phase space: " + "; ".join(rep.violations))
-    return wave
+
+
+def pm_exact(start, theta_start, theta_end, orient, gas):
+    """End state at theta_end of the wave integrate_pm marches, in closed form.
+
+    Makes integrate_pm's checks: a sonic start inside phase space, no
+    vacuum (|phi| reaching pi/2), no zero of L before theta_end, and an
+    end state inside phase space. |phi| is monotone along the wave, and so
+    are density, pressure, energy and speed, so the wave stays inside the
+    box if its two ends do. Plain float arithmetic, so a closure scan pays
+    for no array code.
+    """
+    L0, c0, span = _wave_start(start, theta_start, theta_end, orient, gas)
+    gamma = gas.gamma
+    sign = orient.sign
+    k = sqrt((gamma - 1.0) / (gamma + 1.0))
+    phi0 = atan2(L0, c0 / k)
+    phi = phi0 - sign * k * span
+    if not abs(phi) < 0.5 * pi:
+        raise ValueError("wave reaches vacuum before its end angle")
+    if phi0 * phi < 0.0:
+        crossing = theta_start + phi0 / (sign * k)
+        if abs(crossing - theta_end) > 1e-9 * (1.0 + span):
+            raise ValueError("tangential velocity changes sign inside the wave")
+    R = hypot(L0, c0 / k)
+    c = k * R * cos(phi)
+    u, v = from_polar(sign * c, R * sin(phi), theta_end)
+    ratio = (c / c0) ** (2.0 / (gamma - 1.0))  # rho / rho0 on the isentrope
+    end = PrimitiveState(rho=start.rho * ratio, u=u, v=v, p=start.p * ratio ** gamma)
+    _check_wave_phase((end,), gas)
+    return end
 
 
 def _truncate(wave, theta_cut):
@@ -293,8 +351,6 @@ def pm_state_derivative(wave, theta, gas):
     Used to confirm that U_theta lies in the kernel of the frame Jacobian.
     Returns (U, dU/dtheta) as 4-tuples.
     """
-    from math import cos, sin
-
     rho, L = wave.reduced_at(theta)
     gamma = wave.gamma
     sign = wave.orientation.sign

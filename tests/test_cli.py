@@ -446,12 +446,28 @@ def _main_returns(argv, code):
         _main_returns(["max-turn", "--gamma", "1.4", "--mach", "2"], 0),
         _main_returns(["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "10deg"], 0),
         _main_returns(["pm-trace", "--gamma", "1.4", "--mach", "2"], 0),
-        # a build that fails closure never reaches the array code
+        # a build that fails closure never reaches the array code, with
+        # waves too: the closed-form scan, Brent and the closing march
         _main_returns(["build", str(CONFIGS / "three_sector_g14.json")], 2),
+        _main_returns(["build", "SCALED_TWO_SECTOR"], 2),
     ],
-    ids=["package", "cli", "max-turn", "shock-solve", "pm-trace", "build-unclosed"],
+    ids=[
+        "package",
+        "cli",
+        "max-turn",
+        "shock-solve",
+        "pm-trace",
+        "build-unclosed",
+        "build-unclosed-waves",
+    ],
 )
-def test_cold_paths_do_not_load_numpy(statement):
+def test_cold_paths_do_not_load_numpy(statement, tmp_path):
+    doc = json.loads((CONFIGS / "two_sector.json").read_text())
+    doc["anchor"]["u"] *= 1.04  # the seam state never regains the anchor speed
+    doc["anchor"]["v"] *= 1.04
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc))
+    statement = statement.replace("SCALED_TWO_SECTOR", str(scaled))
     done = _python("import sys\n%s\nassert 'numpy' not in sys.modules" % statement)
     assert done.returncode == 0, done.stderr
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -6,10 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sectorflow import flowfield
 from sectorflow.cli import parse_config
-from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas, primitive_to_conserved
-from sectorflow.polar import TWO_PI, from_polar, to_polar
-from sectorflow.pmwave import integrate_pm
+from sectorflow.gas import (
+    PhaseBounds,
+    PrimitiveState,
+    make_gas,
+    primitive_to_conserved,
+    relative_state_gap,
+)
+from sectorflow.polar import TWO_PI, from_polar, to_polar, wrap_signed
+from sectorflow.pmwave import integrate_pm, pm_exact
 from sectorflow.shock import Orientation
 from sectorflow.flowfield import (
     ClosureError,
@@ -244,6 +252,214 @@ def test_shooting_without_sign_change_raises(gas14):
     narrow = replace(desc, shooting=Shooting(0, "theta_end", (0.41, 0.43)))
     with pytest.raises(ClosureError, match="no sign change"):
         build_flow(gas14, narrow)
+
+
+# ------------------------------------------------------- closure shooting
+
+
+def _scaled_two_sector(steps=None, scale=1.0):
+    doc = json.loads((CONFIGS / "two_sector.json").read_text())
+    for piece in doc["pieces"]:
+        if piece["kind"] == "wave" and steps is not None:
+            piece["steps"] = steps
+    doc["anchor"]["u"] *= scale
+    doc["anchor"]["v"] *= scale
+    return parse_config(json.dumps(doc))
+
+
+def _shooting_outcome(cfg):
+    """Every candidate root (as hex), or the scan's ClosureError message."""
+    try:
+        roots = flowfield._shooting_roots(cfg.gas, cfg.description)
+    except ClosureError as e:
+        return str(e)
+    return [root().hex() for root in roots]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4, 16, 40, 64, 96])
+def test_exact_scan_gives_the_rk4_scan_roots(monkeypatch, steps):
+    """The closed-form scan picks the cells an RK4 scan picks: same roots, bit for bit."""
+    for scale in (0.96, 1.0, 1.04):
+        cfg = _scaled_two_sector(steps, scale)
+        got = _shooting_outcome(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(flowfield, "_exact_wave", flowfield._rk4_wave)
+            want = _shooting_outcome(cfg)
+        assert got == want, (steps, scale)
+        assert isinstance(got, list) and len(got) == 1
+
+
+@pytest.mark.parametrize("steps", [4, 64])
+def test_exact_scan_reports_the_rk4_failures(monkeypatch, steps):
+    """Past 0.8 the first wave's L turns or a later constant misses its shock."""
+    cfg = _scaled_two_sector(steps)
+    desc = replace(cfg.description, shooting=Shooting(0, "theta_end", (0.8, 2.0)))
+    cfg = replace(cfg, description=desc)
+    got = _shooting_outcome(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(flowfield, "_exact_wave", flowfield._rk4_wave)
+        assert _shooting_outcome(cfg) == got
+    assert "x piece 0: tangential velocity changes sign inside the wave" in got
+    assert "x piece 3: constant state ... never reaches the required normal velocity" in got
+
+
+def test_two_sector_build_marches_few_rk4_waves(monkeypatch):
+    """RK4 runs only inside Brent and the closing march, counted at flowfield's name."""
+    calls = []
+    rk4 = flowfield.integrate_pm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rk4(*args, **kwargs)
+
+    monkeypatch.setattr(flowfield, "integrate_pm", counted)
+    cfg = _scaled_two_sector()
+    build_flow(cfg.gas, cfg.description)
+    assert 0 < len(calls) <= 16
+
+
+def test_scan_stays_near_rk4_on_coarse_wide_waves(monkeypatch):
+    """One RK4 step per wave over a wide bracket.
+
+    There the closed form alone misses RK4's mismatch by more than
+    _SCAN_RECHECK (5.9e-6 measured), so such waves are marched with RK4 in
+    the scan (measured 2.1e-11 from RK4's), and the roots are an RK4
+    scan's bit for bit.
+    """
+    cfg = _scaled_two_sector(1)
+    desc = replace(cfg.description, shooting=Shooting(0, "theta_end", (0.2, 1.2)))
+
+    def closed_form(state, a, b, orient, gas, steps):
+        return None, pm_exact(state, a, b, orient, gas)
+
+    def mismatch(x, march_wave):
+        try:
+            _, final = flowfield._march(cfg.gas, flowfield._with_param(desc, x), march_wave)
+        except ValueError:
+            return None
+        return flowfield._angle_mismatch(desc, final)
+
+    scan_gap, closed_form_gap = 0.0, 0.0
+    for k in range(65):
+        x = 0.2 + k / 64
+        rk4 = mismatch(x, flowfield._rk4_wave)
+        if rk4 is not None:
+            scan_gap = max(scan_gap, abs(mismatch(x, flowfield._exact_wave) - rk4))
+            closed_form_gap = max(closed_form_gap, abs(mismatch(x, closed_form) - rk4))
+    assert closed_form_gap > flowfield._SCAN_RECHECK
+    assert scan_gap <= 1e-8
+
+    for scale in (0.96, 1.0, 1.04):
+        cfg = _scaled_two_sector(1, scale)
+        cfg = replace(cfg, description=replace(cfg.description, shooting=desc.shooting))
+        got = _shooting_outcome(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(flowfield, "_exact_wave", flowfield._rk4_wave)
+            assert _shooting_outcome(cfg) == got, scale
+        assert isinstance(got, list) and len(got) == 1
+
+
+def test_unclosable_scan_counts_its_undefined_points():
+    cfg = parse_config((CONFIGS / "three_sector_g14.json").read_text())
+    with pytest.raises(ClosureError) as info:
+        build_flow(cfg.gas, cfg.description)
+    assert str(info.value) == (
+        "flow does not close up around the circle (no sign change of the seam "
+        "mismatch inside the shooting bracket; undefined at 65 of 65 scan points: "
+        "34x piece 2: constant state ... never reaches the required normal velocity, "
+        "31x piece 5: contact angle passes the closure seam)"
+    )
+
+
+NO_SIGN_CHANGE = (
+    "flow does not close up around the circle "
+    "(no sign change of the seam mismatch inside the shooting bracket%s)"
+)
+
+
+def _seam_turned_by(turn, rho=lambda x: 1.0, rk4_turn=None):
+    """A _march stand-in: the seam state is the anchor turned by turn(x).
+
+    x is the shot wave end. rk4_turn, when given, is the turn the RK4
+    march reports in place of the closed-form one; a turn of None is a
+    failed march. The stand-in records each x it marches.
+    """
+    marched = []
+
+    def march(gas, desc, march_wave=flowfield._rk4_wave):
+        x = desc.events[0].theta_end
+        marched.append(x)
+        a = desc.anchor_state
+        f = turn if rk4_turn is None or march_wave is flowfield._exact_wave else rk4_turn
+        if f(x) is None:
+            raise ValueError("piece 0: stand-in failure")
+        speed, phi = math.hypot(a.u, a.v), math.atan2(a.v, a.u) + f(x)
+        final = PrimitiveState(
+            rho=rho(x), u=speed * math.cos(phi), v=speed * math.sin(phi), p=a.p
+        )
+        theta0 = desc.anchor_theta
+        return [ConstantPiece(theta0, theta0 + TWO_PI, final)], final
+
+    return march, marched
+
+
+def _shoot_unit_bracket(gas14, monkeypatch, march):
+    monkeypatch.setattr(flowfield, "_march", march)
+    desc = replace(two_sector_description(), shooting=Shooting(0, "theta_end", (0.0, 1.0)))
+    return build_flow(gas14, desc)
+
+
+def test_shooting_skips_a_wrap_of_the_mismatch(gas14, monkeypatch):
+    # the turn passes pi at x = 0.228 (a wrap, not a root) and 2 pi at 0.857
+    march, marched = _seam_turned_by(lambda x: wrap_signed(2.0 + 5.0 * x))
+    _shoot_unit_bracket(gas14, monkeypatch, march)
+    assert marched[-1] == pytest.approx((TWO_PI - 2.0) / 5.0, abs=1e-12)
+
+    march, _ = _seam_turned_by(lambda x: wrap_signed(2.0 + 2.0 * x))
+    with pytest.raises(ClosureError) as info:
+        _shoot_unit_bracket(gas14, monkeypatch, march)
+    assert str(info.value) == NO_SIGN_CHANGE % ""
+
+
+def test_shooting_moves_on_when_the_first_root_does_not_close(gas14, monkeypatch):
+    def turn(x):
+        return (x - 0.3) * (x - 0.7)
+
+    # the angle closes at 0.3 and 0.7, the density only at 0.7
+    march, marched = _seam_turned_by(turn, rho=lambda x: 1.1 if x < 0.5 else 1.0)
+    _shoot_unit_bracket(gas14, monkeypatch, march)
+    assert marched[-1] == pytest.approx(0.7, abs=1e-12)
+
+    # RK4 disagrees with the scan about the first cell: the cell is
+    # dropped, and the second one is solved
+    march, marched = _seam_turned_by(
+        turn, rk4_turn=lambda x: (x - 0.7) * (abs(x - 0.3) + 0.01)
+    )
+    _shoot_unit_bracket(gas14, monkeypatch, march)
+    assert marched[-1] == pytest.approx(0.7, abs=1e-12)
+
+    # neither closes: the first root's failure is the one raised
+    march, _ = _seam_turned_by(turn, rho=lambda x: 1.0 + x)
+    anchor = two_sector_description().anchor_state
+    first_gap = relative_state_gap(replace(anchor, rho=1.3), anchor)
+    with pytest.raises(ClosureError) as info:
+        _shoot_unit_bracket(gas14, monkeypatch, march)
+    assert str(info.value) == (
+        "flow does not close up around the circle (residual %.3e after shooting)" % first_gap
+    )
+
+
+def test_shooting_drops_a_cell_where_rk4_fails_at_an_end(gas14, monkeypatch):
+    """A cell RK4 cannot mark out is no root: the scan fails as an RK4 scan does."""
+    march, marched = _seam_turned_by(
+        lambda x: x - 0.3, rk4_turn=lambda x: None if x == 19 / 64 else x - 0.3
+    )
+    with pytest.raises(ClosureError) as info:
+        _shoot_unit_bracket(gas14, monkeypatch, march)
+    assert str(info.value) == NO_SIGN_CHANGE % (
+        "; undefined at 1 of 65 scan points: 1x piece 0: stand-in failure"
+    )
+    assert 0.3 not in marched  # Brent never ran
 
 
 # -------------------------------------------------------- two-sector flow
