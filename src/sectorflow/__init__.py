@@ -41,7 +41,6 @@ _EXPORTS = {
     "flowfield": (
         "ClosureError",
         "ConstantPiece",
-        "ShockPoint",
         "ContactPoint",
         "PMPiece",
         "FlowField",

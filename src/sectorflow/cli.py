@@ -83,13 +83,20 @@ def _join(path, key):
 
 
 def _number(value, path):
+    """A finite JSON number as a float; NaN, Infinity and overflowing ints fail."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = float("inf")
+    if not isfinite(x):
+        raise ConfigError(path, "must be finite")
+    return x
 
 
 def _angle(value, path):
-    """Radians, or a string like "45deg"; normalized into [0, 2pi)."""
+    """Finite radians, or a string like "45deg"; normalized into [0, 2pi)."""
     if isinstance(value, str):
         text = value.strip()
         if not text.endswith("deg"):
@@ -100,6 +107,8 @@ def _angle(value, path):
             rad = radians(float(text[:-3]))
         except ValueError:
             raise ConfigError(path, "cannot parse %r as an angle" % value)
+        if not isfinite(rad):
+            raise ConfigError(path, "must be finite")
     else:
         rad = _number(value, path)
     return rad % TWO_PI

@@ -49,12 +49,12 @@ from .shock import (
     downstream_normal_mach,
     shock_from_strength,
     strength_from_normal_mach,
+    strength_ratios,
 )
 
 __all__ = [
     "ClosureError",
     "ConstantPiece",
-    "ShockPoint",
     "ContactPoint",
     "PMPiece",
     "FlowField",
@@ -106,20 +106,6 @@ class ConstantPiece:
 
 
 @dataclass(frozen=True)
-class ShockPoint:
-    theta: float
-    solution: ShockSolution
-
-    @property
-    def left(self):
-        return self.solution.left_state().to_primitive()
-
-    @property
-    def right(self):
-        return self.solution.right_state().to_primitive()
-
-
-@dataclass(frozen=True)
 class ContactPoint:
     theta: float
     left: PrimitiveState
@@ -150,9 +136,10 @@ def _left_state(piece, theta):
 class FlowField:
     """Immutable piecewise flow covering one full turn from the anchor.
 
-    pieces holds interval pieces (constants, waves) interleaved with the
-    point pieces (shocks, contacts) sitting at their shared boundaries,
-    ordered by angle over [anchor_theta, anchor_theta + 2 pi].
+    pieces holds interval pieces (ConstantPiece, PMPiece) interleaved with
+    the point pieces (ShockSolution, ContactPoint) sitting at their shared
+    boundaries, ordered by angle over [anchor_theta, anchor_theta + 2 pi].
+    Every point piece has theta and its primitive left and right states.
     """
 
     gas: object
@@ -172,12 +159,12 @@ class FlowField:
     @cached_property
     def jump_points(self):
         return tuple(
-            p for p in self.pieces if isinstance(p, (ShockPoint, ContactPoint))
+            p for p in self.pieces if isinstance(p, (ShockSolution, ContactPoint))
         )
 
     @cached_property
     def shock_points(self):
-        return tuple(p for p in self.pieces if isinstance(p, ShockPoint))
+        return tuple(p for p in self.pieces if isinstance(p, ShockSolution))
 
     @cached_property
     def contact_points(self):
@@ -345,7 +332,9 @@ def _march(gas, desc, march_wave=_rk4_wave):
     """Resolve all pieces from the anchor; no closure check here.
 
     march_wave(state, a, b, orientation, gas, steps) gives a wave's piece
-    (None to leave it out) and its end state.
+    (None to leave it out) and its end state. Phase checks: the anchor's is
+    build_flow's, a shock's sides shock_from_strength's and a wave's end the
+    wave march's; only a contact's far side is checked here.
     """
     theta0 = desc.anchor_theta
     state = desc.anchor_state
@@ -355,13 +344,6 @@ def _march(gas, desc, march_wave=_rk4_wave):
 
     def err(idx, msg):
         return ValueError("piece %d: %s" % (idx, msg))
-
-    def check_phase(idx, s, what):
-        rep = in_phase_space(s, gas)
-        if not rep.ok:
-            raise err(idx, what + " leaves phase space: " + "; ".join(rep.violations))
-
-    check_phase(-1, state, "anchor state")
 
     for idx, ev in enumerate(desc.events):
         if isinstance(ev, ShockEvent):
@@ -400,7 +382,7 @@ def _march(gas, desc, march_wave=_rk4_wave):
                 if back:
                     mach_n = downstream_normal_mach(z, g)
                 else:
-                    mach_n = sqrt(1.0 + z * (g + 1.0) / (2.0 * g))
+                    mach_n = sqrt(strength_ratios(z, g)[0])
                 target = sign * c_cur * mach_n
                 theta_s = _next_angle_with_normal(
                     state, target, cur_start, "piece %d" % idx, L_sign=ev.L_sign
@@ -414,22 +396,19 @@ def _march(gas, desc, march_wave=_rk4_wave):
             # front follows from the marching back side by the closed forms
             rho_f, p_f = state.rho, state.p
             if back:
-                rp = 1.0 + z * (g + 1.0) / (2.0 * g)
-                rm = 1.0 + z * (g - 1.0) / (2.0 * g)
+                rp, rm = strength_ratios(z, g)
                 rho_f, p_f = state.rho * rm / rp, state.p / (1.0 + z)
             front = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
             try:
                 sol = shock_from_strength(front, z, ev.orientation, gas)
             except ValueError as e:
                 raise err(idx, str(e))
-            if relative_state_gap(sol.left_state().to_primitive(), state) > 1e-8:
+            if relative_state_gap(sol.left, state) > 1e-8:
                 raise err(idx, "shock does not match the marching state")
-            new_state = sol.right_state().to_primitive()
 
             pieces.append(ConstantPiece(cur_start, theta_s, state))
-            pieces.append(ShockPoint(theta_s, sol))
-            check_phase(idx, new_state, "post-shock state")
-            state = new_state
+            pieces.append(sol)
+            state = sol.right
             cur_start = theta_s
 
         elif isinstance(ev, ContactEvent):
@@ -450,7 +429,7 @@ def _march(gas, desc, march_wave=_rk4_wave):
                 )
             u_new, v_new = from_polar(0.0, ev.L, theta_c)
             new_state = PrimitiveState(rho=ev.rho, u=u_new, v=v_new, p=state.p)
-            check_phase(idx, new_state, "post-contact state")
+            in_phase_space(new_state, gas).require("piece %d: post-contact state" % idx)
             pieces.append(ConstantPiece(cur_start, theta_c, state))
             pieces.append(ContactPoint(theta_c, state, new_state))
             state = new_state
@@ -484,7 +463,6 @@ def _march(gas, desc, march_wave=_rk4_wave):
             if wave is not None:
                 pieces.append(wave)
             state = end
-            check_phase(idx, state, "wave end state")
             cur_start = ev.theta_end
 
         else:
@@ -605,7 +583,9 @@ def build_flow(gas, desc):
     and the final contact data for density and tangential velocity). The
     roots are tried in the order _shooting_roots gives them and the first
     that closes is built; when none does, the first one's failure is raised.
+    The anchor is checked against the phase-space box once, before any march.
     """
+    in_phase_space(desc.anchor_state, gas).require("piece -1: anchor state")
     if desc.shooting is None:
         return _closed_flow(gas, desc, "")
     first = None

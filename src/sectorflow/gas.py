@@ -208,6 +208,11 @@ class PhaseReport:
     def __bool__(self):
         return self.ok
 
+    def require(self, what):
+        """Raise ValueError("<what> leaves phase space: <violations>") unless ok."""
+        if not self.ok:
+            raise ValueError(what + " leaves phase space: " + "; ".join(self.violations))
+
 
 def in_phase_space(s, gas):
     """Check a state against the model's box, reporting each violation.

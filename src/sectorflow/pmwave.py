@@ -180,9 +180,7 @@ def _wave_start(start, theta_start, theta_end, orient, gas):
     c0 = start.sound_speed(gas)
     if abs(N0 - orient.sign * c0) > SONIC_TOL * c0:
         raise ValueError("starting state is not sonic for this orientation")
-    rep = in_phase_space(start, gas)
-    if not rep.ok:
-        raise ValueError("starting state leaves phase space: " + "; ".join(rep.violations))
+    in_phase_space(start, gas).require("starting state")
 
     span = theta_end - theta_start
     if span < 0.0:
@@ -272,9 +270,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
 
 def _check_wave_phase(states, gas):
     for state in states:
-        rep = in_phase_space(state, gas)
-        if not rep.ok:
-            raise ValueError("wave leaves phase space: " + "; ".join(rep.violations))
+        in_phase_space(state, gas).require("wave")
 
 
 def pm_exact(start, theta_start, theta_end, orient, gas):

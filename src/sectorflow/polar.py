@@ -11,7 +11,9 @@ The transform is a rotation, so it preserves speed and inverts exactly.
 """
 
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin
+from math import atan2, cos, pi, sin, sqrt
+
+from .gas import PrimitiveState
 
 TWO_PI = 2.0 * pi
 
@@ -86,15 +88,11 @@ class PolarState:
         return from_polar(self.N, self.L, self.theta)
 
     def sound_speed(self, gas):
-        from math import sqrt
-
         return sqrt(gas.gamma * self.p / self.rho)
 
     def flow_angle(self):
         return flow_angle(self.N, self.L, self.theta)
 
     def to_primitive(self):
-        from .gas import PrimitiveState
-
         u, v = self.velocity()
         return PrimitiveState(rho=self.rho, u=u, v=v, p=self.p)

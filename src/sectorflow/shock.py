@@ -22,6 +22,7 @@ and identical with all normal velocities negated for a backward shock.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import atan, cos, sin, sqrt, tan, asin, pi
 
 from .gas import PrimitiveState, in_phase_space, physical_fluxes, relative_state_gap
@@ -34,6 +35,7 @@ __all__ = [
     "Classification",
     "AdmissibilityReport",
     "hugoniot_value",
+    "strength_ratios",
     "shock_from_strength",
     "strength_from_normal_mach",
     "downstream_normal_mach",
@@ -66,7 +68,9 @@ class ShockSolution:
     """A resolved shock: both polar states, strength and mass flux.
 
     upstream is the front side, downstream the back side. mass_flux is the
-    signed rho*N, equal on the two sides.
+    signed rho*N, equal on the two sides. A built flow's shock pieces are
+    these; left and right, their primitive sides, are converted once and are
+    not fields, so a dataclasses.replace copy converts its own.
     """
 
     theta: float
@@ -88,6 +92,16 @@ class ShockSolution:
             return self.upstream
         return self.downstream
 
+    @cached_property
+    def left(self):
+        """Primitive state on the lower-theta side of the jump."""
+        return self.left_state().to_primitive()
+
+    @cached_property
+    def right(self):
+        """Primitive state on the higher-theta side of the jump."""
+        return self.right_state().to_primitive()
+
 
 def hugoniot_value(tau, p, tau_ref, p_ref, gas):
     """Hugoniot function H of a trial state against a reference state.
@@ -101,12 +115,17 @@ def hugoniot_value(tau, p, tau_ref, p_ref, gas):
     return e - e_ref + 0.5 * (tau - tau_ref) * (p + p_ref)
 
 
+def strength_ratios(z, gamma):
+    """(rp, rm) of the closed forms at strength z: 1 + z (gamma +- 1) / (2 gamma)."""
+    return 1.0 + z * (gamma + 1.0) / (2.0 * gamma), 1.0 + z * (gamma - 1.0) / (2.0 * gamma)
+
+
 def downstream_normal_mach(z, gamma):
     """|N_back| / c_back as a function of shock strength.
 
     Strictly decreasing in z, from 1 at z = 0 down to sqrt((gamma-1)/(2 gamma)).
     """
-    rm = 1.0 + z * (gamma - 1.0) / (2.0 * gamma)
+    _, rm = strength_ratios(z, gamma)
     return sqrt(rm / (1.0 + z))
 
 
@@ -138,14 +157,14 @@ def shock_from_strength(upstream, z, orient, gas):
     upstream supplies the angle, thermodynamics and tangential velocity; its
     normal component is replaced by the unique value a shock of strength z
     admits, c_front sqrt(1 + z (gamma+1)/(2 gamma)) with the orientation sign.
+    Both of the solution's primitive sides must lie in the phase-space box.
     """
     if not z > 0.0:
         raise ValueError("no jump: shock strength must be positive")
     if z > gas.z_max:
         raise ValueError("shock strength exceeds z_max for the phase space")
     g = gas.gamma
-    rp = 1.0 + z * (g + 1.0) / (2.0 * g)
-    rm = 1.0 + z * (g - 1.0) / (2.0 * g)
+    rp, rm = strength_ratios(z, g)
     c_f = sqrt(g * upstream.p / upstream.rho)
     n_front = orient.sign * c_f * sqrt(rp)
     front = PolarState(
@@ -155,15 +174,7 @@ def shock_from_strength(upstream, z, orient, gas):
     p_b = upstream.p * (1.0 + z)
     n_back = upstream.rho * n_front / rho_b
     back = PolarState(theta=upstream.theta, N=n_back, L=upstream.L, rho=rho_b, p=p_b)
-
-    rep = in_phase_space(front.to_primitive(), gas)
-    if not rep.ok:
-        raise ValueError("upstream state leaves phase space: " + "; ".join(rep.violations))
-    rep = in_phase_space(back.to_primitive(), gas)
-    if not rep.ok:
-        raise ValueError("downstream state leaves phase space: " + "; ".join(rep.violations))
-
-    return ShockSolution(
+    sol = ShockSolution(
         theta=upstream.theta,
         orientation=orient,
         upstream=front,
@@ -171,6 +182,10 @@ def shock_from_strength(upstream, z, orient, gas):
         z=z,
         mass_flux=upstream.rho * n_front,
     )
+    up, dn = (sol.right, sol.left) if orient is Orientation.FORWARD else (sol.left, sol.right)
+    in_phase_space(up, gas).require("upstream state")
+    in_phase_space(dn, gas).require("downstream state")
+    return sol
 
 
 def rh_residual(left, right, theta, gas):
@@ -490,13 +505,9 @@ def lax_neighborhood_bound(gas):
     zm = gas.z_max
     sm = b.speed_max
     cm = gas.c_min
-    d1 = cm * (sqrt(1.0 + zm * (g + 1.0) / (2.0 * g)) - 1.0) / (zm * sm)
-    d2 = (
-        cm
-        * sqrt((g - 1.0) / (g + 1.0))
-        * (sqrt(1.0 + zm) - sqrt(1.0 + zm * (g - 1.0) / (2.0 * g)))
-        / (zm * sm)
-    )
+    rp, rm = strength_ratios(zm, g)
+    d1 = cm * (sqrt(rp) - 1.0) / (zm * sm)
+    d2 = cm * sqrt((g - 1.0) / (g + 1.0)) * (sqrt(1.0 + zm) - sqrt(rm)) / (zm * sm)
     d_rho = b.rho_max - b.rho_min
     d_mom = 2.0 * b.rho_max * sm
     d_en = (b.p_max - b.p_min) / (g - 1.0) + 0.5 * b.rho_max * sm * sm

@@ -37,7 +37,6 @@ from .flowfield import (
     ContactPoint,
     PMPiece,
     SectorDirection,
-    ShockPoint,
     _conserved_jump,
     _flow_angle_of,
     evaluate,  # noqa: F401 -- bench/workloads.py counts calls made through verify.evaluate
@@ -48,7 +47,7 @@ from .flowfield import (
 from .gas import ray_fluxes, relative_state_gap
 from .pmwave import WaveKind, classify_pm, pm_wave_state
 from .polar import TWO_PI, to_polar, wrap_signed
-from .shock import Orientation, check_admissibility, lax_neighborhood_bound
+from .shock import Orientation, ShockSolution, check_admissibility, lax_neighborhood_bound
 
 _WEAK_TOL = 1e-10
 _ENTROPY_TOL = 1e-10
@@ -211,7 +210,7 @@ def _pieces_in(flow, a, b):
     out = []
     for shift in (0.0, TWO_PI):
         for p in flow.pieces:
-            if isinstance(p, (ShockPoint, ContactPoint)):
+            if isinstance(p, (ShockSolution, ContactPoint)):
                 t = p.theta + shift
                 if a + 1e-12 < t < b - 1e-12:
                     out.append((t, p, shift))
@@ -255,7 +254,7 @@ def _piece_turning(flow, a, b):
     """
     total = 0.0
     for _, p, shift in _pieces_in(flow, a, b):
-        if isinstance(p, (ShockPoint, ContactPoint)):
+        if isinstance(p, (ShockSolution, ContactPoint)):
             total += wrap_signed(_flow_angle_of(p.right) - _flow_angle_of(p.left))
         elif isinstance(p, PMPiece):
             w = p.wave
@@ -278,7 +277,7 @@ def validate_structure(flow):
     ok1 = True
     pieces = flow.pieces
     for k, sp in enumerate(pieces):
-        if not isinstance(sp, ShockPoint):
+        if not isinstance(sp, ShockSolution):
             continue
         need = delta_L * _jump_norm(flow, sp)
         wl = _constant_width(flow, pieces[k - 1])
@@ -309,7 +308,7 @@ def validate_structure(flow):
         a, b = region(sec, positive=False)
         seen_wave = False
         for _, p, shift in _pieces_in(flow, a, b):
-            if isinstance(p, ShockPoint):
+            if isinstance(p, ShockSolution):
                 seen_wave = False
             elif isinstance(p, PMPiece):
                 try:
@@ -333,16 +332,16 @@ def validate_structure(flow):
         feats = [
             (t, p, shift)
             for t, p, shift in _pieces_in(flow, a, b)
-            if isinstance(p, (ShockPoint, PMPiece))
+            if isinstance(p, (ShockSolution, PMPiece))
         ]
         label = None
         if not feats:
             label = "constant"
         elif len(feats) == 1:
             t, p, shift = feats[0]
-            if isinstance(p, ShockPoint):
+            if isinstance(p, ShockSolution):
                 if (
-                    abs(p.solution.upstream.L) <= _STRUCTURE_TOL
+                    abs(p.upstream.L) <= _STRUCTURE_TOL
                     and abs(t - sec.theta_bar) <= _STRUCTURE_TOL
                 ):
                     label = "normal shock at the turn"
@@ -366,8 +365,8 @@ def validate_structure(flow):
 
     # (4) forward/backward shock separation
     floor = shock_separation_floor(gas)
-    fwd = [p.theta for p in flow.shock_points if p.solution.orientation is Orientation.FORWARD]
-    bwd = [p.theta for p in flow.shock_points if p.solution.orientation is Orientation.BACKWARD]
+    fwd = [p.theta for p in flow.shock_points if p.orientation is Orientation.FORWARD]
+    bwd = [p.theta for p in flow.shock_points if p.orientation is Orientation.BACKWARD]
     sep_margin = None
     ok4 = True
     for tf in fwd:
@@ -381,7 +380,7 @@ def validate_structure(flow):
     checks.append(("opposite shock separation", ok4, sep_margin if sep_margin is not None else float("inf")))
 
     # (5) admissibility at every shock
-    shock_reports = tuple(check_admissibility(sp.solution, gas) for sp in flow.shock_points)
+    shock_reports = tuple(check_admissibility(sp, gas) for sp in flow.shock_points)
     ok5 = True
     detail5 = ""
     for sp, rep in zip(flow.shock_points, shock_reports):

@@ -206,6 +206,55 @@ def test_nonfinite_flags_exit_three_and_name_the_flag(capsys, argv, flag):
     assert captured.out == ""
 
 
+def _two_sector_with(tmp_path, path, value):
+    doc = json.loads((CONFIGS / "two_sector.json").read_text())
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(doc))  # NaN and Infinity are written as JSON extensions
+    return p
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("anchor", "u"), math.nan, "anchor.u"),
+        (("pieces", 1, "z"), math.inf, "pieces[1].z"),
+        (("gas", "bounds", "p_max"), math.inf, "gas.bounds.p_max"),
+        (("anchor", "v"), 10 ** 400, "anchor.v"),
+        # the shot wave's end, which shooting would overwrite
+        (("pieces", 0, "theta_end"), "nandeg", "pieces[0].theta_end"),
+        (("pieces", 4, "theta_end"), "infdeg", "pieces[4].theta_end"),
+    ],
+    ids=["nan", "inf", "inf-bound", "huge-int", "nandeg-shot", "infdeg"],
+)
+def test_nonfinite_config_numbers_exit_three(tmp_path, capsys, path, value, key):
+    assert main(["build", str(_two_sector_with(tmp_path, path, value))]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "config error: %s: must be finite\n" % key
+    assert captured.out == ""
+
+
+def test_anchor_outside_the_box_fails_before_any_march(tmp_path, capsys, monkeypatch):
+    from sectorflow import flowfield
+
+    marches = []
+    march = flowfield._march
+    monkeypatch.setattr(flowfield, "_march", lambda *a: marches.append(a) or march(*a))
+    config = _two_sector_with(tmp_path, ("anchor", "p"), 0.01)
+    assert main(["build", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "construction failure: piece -1: anchor state leaves phase space: "
+        "pressure below floor\n"
+    )
+    assert captured.out == ""
+    assert marches == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,8 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sectorflow import flowfield
-from sectorflow.cli import parse_config
+from sectorflow import flowfield, pmwave, shock
+from sectorflow.cli import (
+    analyze_to_document,
+    export_csv,
+    export_json,
+    export_svg,
+    parse_config,
+)
 from sectorflow.gas import (
     PhaseBounds,
     PrimitiveState,
@@ -16,9 +23,9 @@ from sectorflow.gas import (
     primitive_to_conserved,
     relative_state_gap,
 )
-from sectorflow.polar import TWO_PI, from_polar, to_polar, wrap_signed
+from sectorflow.polar import TWO_PI, PolarState, from_polar, to_polar, wrap_signed
 from sectorflow.pmwave import integrate_pm, pm_exact
-from sectorflow.shock import Orientation
+from sectorflow.shock import Orientation, ShockSolution
 from sectorflow.flowfield import (
     ClosureError,
     ConstantPiece,
@@ -30,7 +37,6 @@ from sectorflow.flowfield import (
     PMPiece,
     SectorDirection,
     ShockEvent,
-    ShockPoint,
     Shooting,
     build_flow,
     bv_decompose,
@@ -39,7 +45,7 @@ from sectorflow.flowfield import (
     sector_decompose,
     shock_separation_floor,
 )
-from sectorflow.verify import validate_structure
+from sectorflow.verify import full_audit, validate_structure
 
 # ----------------------------------------------------------- golden flows
 #
@@ -152,15 +158,6 @@ def assert_L_vanishes_at_theta_bar(flow, sectors):
         state = evaluate(flow, s.theta_bar)
         _, L = to_polar(state.u, state.v, s.theta_bar)
         assert abs(L) <= 1e-14 * max(1.0, math.hypot(state.u, state.v))
-
-
-def jump_sides(point):
-    if isinstance(point, ShockPoint):
-        return (
-            point.solution.left_state().to_primitive(),
-            point.solution.right_state().to_primitive(),
-        )
-    return point.left, point.right
 
 
 # ----------------------------------------------------------- uniform flow
@@ -316,6 +313,60 @@ def test_two_sector_build_marches_few_rk4_waves(monkeypatch):
     cfg = _scaled_two_sector()
     build_flow(cfg.gas, cfg.description)
     assert 0 < len(calls) <= 16
+
+
+def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
+    """Phase checks and polar-to-primitive conversions of one build, then of its audit."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (flowfield, shock, pmwave):
+        monkeypatch.setattr(
+            module, "in_phase_space", counted("in_phase_space", module.in_phase_space)
+        )
+    monkeypatch.setattr(
+        PolarState, "to_primitive", counted("to_primitive", PolarState.to_primitive)
+    )
+    for name in ("_march", "shock_from_strength"):
+        monkeypatch.setattr(flowfield, name, counted(name, getattr(flowfield, name)))
+    cfg = _scaled_two_sector()
+    flow = build_flow(cfg.gas, cfg.description)
+    assert counts["_march"] == 71
+    assert counts["shock_from_strength"] == 213
+    assert counts["in_phase_space"] <= 1000
+    assert counts["to_primitive"] <= 450  # two per shock
+
+    counts.clear()
+    export_json(full_audit(flow))
+    export_csv(flow, cfg.samples)
+    export_svg(flow)
+    analyze_to_document(flow, cfg.samples)
+    assert counts["to_primitive"] == 0
+
+
+@pytest.mark.parametrize(
+    "orient, anchor",
+    [
+        (Orientation.BACKWARD, PrimitiveState(rho=1.0, u=7.0, v=0.0, p=1.0)),
+        # a forward shock's back side is the marching state, here the
+        # anchor, which build_flow and not _march checks
+        (Orientation.FORWARD, PrimitiveState(rho=5.0, u=3.0, v=0.0, p=26.0)),
+    ],
+)
+def test_march_reports_the_shock_side_leaving_phase_space(gas14, orient, anchor):
+    # z = 25 puts the back pressure at 26 times the front's, past p_max = 20
+    desc = FlowDescription(0.0, anchor, (ShockEvent(orientation=orient, z=25.0),))
+    with pytest.raises(ValueError) as info:
+        flowfield._march(gas14, desc)
+    assert str(info.value) == (
+        "piece 0: downstream state leaves phase space: pressure above ceiling"
+    )
 
 
 def test_scan_stays_near_rk4_on_coarse_wide_waves(monkeypatch):
@@ -477,7 +528,7 @@ def test_two_sector_shot_parameter(two_sector):
 
 def test_two_sector_shock_inventory(two_sector):
     got = [
-        (p.solution.orientation, p.theta, p.solution.z)
+        (p.orientation, p.theta, p.z)
         for p in two_sector.shock_points
     ]
     assert len(got) == 3
@@ -562,7 +613,7 @@ def test_two_sector_contact_invariants(two_sector):
 
 def test_evaluate_right_continuous_at_jumps(two_sector):
     for sp in two_sector.shock_points:
-        _, right = jump_sides(sp)
+        right = sp.right
         at = evaluate(two_sector, sp.theta)
         assert at.rho == pytest.approx(right.rho, rel=1e-12)
         assert at.p == pytest.approx(right.p, rel=1e-12)
@@ -647,7 +698,7 @@ def test_bv_jump_part_sums_the_jumps(two_sector):
     bv = bv_decompose(two_sector)
     total = 0.0
     for point in two_sector.jump_points:
-        left, right = jump_sides(point)
+        left, right = point.left, point.right
         ul = primitive_to_conserved(left, two_sector.gas).as_tuple()
         ur = primitive_to_conserved(right, two_sector.gas).as_tuple()
         total += math.sqrt(sum((b - a) ** 2 for a, b in zip(ul, ur)))
@@ -659,7 +710,7 @@ def test_lipschitz_part_continuous_across_jumps(two_sector):
     eps = 1e-9
     for point in two_sector.jump_points:
         theta = two_sector.local_angle(point.theta)
-        left, right = jump_sides(point)
+        left, right = point.left, point.right
         ul = primitive_to_conserved(left, two_sector.gas).as_tuple()
         ur = primitive_to_conserved(right, two_sector.gas).as_tuple()
         below = conserved_at(two_sector, theta - eps)
@@ -674,7 +725,7 @@ def test_pointwise_split_reconstructs_the_flow(two_sector):
     bv = bv_decompose(two_sector, samples=360)
     jumps = []
     for point in two_sector.jump_points:
-        left, right = jump_sides(point)
+        left, right = point.left, point.right
         ul = primitive_to_conserved(left, two_sector.gas).as_tuple()
         ur = primitive_to_conserved(right, two_sector.gas).as_tuple()
         jumps.append(
@@ -695,13 +746,13 @@ def test_pointwise_split_reconstructs_the_flow(two_sector):
 
 
 def test_three_sector_builds_with_shot_strength(three_sector):
-    zb = three_sector.shock_points[1].solution.z
+    zb = three_sector.shock_points[1].z
     assert zb == pytest.approx(THREE_SECTOR_SHOT_ZB, rel=1e-6)
 
 
 def test_three_sector_inventory(three_sector):
     got = [
-        (p.solution.orientation, p.theta, p.solution.z)
+        (p.orientation, p.theta, p.z)
         for p in three_sector.shock_points
     ]
     for (orient, theta, z), (eo, et, ez) in zip(got, THREE_SECTOR_SHOCKS):
@@ -762,11 +813,11 @@ def test_declared_angle_shocks_reproduce_the_built_strengths(name):
     rebuilt = build_flow(
         cfg.gas, replace(cfg.description, events=tuple(events), shooting=None)
     )
-    assert {p.solution.orientation for p in rebuilt.shock_points} == set(Orientation)
+    assert {p.orientation for p in rebuilt.shock_points} == set(Orientation)
     assert len(rebuilt.shock_points) == len(flow.shock_points)
     for a, b in zip(flow.shock_points, rebuilt.shock_points):
-        assert b.solution.orientation is a.solution.orientation
-        assert b.solution.z == pytest.approx(a.solution.z, rel=1e-12)
+        assert b.orientation is a.orientation
+        assert b.z == pytest.approx(a.z, rel=1e-12)
 
 
 def test_three_sector_needs_small_gamma(gas112):
@@ -837,9 +888,8 @@ def misplaced_wave_mutant(flow, gas):
 
 
 def swapped_shock_mutant(flow):
-    k = _piece_index(flow, lambda p: isinstance(p, ShockPoint))
-    sp = flow.pieces[k]
-    sol = sp.solution
+    k = _piece_index(flow, lambda p: isinstance(p, ShockSolution))
+    sol = flow.pieces[k]
     swapped = replace(
         sol,
         upstream=sol.downstream,
@@ -847,7 +897,7 @@ def swapped_shock_mutant(flow):
         mass_flux=-sol.mass_flux,
     )
     pieces = list(flow.pieces)
-    pieces[k] = ShockPoint(theta=sp.theta, solution=swapped)
+    pieces[k] = swapped
     return _with_pieces(flow, pieces)
 
 

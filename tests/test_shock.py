@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -91,6 +92,39 @@ def test_strength_errors(gas):
     )
     with pytest.raises(ValueError, match="phase space"):
         shock_from_strength(_upstream(), 0.9, Orientation.FORWARD, tight)
+
+
+@pytest.mark.parametrize("orient", list(Orientation))
+def test_shock_side_phase_messages(gas, orient):
+    # p_back = 1 + z = 26 passes p_max = 20; every other bound holds
+    with pytest.raises(ValueError) as exc:
+        shock_from_strength(_upstream(), 25.0, orient, gas)
+    assert str(exc.value) == "downstream state leaves phase space: pressure above ceiling"
+    # with both sides out of the box the upstream side is named
+    with pytest.raises(ValueError) as exc:
+        shock_from_strength(_upstream(L=16.0), 25.0, orient, gas)
+    assert str(exc.value) == "upstream state leaves phase space: speed above ceiling"
+
+
+def test_replaced_solution_converts_its_own_sides(gas):
+    sol = shock_from_strength(_upstream(), 0.8, Orientation.FORWARD, gas)
+    assert (sol.left, sol.right) == (
+        sol.downstream.to_primitive(),
+        sol.upstream.to_primitive(),
+    )
+    # the swapped-shock mutant of the audit tests
+    swapped = dataclasses.replace(
+        sol, upstream=sol.downstream, downstream=sol.upstream, mass_flux=-sol.mass_flux
+    )
+    assert swapped.left == sol.upstream.to_primitive() != sol.left
+    assert swapped.right == sol.downstream.to_primitive() != sol.right
+    # the cached sides are not fields: equality, hashing and replace ignore them
+    assert [f.name for f in dataclasses.fields(sol)] == [
+        "theta", "orientation", "upstream", "downstream", "z", "mass_flux",
+    ]
+    copy = dataclasses.replace(sol)
+    assert copy == sol and hash(copy) == hash(sol)
+    assert "left" not in vars(copy)
 
 
 strengths = st.floats(1e-4, 50.0, allow_nan=False, allow_infinity=False)

@@ -11,7 +11,6 @@ from sectorflow.flowfield import (
     ConstantPiece,
     FlowDescription,
     FlowField,
-    ShockPoint,
     build_flow,
     evaluate,
 )
@@ -169,10 +168,10 @@ def _reversed_shock_flow(flow, index):
     left = evaluate(flow, th - 1e-9)
     right = evaluate(flow, th)
     sol = dataclasses.replace(
-        sp.solution,
-        upstream=sp.solution.downstream,
-        downstream=sp.solution.upstream,
-        mass_flux=-sp.solution.mass_flux,
+        sp,
+        upstream=sp.downstream,
+        downstream=sp.upstream,
+        mass_flux=-sp.mass_flux,
     )
     anchor = th - 0.5
     return FlowField(
@@ -180,7 +179,7 @@ def _reversed_shock_flow(flow, index):
         anchor_theta=anchor,
         pieces=(
             ConstantPiece(state=right, theta_start=anchor, theta_end=th),
-            ShockPoint(theta=th, solution=sol),
+            sol,
             ConstantPiece(state=left, theta_start=th, theta_end=anchor + TWO_PI),
         ),
     )
@@ -259,17 +258,12 @@ def test_full_audit_identifies_inadmissible_shock(two_sector):
     # direction; the audit must name that shock and fail overall
     target = two_sector.shock_points[1]
     sol = dataclasses.replace(
-        target.solution,
-        upstream=target.solution.downstream,
-        downstream=target.solution.upstream,
-        mass_flux=-target.solution.mass_flux,
+        target,
+        upstream=target.downstream,
+        downstream=target.upstream,
+        mass_flux=-target.mass_flux,
     )
-    pieces = tuple(
-        ShockPoint(theta=p.theta, solution=sol)
-        if isinstance(p, ShockPoint) and p.theta == target.theta
-        else p
-        for p in two_sector.pieces
-    )
+    pieces = tuple(sol if p is target else p for p in two_sector.pieces)
     mutant = FlowField(
         gas=two_sector.gas, anchor_theta=two_sector.anchor_theta, pieces=pieces
     )
