@@ -43,6 +43,9 @@ from .shock import (
 )
 
 DEFAULT_SAMPLES = 720
+# ceilings on RK4 steps per wave and ring samples: memory grows with both
+MAX_STEPS = 100_000
+MAX_SAMPLES = 1_000_000
 KNOWN_FORMATS = ("csv", "json", "svg")
 
 CSV_COLUMNS = "theta,rho,u,v,p,N,L,c,mach_n,s,phi"
@@ -121,11 +124,13 @@ def _positive(value, path):
     return x
 
 
-def _count(value, path, minimum):
+def _count(value, path, minimum, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, "expected an integer")
     if value < minimum:
         raise ConfigError(path, "must be at least %d" % minimum)
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, "must be at most %d" % maximum)
     return value
 
 
@@ -219,7 +224,7 @@ def _parse_piece(doc, path):
             theta_start=_angle(doc["theta_start"], _join(path, "theta_start"))
             if "theta_start" in doc
             else None,
-            steps=_count(doc["steps"], _join(path, "steps"), 1)
+            steps=_count(doc["steps"], _join(path, "steps"), 1, MAX_STEPS)
             if "steps" in doc
             else None,
         )
@@ -268,7 +273,7 @@ def _parse_solver(doc, path, events):
 def _parse_output(doc, path):
     doc = _mapping(doc, path)
     _check_keys(doc, path, required=(), optional=("samples", "formats"))
-    samples = _count(doc.get("samples", DEFAULT_SAMPLES), _join(path, "samples"), 2)
+    samples = _count(doc.get("samples", DEFAULT_SAMPLES), _join(path, "samples"), 2, MAX_SAMPLES)
     formats = doc.get("formats", ["json"])
     if not isinstance(formats, list):
         raise ConfigError(_join(path, "formats"), "expected a list")
@@ -592,8 +597,8 @@ def _cmd_analyze(ns):
 
 def _cmd_export(ns):
     cfg = _load_config(ns.config)
+    samples = cfg.samples if ns.samples is None else _count(ns.samples, "--samples", 2, MAX_SAMPLES)
     flow = _build(cfg)
-    samples = cfg.samples if ns.samples is None else _count(ns.samples, "--samples", 2)
     out = ns.out
     if out is None:
         out = _artifact_path(".", ns.config, ns.format)
@@ -693,7 +698,7 @@ def _cmd_pm_trace(ns):
     if span > TWO_PI:
         raise ConfigError("--span", "must be at most one turn (2 pi)")
     if ns.steps is not None:
-        _count(ns.steps, "--steps", 1)
+        _count(ns.steps, "--steps", 1, MAX_STEPS)
     try:
         wave = integrate_pm(
             start, theta0, theta0 + span, orient, gas, steps=ns.steps

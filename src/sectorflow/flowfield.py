@@ -17,7 +17,10 @@ with:
 
 Closure around the circle is generally met by shooting on one declared
 scalar (an angle or a strength) against the flow-angle mismatch at the
-seam. The built flow is immutable; evaluation is right-continuous.
+seam. The march carries its state as (rho, u, v, p) floats, and only the
+closing march builds piece objects: the scan and the root finder read the
+seam state alone. The built flow is immutable; evaluation is
+right-continuous.
 """
 
 import enum
@@ -30,15 +33,16 @@ from math import asin, atan2, ceil, hypot, pi, sqrt
 
 from .gas import (
     PrimitiveState,
-    in_phase_space,
     primitive_to_conserved,
+    relative_gap,
     relative_state_gap,
+    require_in_phase_space,
 )
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
 from .pmwave import (
     PMWave,
+    fan_end,
     integrate_pm,
-    pm_exact,
     pm_wave_arrays,
     pm_wave_state,
 )
@@ -48,6 +52,7 @@ from .shock import (
     brentq,
     downstream_normal_mach,
     shock_from_strength,
+    shock_sides,
     strength_from_normal_mach,
     strength_ratios,
 )
@@ -74,8 +79,14 @@ __all__ = [
     "shock_separation_floor",
 ]
 
-_MATCH_TOL = 1e-9
-
+# Tolerances of the march and of closure shooting. Within _ANGLE_MARGIN an
+# event reaches the seam, a wave start the march's angle, and the next angle
+# with a given N the current one.
+_ANGLE_MARGIN = 1e-12
+_SONIC_START_TOL = 1e-9  # a wave starts at the march's angle if |N -+ c| <= this * c
+_TRIVIAL_CONTACT = 1e-9  # largest relative jump in rho and in L of a trivial contact
+_SHOCK_MATCH_TOL = 1e-8  # largest relative gap of a shock's marching side to the march
+_MATCH_TOL = 1e-9  # largest relative gap of the state marched around to the anchor
 # The closure scan takes a wave's end state from the closed form only when
 # the RK4 march it stands for steps at most _EXACT_MAX_STEP rad. The two seam
 # mismatches then differ by at most about 5.5e-3 h^4, so 5.2e-9 (measured on
@@ -284,14 +295,14 @@ class FlowDescription:
 # -------------------------------------------------------------- marching
 
 
-def _next_angle_with_normal(state, target_N, above, label, L_sign=None):
-    """Smallest angle > above where the constant state's N equals target.
+def _next_angle_with_normal(u, v, target_N, above, label, L_sign=None):
+    """Smallest angle > above where the constant velocity (u, v) has N = target.
 
     Per turn a constant crosses any reachable N twice, once with L >= 0
     and once with L <= 0; L_sign = +-1 restricts to one branch.
     """
-    q = hypot(state.u, state.v)
-    phi = atan2(state.v, state.u)
+    q = hypot(u, v)
+    phi = atan2(v, u)
     if abs(target_N) > q:
         raise ValueError(
             "%s: constant state (speed %.6g) never reaches the required "
@@ -305,51 +316,62 @@ def _next_angle_with_normal(state, target_N, above, label, L_sign=None):
         bases.append(phi + pi - s)
     best = None
     for base in bases:
-        cand = base + TWO_PI * ceil((above + 1e-12 - base) / TWO_PI)
+        cand = base + TWO_PI * ceil((above + _ANGLE_MARGIN - base) / TWO_PI)
         if best is None or cand < best:
             best = cand
     return best
 
 
 def _rk4_wave(state, a, b, orient, gas, steps):
-    """The RK4 wave piece from a to b and its end state."""
-    wave = integrate_pm(state, a, b, orient, gas, steps=steps)
-    return PMPiece(wave), wave.end_state()
+    """The RK4 wave from a to b and its end state."""
+    wave = integrate_pm(PrimitiveState(*state), a, b, orient, gas, steps=steps)
+    return wave, wave.end_state().as_tuple()
 
 
 def _exact_wave(state, a, b, orient, gas, steps):
-    """No piece, and the end state: a scan march keeps only the wave's end.
+    """No wave, and the end state: a scan march keeps only the wave's end.
 
     The end state is the closed form's where RK4 would step at most
     _EXACT_MAX_STEP (always, for the default steps), and RK4's otherwise.
     """
     if steps is not None and b - a > _EXACT_MAX_STEP * steps:
         return None, _rk4_wave(state, a, b, orient, gas, steps)[1]
-    return None, pm_exact(state, a, b, orient, gas)
+    return None, fan_end(*state, a, b, orient, gas, start_checked=True)
 
 
-def _march(gas, desc, march_wave=_rk4_wave):
-    """Resolve all pieces from the anchor; no closure check here.
+def _march(gas, desc, march_wave=_rk4_wave, keep=False):
+    """Resolve the events from the anchor on a (rho, u, v, p) tuple; no closure check here.
 
-    march_wave(state, a, b, orientation, gas, steps) gives a wave's piece
-    (None to leave it out) and its end state. Phase checks: the anchor's is
-    build_flow's, a shock's sides shock_from_strength's and a wave's end the
-    wave march's; only a contact's far side is checked here.
+    Returns (pieces, final): the flow's pieces, built only with keep (the
+    closing march), else None, and the seam state. Every march makes the
+    same checks on the same floats. march_wave(state, a, b, orientation,
+    gas, steps) gives a wave (None to leave it out) and its end state.
+    Phase checks: the anchor's is build_flow's, a shock's sides
+    shock_sides', a wave's end the wave march's, so a wave's start needs
+    none; only a contact's far side is checked here.
     """
     theta0 = desc.anchor_theta
-    state = desc.anchor_state
-    pieces = []
+    state = desc.anchor_state.as_tuple()
+    pieces = [] if keep else None
     cur_start = theta0
     horizon = theta0 + TWO_PI
+    g = gas.gamma
 
     def err(idx, msg):
         return ValueError("piece %d: %s" % (idx, msg))
 
+    def hold(theta_end):
+        # the constant from cur_start; unkept, its interval is checked here
+        if keep:
+            pieces.append(ConstantPiece(cur_start, theta_end, PrimitiveState(*state)))
+        elif not theta_end > cur_start:
+            raise ValueError("constant piece needs a nonempty interval")
+
     for idx, ev in enumerate(desc.events):
+        rho, u, v, p = state
         if isinstance(ev, ShockEvent):
-            c_cur = state.sound_speed(gas)
+            c_cur = sqrt(g * p / rho)
             sign = ev.orientation.sign
-            g = gas.gamma
             # the marching state is the shock's left side: the back of a
             # forward shock, the front of a backward one
             back = ev.orientation is Orientation.FORWARD
@@ -357,7 +379,7 @@ def _march(gas, desc, march_wave=_rk4_wave):
                 theta_s = ev.theta
                 if not theta_s > cur_start:
                     raise err(idx, "event angle does not advance the march")
-                N_cur, L_cur = to_polar(state.u, state.v, theta_s)
+                N_cur, L_cur = to_polar(u, v, theta_s)
                 try:
                     z = strength_from_normal_mach(
                         sign * N_cur / c_cur, g, "back" if back else "front"
@@ -367,7 +389,7 @@ def _march(gas, desc, march_wave=_rk4_wave):
             else:
                 if ev.balance:
                     # the new state's pressure returns to the anchor value
-                    p_left, p_right = state.p, desc.anchor_state.p
+                    p_left, p_right = p, desc.anchor_state.p
                     z = (p_left / p_right if back else p_right / p_left) - 1.0
                     if not z > 0.0:
                         raise err(
@@ -385,97 +407,105 @@ def _march(gas, desc, march_wave=_rk4_wave):
                     mach_n = sqrt(strength_ratios(z, g)[0])
                 target = sign * c_cur * mach_n
                 theta_s = _next_angle_with_normal(
-                    state, target, cur_start, "piece %d" % idx, L_sign=ev.L_sign
+                    u, v, target, cur_start, "piece %d" % idx, L_sign=ev.L_sign
                 )
-                _, L_cur = to_polar(state.u, state.v, theta_s)
+                _, L_cur = to_polar(u, v, theta_s)
 
-            if theta_s >= horizon - 1e-12:
+            if theta_s >= horizon - _ANGLE_MARGIN:
                 raise err(idx, "event angle passes the closure seam")
 
-            # the constructor stands on the front side; a forward shock's
-            # front follows from the marching back side by the closed forms
-            rho_f, p_f = state.rho, state.p
+            # the shock stands on its front side; a forward shock's front
+            # follows from the marching back side by the closed forms
+            rho_f, p_f = rho, p
             if back:
                 rp, rm = strength_ratios(z, g)
-                rho_f, p_f = state.rho * rm / rp, state.p / (1.0 + z)
-            front = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
+                rho_f, p_f = rho * rm / rp, p / (1.0 + z)
             try:
-                sol = shock_from_strength(front, z, ev.orientation, gas)
+                if keep:
+                    front = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
+                    sol = shock_from_strength(front, z, ev.orientation, gas)
+                    left, right = sol.left.as_tuple(), sol.right.as_tuple()
+                else:
+                    _, _, front, behind = shock_sides(
+                        theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
+                    )
+                    left, right = (behind, front) if back else (front, behind)
             except ValueError as e:
                 raise err(idx, str(e))
-            if relative_state_gap(sol.left, state) > 1e-8:
+            if relative_gap(left, state) > _SHOCK_MATCH_TOL:
                 raise err(idx, "shock does not match the marching state")
 
-            pieces.append(ConstantPiece(cur_start, theta_s, state))
-            pieces.append(sol)
-            state = sol.right
+            hold(theta_s)
+            if keep:
+                pieces.append(sol)
+            state = right
             cur_start = theta_s
 
         elif isinstance(ev, ContactEvent):
-            theta_c = _next_angle_with_normal(state, 0.0, cur_start, "piece %d" % idx)
-            if theta_c >= horizon - 1e-12:
+            theta_c = _next_angle_with_normal(u, v, 0.0, cur_start, "piece %d" % idx)
+            if theta_c >= horizon - _ANGLE_MARGIN:
                 raise err(idx, "contact angle passes the closure seam")
-            _, L_left = to_polar(state.u, state.v, theta_c)
+            _, L_left = to_polar(u, v, theta_c)
             if abs(ev.L) <= 0.0 or not ev.rho > 0.0:
                 raise err(idx, "contact needs positive density and moving gas")
             jump = max(
-                abs(ev.rho - state.rho) / max(1.0, state.rho, ev.rho),
+                abs(ev.rho - rho) / max(1.0, rho, ev.rho),
                 abs(ev.L - L_left) / max(1.0, abs(L_left), abs(ev.L)),
             )
-            if jump <= 1e-9:
+            if jump <= _TRIVIAL_CONTACT:
                 raise err(
                     idx,
                     "a trivial contact must jump in density or tangential velocity",
                 )
-            u_new, v_new = from_polar(0.0, ev.L, theta_c)
-            new_state = PrimitiveState(rho=ev.rho, u=u_new, v=v_new, p=state.p)
-            in_phase_space(new_state, gas).require("piece %d: post-contact state" % idx)
-            pieces.append(ConstantPiece(cur_start, theta_c, state))
-            pieces.append(ContactPoint(theta_c, state, new_state))
-            state = new_state
+            new = (ev.rho, *from_polar(0.0, ev.L, theta_c), p)
+            require_in_phase_space(*new, gas, "piece %d: post-contact state" % idx)
+            hold(theta_c)
+            if keep:
+                pieces.append(ContactPoint(theta_c, pieces[-1].state, PrimitiveState(*new)))
+            state = new
             cur_start = theta_c
 
         elif isinstance(ev, PMEvent):
             sign = ev.orientation.sign
-            c_cur = state.sound_speed(gas)
+            c_cur = sqrt(g * p / rho)
             if ev.theta_start is not None:
                 a = ev.theta_start
-                if a < cur_start - 1e-12:
+                if a < cur_start - _ANGLE_MARGIN:
                     raise err(idx, "wave start angle precedes the march")
             else:
-                N_now, _ = to_polar(state.u, state.v, cur_start)
-                if abs(N_now - sign * c_cur) <= 1e-9 * c_cur:
+                N_now, _ = to_polar(u, v, cur_start)
+                if abs(N_now - sign * c_cur) <= _SONIC_START_TOL * c_cur:
                     a = cur_start
                 else:
                     a = _next_angle_with_normal(
-                        state, sign * c_cur, cur_start, "piece %d" % idx
+                        u, v, sign * c_cur, cur_start, "piece %d" % idx
                     )
             if not ev.theta_end > a:
                 raise err(idx, "wave needs a nonempty interval")
-            if ev.theta_end >= horizon - 1e-12:
+            if ev.theta_end >= horizon - _ANGLE_MARGIN:
                 raise err(idx, "wave end passes the closure seam")
             try:
                 wave, end = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
             except ValueError as e:
                 raise err(idx, str(e))
-            if a > cur_start + 1e-12:
-                pieces.append(ConstantPiece(cur_start, a, state))
-            if wave is not None:
-                pieces.append(wave)
+            if a > cur_start + _ANGLE_MARGIN:
+                hold(a)
+            if keep:
+                pieces.append(PMPiece(wave))
             state = end
             cur_start = ev.theta_end
 
         else:
             raise err(idx, "unknown event type %r" % (ev,))
 
-    if cur_start >= horizon - 1e-12:
+    if cur_start >= horizon - _ANGLE_MARGIN:
         raise ValueError("events fill the whole circle, leaving no closure seam")
-    pieces.append(ConstantPiece(cur_start, horizon, state))
+    hold(horizon)
     return pieces, state
 
 
-def _angle_mismatch(desc, final_state):
-    return wrap_signed(_flow_angle_of(final_state) - _flow_angle_of(desc.anchor_state))
+def _angle_mismatch(desc, final):
+    return wrap_signed(atan2(final[2], final[1]) - _flow_angle_of(desc.anchor_state))
 
 
 def _with_param(desc, value):
@@ -585,7 +615,7 @@ def build_flow(gas, desc):
     that closes is built; when none does, the first one's failure is raised.
     The anchor is checked against the phase-space box once, before any march.
     """
-    in_phase_space(desc.anchor_state, gas).require("piece -1: anchor state")
+    require_in_phase_space(*desc.anchor_state.as_tuple(), gas, "piece -1: anchor state")
     if desc.shooting is None:
         return _closed_flow(gas, desc, "")
     first = None
@@ -598,8 +628,8 @@ def build_flow(gas, desc):
 
 
 def _closed_flow(gas, desc, note):
-    pieces, final = _march(gas, desc)
-    gap = relative_state_gap(final, desc.anchor_state)
+    pieces, final = _march(gas, desc, keep=True)
+    gap = relative_gap(final, desc.anchor_state.as_tuple())
     if gap > _MATCH_TOL:
         raise ClosureError(
             "flow does not close up around the circle (residual %.3e%s)" % (gap, note)

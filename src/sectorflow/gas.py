@@ -13,6 +13,7 @@ __all__ = [
     "PhaseBounds",
     "GasModel",
     "PrimitiveState",
+    "relative_gap",
     "relative_state_gap",
     "ConservedState",
     "PhaseReport",
@@ -21,7 +22,9 @@ __all__ = [
     "conserved_to_primitive",
     "physical_fluxes",
     "ray_fluxes",
+    "inside_box",
     "in_phase_space",
+    "require_in_phase_space",
 ]
 
 
@@ -86,6 +89,9 @@ class PrimitiveState:
         if not self.p > 0.0:
             raise ValueError("nonpositive pressure")
 
+    def as_tuple(self):
+        return (self.rho, self.u, self.v, self.p)
+
     @property
     def tau(self):
         """Specific volume 1/rho."""
@@ -120,12 +126,14 @@ class PrimitiveState:
         return self.p / self.rho ** gas.gamma
 
 
+def relative_gap(a, b):
+    """Max over paired components of |a - b| / max(|a|, |b|, 1), on (rho, u, v, p) tuples."""
+    return max(abs(x - y) / max(abs(x), abs(y), 1.0) for x, y in zip(a, b))
+
+
 def relative_state_gap(a, b):
-    """Max over (rho, u, v, p) of |a - b| / max(|a|, |b|, 1): the relative state gap."""
-    return max(
-        abs(x - y) / max(abs(x), abs(y), 1.0)
-        for x, y in ((a.rho, b.rho), (a.u, b.u), (a.v, b.v), (a.p, b.p))
-    )
+    """The relative_gap of two states."""
+    return relative_gap(a.as_tuple(), b.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -214,12 +222,25 @@ class PhaseReport:
             raise ValueError(what + " leaves phase space: " + "; ".join(self.violations))
 
 
+def inside_box(rho, u, v, p, gas):
+    """True when in_phase_space finds no violation; False also for NaN, which it lets pass."""
+    b = gas.bounds
+    return (
+        b.rho_min <= rho <= b.rho_max
+        and b.p_min <= p <= b.p_max
+        and p / ((gas.gamma - 1.0) * rho) >= b.e_min
+        and 0.0 < sqrt(u * u + v * v) <= b.speed_max
+    )
+
+
 def in_phase_space(s, gas):
     """Check a state against the model's box, reporting each violation.
 
     The no-stagnation assumption is enforced here as well: a state with
     zero velocity is rejected even if its thermodynamics are in bounds.
     """
+    if inside_box(s.rho, s.u, s.v, s.p, gas):
+        return PhaseReport(ok=True, violations=())
     b = gas.bounds
     bad = []
     if s.rho < b.rho_min:
@@ -238,3 +259,9 @@ def in_phase_space(s, gas):
     if q == 0.0:
         bad.append("stagnation point")
     return PhaseReport(ok=not bad, violations=tuple(bad))
+
+
+def require_in_phase_space(rho, u, v, p, gas, what):
+    """in_phase_space(...).require(what) on floats, building no state when inside."""
+    if not inside_box(rho, u, v, p, gas):
+        in_phase_space(PrimitiveState(rho, u, v, p), gas).require(what)

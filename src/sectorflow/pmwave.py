@@ -23,7 +23,8 @@ k^2 = (gamma-1)/(gamma+1) and R^2 = L0^2 + c0^2/k^2,
 
     L = R sin(phi),  c = k R cos(phi),  phi = phi0 -+ k (theta - theta0)
 
-(upper sign forward). pm_exact gives a wave's end state from it.
+(upper sign forward). fan_end gives a wave's end state from it on plain
+floats, and pm_exact as a PrimitiveState.
 """
 
 import enum
@@ -31,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from math import atan2, ceil, cos, hypot, pi, sin, sqrt
 
-from .gas import PrimitiveState, in_phase_space
+from .gas import PrimitiveState, in_phase_space, require_in_phase_space
 from .polar import from_polar, to_polar
 from .shock import brentq
 
@@ -40,6 +41,7 @@ __all__ = [
     "PMWave",
     "pm_rhs",
     "integrate_pm",
+    "fan_end",
     "pm_exact",
     "classify_pm",
     "pm_wave_state",
@@ -170,17 +172,18 @@ def pm_wave_arrays(wave, thetas):
     return rho, N * st + L * ct, -N * ct + L * st, wave.s_ref * rho ** wave.gamma
 
 
-def _wave_start(start, theta_start, theta_end, orient, gas):
-    """Checks on a wave's start and span, shared by both ways to march it.
+def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked=False):
+    """Checks on a wave's start (sonic; in phase space unless start_checked) and span.
 
     Returns (L0, c0, span): the start's tangential velocity and sound
     speed, and the span.
     """
-    N0, L0 = to_polar(start.u, start.v, theta_start)
-    c0 = start.sound_speed(gas)
+    N0, L0 = to_polar(u, v, theta_start)
+    c0 = sqrt(gas.gamma * p / rho)
     if abs(N0 - orient.sign * c0) > SONIC_TOL * c0:
         raise ValueError("starting state is not sonic for this orientation")
-    in_phase_space(start, gas).require("starting state")
+    if not start_checked:
+        require_in_phase_space(rho, u, v, p, gas, "starting state")
 
     span = theta_end - theta_start
     if span < 0.0:
@@ -201,7 +204,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
     """
     gamma = gas.gamma
     s_ref = start.p / start.rho ** gamma
-    L0, _, span = _wave_start(start, theta_start, theta_end, orient, gas)
+    L0, _, span = _wave_start(*start.as_tuple(), theta_start, theta_end, orient, gas)
     sign = orient.sign
 
     def rhs(rho, L):
@@ -264,26 +267,21 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
             break
 
     n = len(wave.thetas)
-    _check_wave_phase((wave.node_state(i) for i in (0, n // 2, n - 1)), gas)
+    for i in (0, n // 2, n - 1):
+        in_phase_space(wave.node_state(i), gas).require("wave")
     return wave
 
 
-def _check_wave_phase(states, gas):
-    for state in states:
-        in_phase_space(state, gas).require("wave")
+def fan_end(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked=False):
+    """End (rho, u, v, p) at theta_end of the wave integrate_pm marches, in closed form.
 
-
-def pm_exact(start, theta_start, theta_end, orient, gas):
-    """End state at theta_end of the wave integrate_pm marches, in closed form.
-
-    Makes integrate_pm's checks: a sonic start inside phase space, no
-    vacuum (|phi| reaching pi/2), no zero of L before theta_end, and an
-    end state inside phase space. |phi| is monotone along the wave, and so
-    are density, pressure, energy and speed, so the wave stays inside the
-    box if its two ends do. Plain float arithmetic, so a closure scan pays
-    for no array code.
+    Makes integrate_pm's checks: a sonic start inside phase space (unless
+    start_checked), no vacuum (|phi| reaching pi/2), no zero of L before
+    theta_end, and an end state inside phase space. |phi| is monotone along
+    the wave, and so are density, pressure, energy and speed, so the wave
+    stays inside the box if its two ends do. Plain floats, no array code.
     """
-    L0, c0, span = _wave_start(start, theta_start, theta_end, orient, gas)
+    L0, c0, span = _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked)
     gamma = gas.gamma
     sign = orient.sign
     k = sqrt((gamma - 1.0) / (gamma + 1.0))
@@ -297,11 +295,15 @@ def pm_exact(start, theta_start, theta_end, orient, gas):
             raise ValueError("tangential velocity changes sign inside the wave")
     R = hypot(L0, c0 / k)
     c = k * R * cos(phi)
-    u, v = from_polar(sign * c, R * sin(phi), theta_end)
     ratio = (c / c0) ** (2.0 / (gamma - 1.0))  # rho / rho0 on the isentrope
-    end = PrimitiveState(rho=start.rho * ratio, u=u, v=v, p=start.p * ratio ** gamma)
-    _check_wave_phase((end,), gas)
+    end = (rho * ratio, *from_polar(sign * c, R * sin(phi), theta_end), p * ratio ** gamma)
+    require_in_phase_space(*end, gas, "wave")
     return end
+
+
+def pm_exact(start, theta_start, theta_end, orient, gas):
+    """End state at theta_end of the wave integrate_pm marches: fan_end on a PrimitiveState."""
+    return PrimitiveState(*fan_end(*start.as_tuple(), theta_start, theta_end, orient, gas))
 
 
 def _truncate(wave, theta_cut):

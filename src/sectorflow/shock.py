@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import atan, cos, sin, sqrt, tan, asin, pi
 
-from .gas import PrimitiveState, in_phase_space, physical_fluxes, relative_state_gap
-from .polar import PolarState, to_polar
+from .gas import physical_fluxes, relative_state_gap, require_in_phase_space
+from .polar import PolarState, from_polar, to_polar
 
 __all__ = [
     "Orientation",
@@ -36,6 +36,7 @@ __all__ = [
     "AdmissibilityReport",
     "hugoniot_value",
     "strength_ratios",
+    "shock_sides",
     "shock_from_strength",
     "strength_from_normal_mach",
     "downstream_normal_mach",
@@ -57,7 +58,7 @@ class Orientation(enum.Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
 
-    @property
+    @cached_property
     def sign(self):
         """Sign of N on both sides of a shock with this orientation."""
         return 1.0 if self is Orientation.FORWARD else -1.0
@@ -151,6 +152,29 @@ def strength_from_normal_mach(mach_n, gamma, side):
     raise ValueError("side must be 'front' or 'back'")
 
 
+def shock_sides(theta, L, rho, p, z, orient, gas):
+    """shock_from_strength on the front's floats: (n_front, n_back, front, back).
+
+    front and back are the checked primitive sides as (rho, u, v, p) tuples.
+    """
+    if not z > 0.0:
+        raise ValueError("no jump: shock strength must be positive")
+    if z > gas.z_max:
+        raise ValueError("shock strength exceeds z_max for the phase space")
+    g = gas.gamma
+    rp, rm = strength_ratios(z, g)
+    c_f = sqrt(g * p / rho)
+    n_front = orient.sign * c_f * sqrt(rp)
+    rho_b = rho * rp / rm
+    p_b = p * (1.0 + z)
+    n_back = rho * n_front / rho_b
+    front = (rho, *from_polar(n_front, L, theta), p)
+    back = (rho_b, *from_polar(n_back, L, theta), p_b)
+    require_in_phase_space(*front, gas, "upstream state")
+    require_in_phase_space(*back, gas, "downstream state")
+    return n_front, n_back, front, back
+
+
 def shock_from_strength(upstream, z, orient, gas):
     """Construct the shock of strength z standing on the given upstream state.
 
@@ -159,33 +183,16 @@ def shock_from_strength(upstream, z, orient, gas):
     admits, c_front sqrt(1 + z (gamma+1)/(2 gamma)) with the orientation sign.
     Both of the solution's primitive sides must lie in the phase-space box.
     """
-    if not z > 0.0:
-        raise ValueError("no jump: shock strength must be positive")
-    if z > gas.z_max:
-        raise ValueError("shock strength exceeds z_max for the phase space")
-    g = gas.gamma
-    rp, rm = strength_ratios(z, g)
-    c_f = sqrt(g * upstream.p / upstream.rho)
-    n_front = orient.sign * c_f * sqrt(rp)
-    front = PolarState(
-        theta=upstream.theta, N=n_front, L=upstream.L, rho=upstream.rho, p=upstream.p
-    )
-    rho_b = upstream.rho * rp / rm
-    p_b = upstream.p * (1.0 + z)
-    n_back = upstream.rho * n_front / rho_b
-    back = PolarState(theta=upstream.theta, N=n_back, L=upstream.L, rho=rho_b, p=p_b)
-    sol = ShockSolution(
-        theta=upstream.theta,
+    theta, L, rho = upstream.theta, upstream.L, upstream.rho
+    n_front, n_back, _, back = shock_sides(theta, L, rho, upstream.p, z, orient, gas)
+    return ShockSolution(
+        theta=theta,
         orientation=orient,
-        upstream=front,
-        downstream=back,
+        upstream=PolarState(theta=theta, N=n_front, L=L, rho=rho, p=upstream.p),
+        downstream=PolarState(theta=theta, N=n_back, L=L, rho=back[0], p=back[3]),
         z=z,
-        mass_flux=upstream.rho * n_front,
+        mass_flux=rho * n_front,
     )
-    up, dn = (sol.right, sol.left) if orient is Orientation.FORWARD else (sol.left, sol.right)
-    in_phase_space(up, gas).require("upstream state")
-    in_phase_space(dn, gas).require("downstream state")
-    return sol
 
 
 def rh_residual(left, right, theta, gas):

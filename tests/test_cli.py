@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from sectorflow.cli import (
+    MAX_SAMPLES,
+    MAX_STEPS,
     ConfigError,
     export_csv,
     main,
@@ -181,6 +183,45 @@ def test_export_rejects_too_few_samples(capsys, tmp_path, samples):
     assert main(["export", str(CONFIGS / "uniform.json"), "--format", "csv",
                  "--samples", samples, "--out", str(out)]) == 3
     assert "config error: --samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, ceiling",
+    [(("pieces", 0, "steps"), MAX_STEPS), (("output", "samples"), MAX_SAMPLES)],
+    ids=["steps", "samples"],
+)
+def test_config_counts_have_a_ceiling(path, ceiling):
+    """Parsed only: a march or export this large is never started."""
+    doc = json.loads((CONFIGS / "two_sector.json").read_text())
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = ceiling
+    parse_config(json.dumps(doc))
+    target[last] = ceiling + 1
+    key = "pieces[0].steps" if last == "steps" else "output.samples"
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value) == "%s: must be at most %d" % (key, ceiling)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, ceiling",
+    [
+        (["pm-trace", "--gamma", "1.4", "--mach", "2"], "--steps", MAX_STEPS),
+        # checked before the flow is built
+        (["export", str(CONFIGS / "uniform.json"), "--format", "csv"], "--samples", MAX_SAMPLES),
+    ],
+    ids=["pm-trace", "export"],
+)
+def test_count_flags_have_a_ceiling(capsys, tmp_path, argv, flag, ceiling):
+    out = tmp_path / "out.csv"
+    assert main(argv + [flag, str(ceiling + 1), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "config error: %s: must be at most %d\n" % (flag, ceiling)
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -487,6 +528,25 @@ def _main_returns(argv, code):
     return "from sectorflow.cli import main; assert main(%r) == %d" % (argv, code)
 
 
+def _main_prints(argv, code, stderr):
+    return (
+        "import contextlib, io\n"
+        "from sectorflow.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    assert main(%r) == %d\n"
+        "assert err.getvalue() == %r, err.getvalue()" % (argv, code, stderr)
+    )
+
+
+SHOCK_SIDE_FAILURE = (
+    "closure failure: flow does not close up around the circle (no sign change "
+    "of the seam mismatch inside the shooting bracket; undefined at 65 of 65 "
+    "scan points: 65x piece 1: downstream state leaves phase space: pressure "
+    "above ceiling)\n"
+)
+
+
 @pytest.mark.parametrize(
     "statement",
     [
@@ -499,6 +559,8 @@ def _main_returns(argv, code):
         # waves too: the closed-form scan, Brent and the closing march
         _main_returns(["build", str(CONFIGS / "three_sector_g14.json")], 2),
         _main_returns(["build", "SCALED_TWO_SECTOR"], 2),
+        # every scan point fails on a shock side, checked on floats
+        _main_prints(["build", "LOW_CEILING_TWO_SECTOR"], 2, SHOCK_SIDE_FAILURE),
     ],
     ids=[
         "package",
@@ -508,6 +570,7 @@ def _main_returns(argv, code):
         "pm-trace",
         "build-unclosed",
         "build-unclosed-waves",
+        "build-unclosed-shock-sides",
     ],
 )
 def test_cold_paths_do_not_load_numpy(statement, tmp_path):
@@ -516,7 +579,12 @@ def test_cold_paths_do_not_load_numpy(statement, tmp_path):
     doc["anchor"]["v"] *= 1.04
     scaled = tmp_path / "scaled.json"
     scaled.write_text(json.dumps(doc))
+    doc = json.loads((CONFIGS / "two_sector.json").read_text())
+    doc["gas"]["bounds"]["p_max"] = 1.5  # below the first shock's back pressure
+    low_ceiling = tmp_path / "low_ceiling.json"
+    low_ceiling.write_text(json.dumps(doc))
     statement = statement.replace("SCALED_TWO_SECTOR", str(scaled))
+    statement = statement.replace("LOW_CEILING_TWO_SECTOR", str(low_ceiling))
     done = _python("import sys\n%s\nassert 'numpy' not in sys.modules" % statement)
     assert done.returncode == 0, done.stderr
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sectorflow import flowfield, pmwave, shock
+from sectorflow import flowfield, gas as gas_module, pmwave
 from sectorflow.cli import (
     analyze_to_document,
     export_csv,
@@ -24,7 +24,7 @@ from sectorflow.gas import (
     relative_state_gap,
 )
 from sectorflow.polar import TWO_PI, PolarState, from_polar, to_polar, wrap_signed
-from sectorflow.pmwave import integrate_pm, pm_exact
+from sectorflow.pmwave import fan_end, integrate_pm
 from sectorflow.shock import Orientation, ShockSolution
 from sectorflow.flowfield import (
     ClosureError,
@@ -326,10 +326,13 @@ def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
 
         return wrapper
 
-    for module in (flowfield, shock, pmwave):
+    for module in (gas_module, pmwave):
         monkeypatch.setattr(
             module, "in_phase_space", counted("in_phase_space", module.in_phase_space)
         )
+    monkeypatch.setattr(
+        gas_module, "inside_box", counted("inside_box", gas_module.inside_box)
+    )
     monkeypatch.setattr(
         PolarState, "to_primitive", counted("to_primitive", PolarState.to_primitive)
     )
@@ -338,9 +341,15 @@ def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
     cfg = _scaled_two_sector()
     flow = build_flow(cfg.gas, cfg.description)
     assert counts["_march"] == 71
-    assert counts["shock_from_strength"] == 213
-    assert counts["in_phase_space"] <= 1000
-    assert counts["to_primitive"] <= 450  # two per shock
+    # only the closing march builds shock objects; the other 70 marches
+    # check their 210 shocks' sides on floats
+    assert counts["shock_from_strength"] == 3
+    assert counts["to_primitive"] == 6  # two per kept shock
+    # every phase check: the anchor, two per shock, one per contact, the
+    # ends of 130 closed-form waves and the start and 3 nodes of 12 RK4 ones
+    assert counts["inside_box"] == 747
+    # only the RK4 nodes are checked as state objects
+    assert counts["in_phase_space"] == 36
 
     counts.clear()
     export_json(full_audit(flow))
@@ -348,6 +357,53 @@ def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
     export_svg(flow)
     analyze_to_document(flow, cfg.samples)
     assert counts["to_primitive"] == 0
+
+
+SHIPPED_ROOTS = {
+    "two_sector": [0.5056612019615194],
+    "three_sector_g112": [32096.288585655948, 40450.404255920206],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_ROOTS))
+def test_shipped_shooting_roots_are_pinned(name):
+    cfg = parse_config((CONFIGS / (name + ".json")).read_text())
+    assert _shooting_outcome(cfg) == [x.hex() for x in SHIPPED_ROOTS[name]]
+
+
+@pytest.mark.parametrize(
+    "name, steps",
+    [
+        ("two_sector", 1),
+        ("two_sector", 16),
+        ("two_sector", 64),
+        ("three_sector_g112", None),
+        ("three_sector_g14", None),
+    ],
+)
+def test_march_keeping_pieces_ends_where_one_keeping_none_does(name, steps):
+    """At every scan point, with either wave march: the same final bits or the same error."""
+    if name == "two_sector":
+        cfg = _scaled_two_sector(steps)
+    else:
+        cfg = parse_config((CONFIGS / (name + ".json")).read_text())
+    desc = cfg.description
+    lo, hi = desc.shooting.bracket
+
+    def outcome(x, march_wave, keep):
+        try:
+            pieces, final = flowfield._march(
+                cfg.gas, flowfield._with_param(desc, x), march_wave, keep=keep
+            )
+        except ValueError as e:
+            return str(e)
+        assert (pieces is not None) is keep
+        return [c.hex() for c in final]
+
+    for k in range(65):
+        x = lo + (hi - lo) * k / 64
+        for march_wave in (flowfield._rk4_wave, flowfield._exact_wave):
+            assert outcome(x, march_wave, True) == outcome(x, march_wave, False), (x, march_wave)
 
 
 @pytest.mark.parametrize(
@@ -362,11 +418,12 @@ def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
 def test_march_reports_the_shock_side_leaving_phase_space(gas14, orient, anchor):
     # z = 25 puts the back pressure at 26 times the front's, past p_max = 20
     desc = FlowDescription(0.0, anchor, (ShockEvent(orientation=orient, z=25.0),))
-    with pytest.raises(ValueError) as info:
-        flowfield._march(gas14, desc)
-    assert str(info.value) == (
-        "piece 0: downstream state leaves phase space: pressure above ceiling"
-    )
+    for keep in (False, True):
+        with pytest.raises(ValueError) as info:
+            flowfield._march(gas14, desc, keep=keep)
+        assert str(info.value) == (
+            "piece 0: downstream state leaves phase space: pressure above ceiling"
+        )
 
 
 def test_scan_stays_near_rk4_on_coarse_wide_waves(monkeypatch):
@@ -381,7 +438,7 @@ def test_scan_stays_near_rk4_on_coarse_wide_waves(monkeypatch):
     desc = replace(cfg.description, shooting=Shooting(0, "theta_end", (0.2, 1.2)))
 
     def closed_form(state, a, b, orient, gas, steps):
-        return None, pm_exact(state, a, b, orient, gas)
+        return None, fan_end(*state, a, b, orient, gas)
 
     def mismatch(x, march_wave):
         try:
@@ -437,7 +494,7 @@ def _seam_turned_by(turn, rho=lambda x: 1.0, rk4_turn=None):
     """
     marched = []
 
-    def march(gas, desc, march_wave=flowfield._rk4_wave):
+    def march(gas, desc, march_wave=flowfield._rk4_wave, keep=False):
         x = desc.events[0].theta_end
         marched.append(x)
         a = desc.anchor_state
@@ -445,11 +502,11 @@ def _seam_turned_by(turn, rho=lambda x: 1.0, rk4_turn=None):
         if f(x) is None:
             raise ValueError("piece 0: stand-in failure")
         speed, phi = math.hypot(a.u, a.v), math.atan2(a.v, a.u) + f(x)
-        final = PrimitiveState(
-            rho=rho(x), u=speed * math.cos(phi), v=speed * math.sin(phi), p=a.p
-        )
+        final = (rho(x), speed * math.cos(phi), speed * math.sin(phi), a.p)
         theta0 = desc.anchor_theta
-        return [ConstantPiece(theta0, theta0 + TWO_PI, final)], final
+        if not keep:
+            return None, final
+        return [ConstantPiece(theta0, theta0 + TWO_PI, PrimitiveState(*final))], final
 
     return march, marched
 

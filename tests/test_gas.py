@@ -9,9 +9,11 @@ from sectorflow.gas import (
     PrimitiveState,
     conserved_to_primitive,
     in_phase_space,
+    inside_box,
     make_gas,
     physical_fluxes,
     primitive_to_conserved,
+    require_in_phase_space,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -137,3 +139,51 @@ def test_phase_space_violations(gas):
 def test_phase_report_collects_everything(gas):
     r = in_phase_space(PrimitiveState(rho=0.01, u=16.0, v=0.0, p=30.0), gas)
     assert len(r.violations) >= 3
+
+
+def _edge_states(gas):
+    """States on, just past and NaN at each bound of the box."""
+    b = gas.bounds
+    base = dict(rho=1.0, u=1.0, v=0.0, p=1.0)
+    e_rho = gas.bounds.p_min / ((gas.gamma - 1.0) * b.e_min)  # rho with e = e_min at p_min
+    edits = [
+        dict(rho=b.rho_min), dict(rho=b.rho_max), dict(p=b.p_min), dict(p=b.p_max),
+        dict(u=b.speed_max), dict(u=0.0), dict(u=1e-300), dict(p=b.p_min, rho=e_rho),
+        dict(rho=math.nextafter(b.rho_min, 0.0)), dict(p=math.nextafter(b.p_max, math.inf)),
+        dict(u=math.nextafter(b.speed_max, math.inf)), dict(u=math.nan), dict(v=math.nan),
+        dict(u=math.inf), dict(rho=0.01, u=16.0, p=30.0),
+    ]
+    for edit in edits:
+        yield PrimitiveState(**dict(base, **edit))
+
+
+def _violations(s, gas):
+    """The box rules one by one, in in_phase_space's order."""
+    b = gas.bounds
+    q = s.speed
+    rules = (
+        (s.rho < b.rho_min, "density below floor"),
+        (s.rho > b.rho_max, "density above ceiling"),
+        (s.p < b.p_min, "pressure below floor"),
+        (s.p > b.p_max, "pressure above ceiling"),
+        (s.internal_energy(gas) < b.e_min, "internal energy below floor"),
+        (q > b.speed_max, "speed above ceiling"),
+        (q == 0.0, "stagnation point"),
+    )
+    return tuple(name for broken, name in rules if broken)
+
+
+def test_float_box_test_agrees_with_the_rules(gas):
+    """NaN breaks no rule, so it passes; the float test sends it to the rules too."""
+    for s in _edge_states(gas):
+        bad = _violations(s, gas)
+        assert in_phase_space(s, gas).violations == bad, s
+        if inside_box(s.rho, s.u, s.v, s.p, gas):
+            assert bad == (), s
+        try:
+            require_in_phase_space(s.rho, s.u, s.v, s.p, gas, "edge")
+            message = None
+        except ValueError as e:
+            message = str(e)
+        assert message == ("edge leaves phase space: " + "; ".join(bad) if bad else None), s
+    assert not inside_box(1.0, math.nan, 0.0, 1.0, gas)
