@@ -3,7 +3,9 @@
 One JSON document describes a flow (gas, anchor state, ordered pieces,
 optional shooting block); the subcommands build it, audit it, decompose
 it, or export it. Solver utilities (oblique-shock inversion, wave
-tracing, turning limits) run from plain flags without a config.
+tracing, turning limits) run from plain flags without a config and
+without loading the flow builder: shock-solve and max-turn need only the
+shock algebra, pm-trace the wave integrator too.
 
 Exit codes are a contract: 0 success, 1 a built flow failed its audit
 or a solver hit the detached regime, 2 the flow could not be
@@ -17,23 +19,7 @@ import sys
 from dataclasses import dataclass
 from math import asin, atan2, cos, degrees, isfinite, pi, radians, sin, sqrt
 
-from .flowfield import (
-    ClosureError,
-    ConstantPiece,
-    ContactEvent,
-    FlowDescription,
-    PMEvent,
-    PMPiece,
-    ShockEvent,
-    Shooting,
-    bv_decompose,
-    build_flow,
-    evaluate,
-    evaluate_many,
-    sector_decompose,
-)
 from .gas import PhaseBounds, PrimitiveState, make_gas
-from .pmwave import integrate_pm
 from .polar import TWO_PI
 from .shock import (
     Orientation,
@@ -50,6 +36,29 @@ KNOWN_FORMATS = ("csv", "json", "svg")
 
 CSV_COLUMNS = "theta,rho,u,v,p,N,L,c,mach_n,s,phi"
 
+# flowfield's names, bound here by the flow entry points on first use so
+# that the solver commands start without the flow builder
+_FLOWFIELD_NAMES = (
+    "ClosureError", "ConstantPiece", "ContactEvent", "FlowDescription", "PMEvent",
+    "PMPiece", "ShockEvent", "Shooting", "bv_decompose", "build_flow", "evaluate",
+    "evaluate_many", "sector_decompose",
+)
+
+
+def _bind_flowfield():
+    """Bind _FLOWFIELD_NAMES here; a name already bound (a wrapper) stays."""
+    from . import flowfield
+
+    for name in _FLOWFIELD_NAMES:
+        globals().setdefault(name, getattr(flowfield, name))
+
+
+def __getattr__(name):
+    if name not in _FLOWFIELD_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    _bind_flowfield()
+    return globals()[name]
+
 
 class ConfigError(Exception):
     """Schema or flag violation; the message starts with the bad key's path."""
@@ -60,7 +69,7 @@ class ConfigError(Exception):
 
 
 class BuildError(Exception):
-    """The description was well-formed but no flow could be marched from it."""
+    """No flow could be marched or closed; the message names which failed."""
 
 
 # --------------------------------------------------------------- parsing
@@ -233,11 +242,8 @@ def _parse_piece(doc, path):
     )
 
 
-_SHOOT_FIELDS = {
-    "theta": ShockEvent,
-    "z": ShockEvent,
-    "theta_end": PMEvent,
-}
+# a shock adjusts its theta or z, a wave its theta_end
+_SHOOT_FIELDS = ("theta", "theta_end", "z")
 
 
 def _parse_solver(doc, path, events):
@@ -253,9 +259,9 @@ def _parse_solver(doc, path, events):
     if field not in _SHOOT_FIELDS:
         raise ConfigError(
             _join(spath, "field"),
-            "must be one of %s" % ", ".join(sorted(_SHOOT_FIELDS)),
+            "must be one of %s" % ", ".join(_SHOOT_FIELDS),
         )
-    if not isinstance(events[idx], _SHOOT_FIELDS[field]):
+    if not hasattr(events[idx], field):
         raise ConfigError(
             _join(spath, "field"),
             "piece %d has no adjustable %r" % (idx, field),
@@ -289,13 +295,14 @@ def _parse_output(doc, path):
 @dataclass(frozen=True)
 class FlowConfig:
     gas: object
-    description: FlowDescription
+    description: object
     samples: int
     formats: tuple
 
 
 def parse_config(text):
     """Strict parse of a JSON flow config; unknown keys are errors."""
+    _bind_flowfield()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -337,10 +344,10 @@ def _load_config(path):
 def _build(cfg):
     try:
         return build_flow(cfg.gas, cfg.description)
-    except ClosureError:
-        raise
+    except ClosureError as exc:
+        raise BuildError("closure failure: %s" % exc)
     except ValueError as exc:
-        raise BuildError(str(exc))
+        raise BuildError("construction failure: %s" % exc)
 
 
 # --------------------------------------------------------------- exports
@@ -382,6 +389,7 @@ def _csv_text(gas, theta, rho, u, v, p):
 
 def export_csv(flow, samples=DEFAULT_SAMPLES):
     """Right-continuous ring sampling; one row per sample plus the header."""
+    _bind_flowfield()
     theta = [flow.anchor_theta + TWO_PI * k / samples for k in range(samples)]
     return _csv_text(flow.gas, theta, *(col.tolist() for col in evaluate_many(flow, theta)))
 
@@ -430,6 +438,7 @@ def export_svg(flow):
     counterclockwise); arrows show the velocity direction of each piece
     at its midpoint. Pure shapes and text, nothing external.
     """
+    _bind_flowfield()
     R = 330.0
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
@@ -510,6 +519,7 @@ def export_svg(flow):
 
 
 def analyze_to_document(flow, samples=DEFAULT_SAMPLES):
+    _bind_flowfield()
     sectors = sector_decompose(flow)
     sbv = bv_decompose(flow, samples=samples)
     return {
@@ -679,6 +689,8 @@ def _cmd_max_turn(ns):
 
 
 def _cmd_pm_trace(ns):
+    from .pmwave import integrate_pm
+
     gas = _solver_gas(ns.gamma, ns.mach)
     if not ns.mach > 1.0:
         raise ConfigError("--mach", "must exceed 1 (the wave edge is sonic)")
@@ -704,7 +716,7 @@ def _cmd_pm_trace(ns):
             start, theta0, theta0 + span, orient, gas, steps=ns.steps
         )
     except ValueError as exc:
-        raise BuildError(str(exc))
+        raise BuildError("construction failure: %s" % exc)
     states = zip(*((s.rho, s.u, s.v, s.p) for _, s in wave.samples))
     _emit(_csv_text(gas, wave.thetas, *states), ns.out)
     return 0
@@ -782,11 +794,8 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 3
-    except ClosureError as exc:
-        print("closure failure: %s" % exc, file=sys.stderr)
-        return 2
     except BuildError as exc:
-        print("construction failure: %s" % exc, file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
 
 

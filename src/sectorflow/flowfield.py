@@ -29,7 +29,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import asin, atan2, ceil, hypot, pi, sqrt
+from math import asin, atan2, ceil, hypot, isfinite, pi, sqrt
 
 from .gas import (
     PrimitiveState,
@@ -521,13 +521,15 @@ def _shooting_roots(gas, desc):
 
     The bracket is scanned on 65 points with _exact_wave. A point whose
     scan march fails, or whose mismatch is under _SCAN_RECHECK, is marched
-    again with RK4; the failures the ClosureError counts are RK4's. Each
-    sign-change cell of the scan is kept only if RK4's mismatch changes
-    sign across it too. Elsewhere the two mismatches differ by far less
-    than _SCAN_RECHECK, so the cells are those of an RK4-only scan. Grid
-    zeros come first, then each cell in order, solved by Brent on the RK4
-    mismatch. A cell whose ends differ by more than pi straddles the +-pi
-    wrap of the mismatch, not a root, and is skipped.
+    again with RK4; the failures the ClosureError counts are RK4's. A
+    description without a wave marches the same floats either way, so its
+    points are marched once, with RK4. Each sign-change cell of the scan
+    is kept only if RK4's mismatch changes sign across it too. Elsewhere
+    the two mismatches differ by far less than _SCAN_RECHECK, so the cells
+    are those of an RK4-only scan. Grid zeros come first, then each cell
+    in order, solved by Brent on the RK4 mismatch. A cell whose ends
+    differ by more than pi straddles the +-pi wrap of the mismatch, not a
+    root, and is skipped.
     """
     lo, hi = desc.shooting.bracket
 
@@ -547,7 +549,11 @@ def _shooting_roots(gas, desc):
                 failures[x] = str(e)
         return rk4[x]
 
+    has_wave = any(isinstance(ev, PMEvent) for ev in desc.events)
+
     def scan(x):
+        if not has_wave:
+            return rk4_at(x)
         try:
             f = mismatch(x, _exact_wave)
             if abs(f) >= _SCAN_RECHECK:
@@ -613,9 +619,14 @@ def build_flow(gas, desc):
     and the final contact data for density and tangential velocity). The
     roots are tried in the order _shooting_roots gives them and the first
     that closes is built; when none does, the first one's failure is raised.
-    The anchor is checked against the phase-space box once, before any march.
+    The anchor is checked once, before any march: finite, then inside the
+    phase-space box.
     """
-    require_in_phase_space(*desc.anchor_state.as_tuple(), gas, "piece -1: anchor state")
+    anchor = desc.anchor_state.as_tuple()
+    for name, x in zip("rho u v p".split(), anchor):
+        if not isfinite(x):
+            raise ValueError("piece -1: anchor state has a non-finite %s (%r)" % (name, x))
+    require_in_phase_space(*anchor, gas, "piece -1: anchor state")
     if desc.shooting is None:
         return _closed_flow(gas, desc, "")
     first = None

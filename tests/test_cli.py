@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sectorflow import cli as cli_module
 from sectorflow.cli import (
     MAX_SAMPLES,
     MAX_STEPS,
@@ -547,33 +548,65 @@ SHOCK_SIDE_FAILURE = (
 )
 
 
+# modules a cold path must not load: numpy for all of them, and the flow
+# builder for the solver commands (pm-trace needs the wave integrator)
+NUMPY = ("numpy",)
+NO_FLOWFIELD = NUMPY + ("sectorflow.flowfield",)
+NO_FLOW_BUILDER = NO_FLOWFIELD + ("sectorflow.pmwave",)
+
+
 @pytest.mark.parametrize(
-    "statement",
+    "statement, unloaded",
     [
-        "import sectorflow",
-        "import sectorflow.cli",
-        _main_returns(["max-turn", "--gamma", "1.4", "--mach", "2"], 0),
-        _main_returns(["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "10deg"], 0),
-        _main_returns(["pm-trace", "--gamma", "1.4", "--mach", "2"], 0),
+        ("import sectorflow", NO_FLOW_BUILDER),
+        ("import sectorflow.cli", NO_FLOW_BUILDER),
+        (_main_returns(["max-turn", "--gamma", "1.4", "--mach", "2"], 0), NO_FLOW_BUILDER),
+        (_main_returns(["max-turn", "--gamma", "1.4"], 0), NO_FLOW_BUILDER),
+        (_main_returns(["max-turn", "--gamma", "0.9"], 3), NO_FLOW_BUILDER),
+        (
+            _main_returns(
+                ["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "10deg"], 0
+            ),
+            NO_FLOW_BUILDER,
+        ),
+        (
+            _main_returns(
+                ["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "40deg"], 1
+            ),
+            NO_FLOW_BUILDER,
+        ),
+        (_main_returns(["pm-trace", "--gamma", "1.4", "--mach", "2"], 0), NO_FLOWFIELD),
+        (
+            _main_prints(
+                ["pm-trace", "--gamma", "1.4", "--mach", "1.2", "--span", "6"],
+                2,
+                "construction failure: wave reaches vacuum before its end angle\n",
+            ),
+            NO_FLOWFIELD,
+        ),
         # a build that fails closure never reaches the array code, with
         # waves too: the closed-form scan, Brent and the closing march
-        _main_returns(["build", str(CONFIGS / "three_sector_g14.json")], 2),
-        _main_returns(["build", "SCALED_TWO_SECTOR"], 2),
+        (_main_returns(["build", str(CONFIGS / "three_sector_g14.json")], 2), NUMPY),
+        (_main_returns(["build", "SCALED_TWO_SECTOR"], 2), NUMPY),
         # every scan point fails on a shock side, checked on floats
-        _main_prints(["build", "LOW_CEILING_TWO_SECTOR"], 2, SHOCK_SIDE_FAILURE),
+        (_main_prints(["build", "LOW_CEILING_TWO_SECTOR"], 2, SHOCK_SIDE_FAILURE), NUMPY),
     ],
     ids=[
         "package",
         "cli",
         "max-turn",
+        "max-turn-limit",
+        "max-turn-bad-flag",
         "shock-solve",
+        "shock-solve-detached",
         "pm-trace",
+        "pm-trace-failure",
         "build-unclosed",
         "build-unclosed-waves",
         "build-unclosed-shock-sides",
     ],
 )
-def test_cold_paths_do_not_load_numpy(statement, tmp_path):
+def test_cold_paths_do_not_load_numpy(statement, unloaded, tmp_path):
     doc = json.loads((CONFIGS / "two_sector.json").read_text())
     doc["anchor"]["u"] *= 1.04  # the seam state never regains the anchor speed
     doc["anchor"]["v"] *= 1.04
@@ -585,7 +618,10 @@ def test_cold_paths_do_not_load_numpy(statement, tmp_path):
     low_ceiling.write_text(json.dumps(doc))
     statement = statement.replace("SCALED_TWO_SECTOR", str(scaled))
     statement = statement.replace("LOW_CEILING_TWO_SECTOR", str(low_ceiling))
-    done = _python("import sys\n%s\nassert 'numpy' not in sys.modules" % statement)
+    done = _python(
+        "import sys\n%s\nloaded = set(sys.modules) & %r\nassert not loaded, loaded"
+        % (statement, set(unloaded))
+    )
     assert done.returncode == 0, done.stderr
 
 
@@ -604,3 +640,67 @@ def test_package_names_resolve_lazily():
     exec("from sectorflow import *", namespace)
     assert set(sectorflow.__all__) <= set(namespace)
     assert namespace["full_audit"] is sectorflow.verify.full_audit
+
+
+def _two_sector_flow():
+    cfg = parse_config((CONFIGS / "two_sector.json").read_text())
+    return cfg, build_flow(cfg.gas, cfg.description)
+
+
+def test_flow_entry_points_run_in_a_process_that_never_imports_flowfield(tmp_path):
+    out = tmp_path / "out.txt"
+    done = _python(
+        "from pathlib import Path\n"
+        "from sectorflow import cli\n"
+        "from sectorflow.cli import parse_config, export_csv, export_svg, analyze_to_document\n"
+        "cfg = parse_config(Path(%r).read_text())\n"
+        "flow = cli.build_flow(cfg.gas, cfg.description)\n"
+        "doc = analyze_to_document(flow, cfg.samples)\n"
+        "Path(%r).write_text(export_csv(flow, cfg.samples) + export_svg(flow) + repr(doc))\n"
+        % (str(CONFIGS / "two_sector.json"), str(out))
+    )
+    assert done.returncode == 0, done.stderr
+    cfg, flow = _two_sector_flow()
+    doc = cli_module.analyze_to_document(flow, cfg.samples)
+    assert out.read_text() == (
+        export_csv(flow, cfg.samples) + cli_module.export_svg(flow) + repr(doc)
+    )
+
+
+def test_cli_answers_the_flowfield_names():
+    from sectorflow import flowfield
+
+    assert cli_module.evaluate is flowfield.evaluate
+    assert cli_module.bv_decompose is flowfield.bv_decompose
+    for name in cli_module._FLOWFIELD_NAMES:
+        assert getattr(cli_module, name) is getattr(flowfield, name), name
+    with pytest.raises(AttributeError):
+        cli_module.no_such_name
+
+
+@pytest.mark.parametrize("entry", ["export_csv", "export_svg", "analyze_to_document"])
+def test_each_flow_entry_point_binds_the_flowfield_names(monkeypatch, entry):
+    from sectorflow import flowfield
+
+    _, flow = _two_sector_flow()
+    for name in cli_module._FLOWFIELD_NAMES:
+        monkeypatch.delitem(vars(cli_module), name)
+    getattr(cli_module, entry)(flow)
+    for name in cli_module._FLOWFIELD_NAMES:
+        assert vars(cli_module)[name] is getattr(flowfield, name), name
+
+
+def test_exporters_call_evaluate_and_bv_decompose_through_cli(monkeypatch):
+    """A wrapper set on cli's name, as the traced benchmark sets one, sees every call."""
+    cfg, flow = _two_sector_flow()
+    calls = []
+    for name in ("evaluate", "bv_decompose"):
+        fn = getattr(cli_module, name)
+        monkeypatch.setattr(
+            cli_module, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+        )
+    cli_module.export_svg(flow)
+    assert calls == ["evaluate"] * len(flow.interval_pieces)
+    calls.clear()
+    cli_module.analyze_to_document(flow, cfg.samples)
+    assert calls == ["bv_decompose"]

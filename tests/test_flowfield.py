@@ -479,6 +479,36 @@ def test_unclosable_scan_counts_its_undefined_points():
     )
 
 
+@pytest.mark.parametrize("name, marches", [("three_sector_g14", 65), ("three_sector_g112", 71)])
+def test_wave_free_scan_marches_each_point_once(monkeypatch, name, marches):
+    """Without a wave the closed-form and RK4 marches are one, so no point is marched twice."""
+    calls = []
+    march = flowfield._march
+    monkeypatch.setattr(flowfield, "_march", lambda *a, **k: calls.append(a) or march(*a, **k))
+    cfg = parse_config((CONFIGS / (name + ".json")).read_text())
+    try:
+        build_flow(cfg.gas, cfg.description)
+    except ClosureError:
+        pass
+    assert len(calls) == marches
+
+
+@pytest.mark.parametrize(
+    "field, value", [("u", math.nan), ("v", math.nan), ("u", -math.inf), ("rho", math.inf)]
+)
+def test_nonfinite_anchor_is_named_before_any_march(monkeypatch, field, value):
+    calls = []
+    march = flowfield._march
+    monkeypatch.setattr(flowfield, "_march", lambda *a, **k: calls.append(a) or march(*a, **k))
+    cfg = parse_config((CONFIGS / "two_sector.json").read_text())
+    desc = cfg.description
+    desc = replace(desc, anchor_state=replace(desc.anchor_state, **{field: value}))
+    with pytest.raises(ValueError) as info:
+        build_flow(cfg.gas, desc)
+    assert str(info.value) == "piece -1: anchor state has a non-finite %s (%r)" % (field, value)
+    assert calls == []
+
+
 NO_SIGN_CHANGE = (
     "flow does not close up around the circle "
     "(no sign change of the seam mismatch inside the shooting bracket%s)"
