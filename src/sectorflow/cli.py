@@ -13,10 +13,9 @@ constructed or closed, 3 the config or flags were malformed.
 """
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import asin, atan2, cos, degrees, isfinite, pi, radians, sin, sqrt
 
 from .gas import PhaseBounds, PrimitiveState, make_gas
@@ -292,16 +291,13 @@ def _parse_output(doc, path):
     return samples, tuple(formats)
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    gas: object
-    description: object
-    samples: int
-    formats: tuple
+FlowConfig = namedtuple("FlowConfig", "gas description samples formats")
 
 
 def parse_config(text):
     """Strict parse of a JSON flow config; unknown keys are errors."""
+    import json
+
     _bind_flowfield()
     try:
         doc = json.loads(text)
@@ -424,6 +420,8 @@ def audit_to_document(report):
 
 
 def export_json(report):
+    import json
+
     return json.dumps(audit_to_document(report), indent=2, sort_keys=True) + "\n"
 
 
@@ -598,6 +596,8 @@ def _cmd_verify(ns):
 
 
 def _cmd_analyze(ns):
+    import json
+
     cfg = _load_config(ns.config)
     flow = _build(cfg)
     doc = analyze_to_document(flow, cfg.samples)

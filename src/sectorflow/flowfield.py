@@ -26,8 +26,7 @@ right-continuous.
 import enum
 import re
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from functools import cached_property
 from math import asin, atan2, ceil, hypot, isfinite, pi, sqrt
 
@@ -39,13 +38,7 @@ from .gas import (
     require_in_phase_space,
 )
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
-from .pmwave import (
-    PMWave,
-    fan_end,
-    integrate_pm,
-    pm_wave_arrays,
-    pm_wave_state,
-)
+from .pmwave import fan_end, integrate_pm, pm_wave_arrays, pm_wave_state
 from .shock import (
     Orientation,
     ShockSolution,
@@ -105,27 +98,26 @@ class ClosureError(Exception):
 # --------------------------------------------------------------- pieces
 
 
-@dataclass(frozen=True)
-class ConstantPiece:
-    theta_start: float
-    theta_end: float
-    state: PrimitiveState
+# Records are immutable named tuples (see gas); the pieces' states are
+# PrimitiveStates and a PMPiece's wave a PMWave.
 
-    def __post_init__(self):
-        if not self.theta_end > self.theta_start:
+
+class ConstantPiece(namedtuple("ConstantPiece", "theta_start theta_end state")):
+    __slots__ = ()
+
+    def __new__(cls, theta_start, theta_end, state):
+        if not theta_end > theta_start:
             raise ValueError("constant piece needs a nonempty interval")
+        return tuple.__new__(cls, (theta_start, theta_end, state))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ContactPoint:
-    theta: float
-    left: PrimitiveState
-    right: PrimitiveState
+ContactPoint = namedtuple("ContactPoint", "theta left right")
 
 
-@dataclass(frozen=True)
-class PMPiece:
-    wave: PMWave
+class PMPiece(namedtuple("PMPiece", "wave")):
+    __slots__ = ()
 
     @property
     def theta_start(self):
@@ -143,19 +135,15 @@ def _left_state(piece, theta):
     return pm_wave_state(piece.wave, theta)
 
 
-@dataclass(frozen=True)
-class FlowField:
+class FlowField(namedtuple("FlowField", "gas anchor_theta pieces")):
     """Immutable piecewise flow covering one full turn from the anchor.
 
     pieces holds interval pieces (ConstantPiece, PMPiece) interleaved with
     the point pieces (ShockSolution, ContactPoint) sitting at their shared
     boundaries, ordered by angle over [anchor_theta, anchor_theta + 2 pi].
     Every point piece has theta and its primitive left and right states.
+    The cached views below live in the instance dict (no __slots__).
     """
-
-    gas: object
-    anchor_theta: float
-    pieces: tuple
 
     @cached_property
     def interval_pieces(self):
@@ -233,8 +221,7 @@ def _flow_angle_of(state):
 # ------------------------------------------------------ flow description
 
 
-@dataclass(frozen=True)
-class ShockEvent:
+class ShockEvent(namedtuple("ShockEvent", "orientation theta z balance L_sign")):
     """One shock, located by exactly one of: angle, strength, or balance.
 
     With `theta` the strength follows from the marching state's normal
@@ -245,51 +232,38 @@ class ShockEvent:
     shock sits on (default: the nearest crossing).
     """
 
-    orientation: Orientation
-    theta: float | None = None
-    z: float | None = None
-    balance: bool = False
-    L_sign: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        modes = (self.theta is not None) + (self.z is not None) + bool(self.balance)
-        if modes != 1:
+    def __new__(cls, orientation, theta=None, z=None, balance=False, L_sign=None):
+        if (theta is not None) + (z is not None) + bool(balance) != 1:
             raise ValueError("shock event needs exactly one of theta, z, balance")
+        return tuple.__new__(cls, (orientation, theta, z, balance, L_sign))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ContactEvent:
-    rho: float
-    L: float
+ContactEvent = namedtuple("ContactEvent", "rho L")
+
+# a wave's orientation, end angle, and optionally its start and RK4 steps
+PMEvent = namedtuple(
+    "PMEvent", "orientation theta_end theta_start steps", defaults=(None, None)
+)
 
 
-@dataclass(frozen=True)
-class PMEvent:
-    orientation: Orientation
-    theta_end: float
-    theta_start: float | None = None
-    steps: int | None = None
-
-
-@dataclass(frozen=True)
-class Shooting:
+class Shooting(namedtuple("Shooting", "event_index field bracket")):
     """One scalar degree of freedom adjusted to close the flow.
 
     event_index/field name the declared value being varied (a shock
     angle or strength, or a wave end angle); bracket bounds the search.
     """
 
-    event_index: int
-    field: str
-    bracket: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FlowDescription:
-    anchor_theta: float
-    anchor_state: PrimitiveState
-    events: tuple
-    shooting: Shooting | None = None
+# the anchor's angle and PrimitiveState, the events, and the Shooting or None
+FlowDescription = namedtuple(
+    "FlowDescription", "anchor_theta anchor_state events shooting", defaults=(None,)
+)
 
 
 # -------------------------------------------------------------- marching
@@ -512,8 +486,8 @@ def _with_param(desc, value):
     sh = desc.shooting
     ev = desc.events[sh.event_index]
     events = list(desc.events)
-    events[sh.event_index] = replace(ev, **{sh.field: value})
-    return replace(desc, events=tuple(events), shooting=None)
+    events[sh.event_index] = ev._replace(**{sh.field: value})
+    return desc._replace(events=tuple(events), shooting=None)
 
 
 def _shooting_roots(gas, desc):
@@ -700,14 +674,10 @@ class SectorDirection(enum.Enum):
     BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(namedtuple("Sector", "theta_start theta_end direction theta_bar")):
     """Interval between consecutive contacts, with its tangential turn."""
 
-    theta_start: float
-    theta_end: float
-    direction: SectorDirection
-    theta_bar: float
+    __slots__ = ()
 
 
 def _L_at(flow, theta):
@@ -796,15 +766,15 @@ def shock_separation_floor(gas):
 # ------------------------------------------------------------------- SBV
 
 
-@dataclass(frozen=True)
-class SBVDecomposition:
+class SBVDecomposition(
+    namedtuple(
+        "SBVDecomposition",
+        "jump_part lipschitz_part total_variation tv_lipschitz lipschitz_constant",
+    )
+):
     """Split of the flow into a saltus part and a Lipschitz remainder."""
 
-    jump_part: tuple
-    lipschitz_part: tuple
-    total_variation: float
-    tv_lipschitz: float
-    lipschitz_constant: float
+    __slots__ = ()
 
 
 def _conserved_jump(flow, point):

@@ -6,7 +6,7 @@ internal-energy bounds), and the toolkit additionally excludes stagnation
 points (zero velocity) throughout.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import sqrt
 
 __all__ = [
@@ -28,41 +28,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhaseBounds:
+# The records here and in the other modules are immutable named tuples. A
+# record that checks its fields does so in __new__, and its _make (through
+# which _replace builds a copy) goes through __new__ too.
+
+
+class PhaseBounds(namedtuple("PhaseBounds", "rho_min rho_max p_min p_max speed_max e_min")):
     """Box in phase space: density, pressure, speed and energy bounds."""
 
-    rho_min: float
-    rho_max: float
-    p_min: float
-    p_max: float
-    speed_max: float
-    e_min: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.rho_min <= self.rho_max):
+    def __new__(cls, rho_min, rho_max, p_min, p_max, speed_max, e_min):
+        if not (0.0 < rho_min <= rho_max):
             raise ValueError("density bounds must satisfy 0 < rho_min <= rho_max")
-        if not (0.0 < self.p_min <= self.p_max):
+        if not (0.0 < p_min <= p_max):
             raise ValueError("pressure bounds must satisfy 0 < p_min <= p_max")
-        if not self.speed_max > 0.0:
+        if not speed_max > 0.0:
             raise ValueError("speed_max must be positive")
-        if not self.e_min > 0.0:
+        if not e_min > 0.0:
             raise ValueError("e_min must be positive")
+        return tuple.__new__(cls, (rho_min, rho_max, p_min, p_max, speed_max, e_min))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class GasModel:
-    """Ratio of specific heats plus phase-space bounds.
+class GasModel(namedtuple("GasModel", "gamma bounds c_min z_max")):
+    """Ratio of specific heats plus phase-space bounds (a PhaseBounds).
 
     c_min is the smallest sound speed attainable in the box and z_max the
     largest shock strength (relative pressure jump) the box can hold. Both
     are precomputed by make_gas.
     """
 
-    gamma: float
-    bounds: PhaseBounds
-    c_min: float
-    z_max: float
+    __slots__ = ()
 
 
 def make_gas(gamma, bounds):
@@ -74,23 +72,22 @@ def make_gas(gamma, bounds):
     return GasModel(gamma=gamma, bounds=bounds, c_min=c_min, z_max=z_max)
 
 
-@dataclass(frozen=True)
-class PrimitiveState:
+class PrimitiveState(namedtuple("PrimitiveState", "rho u v p")):
     """Primitive variables (rho, u, v, p) with derived thermodynamics."""
 
-    rho: float
-    u: float
-    v: float
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rho > 0.0:
+    def __new__(cls, rho, u, v, p):
+        if not rho > 0.0:
             raise ValueError("nonpositive density")
-        if not self.p > 0.0:
+        if not p > 0.0:
             raise ValueError("nonpositive pressure")
+        return tuple.__new__(cls, (rho, u, v, p))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def as_tuple(self):
-        return (self.rho, self.u, self.v, self.p)
+        return tuple(self)
 
     @property
     def tau(self):
@@ -136,17 +133,13 @@ def relative_state_gap(a, b):
     return relative_gap(a.as_tuple(), b.as_tuple())
 
 
-@dataclass(frozen=True)
-class ConservedState:
+class ConservedState(namedtuple("ConservedState", "rho mom_x mom_y energy")):
     """Conserved variables (rho, rho u, rho v, total energy per volume)."""
 
-    rho: float
-    mom_x: float
-    mom_y: float
-    energy: float
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.rho, self.mom_x, self.mom_y, self.energy)
+        return tuple(self)
 
 
 def primitive_to_conserved(s, gas):
@@ -206,12 +199,10 @@ def ray_fluxes(rho, u, v, p, theta, gamma):
     return np.array(G), np.array(H)
 
 
-@dataclass(frozen=True)
-class PhaseReport:
+class PhaseReport(namedtuple("PhaseReport", "ok violations")):
     """Outcome of a phase-space membership check."""
 
-    ok: bool
-    violations: tuple
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

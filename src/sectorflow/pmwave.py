@@ -29,7 +29,7 @@ floats, and pm_exact as a PrimitiveState.
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import atan2, ceil, cos, hypot, pi, sin, sqrt
 
 from .gas import PrimitiveState, in_phase_space, require_in_phase_space
@@ -82,26 +82,21 @@ def pm_rhs(state, orient, gas):
     )
 
 
-@dataclass(frozen=True)
-class PMWave:
+class PMWave(
+    namedtuple(
+        "PMWave",
+        "orientation theta_start theta_end thetas rhos Ls drhos dLs s_ref gamma kind",
+        defaults=(None,),
+    )
+):
     """A sampled sonic wave on [theta_start, theta_end].
 
     thetas/rhos/Ls hold the RK4 samples, drhos/dLs the rhs values there
     (for Hermite evaluation). s_ref is the isentrope constant p / rho^gamma,
-    identical at all samples.
+    identical at all samples. kind is a WaveKind or None.
     """
 
-    orientation: object
-    theta_start: float
-    theta_end: float
-    thetas: tuple
-    rhos: tuple
-    Ls: tuple
-    drhos: tuple
-    dLs: tuple
-    s_ref: float
-    gamma: float
-    kind: WaveKind | None = None
+    __slots__ = ()
 
     @property
     def samples(self):
@@ -311,8 +306,7 @@ def _truncate(wave, theta_cut):
     k = bisect_left(wave.thetas, theta_cut)
     rho, L = wave.reduced_at(theta_cut)
     drho, dL = _sonic_rhs(rho, L, wave.orientation.sign, wave.s_ref, wave.gamma)
-    return replace(
-        wave,
+    return wave._replace(
         theta_end=theta_cut,
         thetas=wave.thetas[:k] + (theta_cut,),
         rhos=wave.rhos[:k] + (rho,),

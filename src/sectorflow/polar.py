@@ -10,7 +10,7 @@ the ray, positive outward):
 The transform is a rotation, so it preserves speed and inverts exactly.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import atan2, cos, pi, sin, sqrt
 
 from .gas import PrimitiveState
@@ -74,15 +74,10 @@ def flow_angle(N, L, theta):
     return phi
 
 
-@dataclass(frozen=True)
-class PolarState:
+class PolarState(namedtuple("PolarState", "theta N L rho p")):
     """A thermodynamic state carried in the ray frame at angle theta."""
 
-    theta: float
-    N: float
-    L: float
-    rho: float
-    p: float
+    __slots__ = ()
 
     def velocity(self):
         return from_polar(self.N, self.L, self.theta)

@@ -6,7 +6,7 @@ velocities and enthalpy; it reproduces the exact rotated-flux jump between
 the two states (the linearization property checked in the tests).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -60,16 +60,10 @@ def jacobian(s, theta, gas):
     return _frame_matrix(s.u, s.v, s.enthalpy(gas), theta, gas.gamma)
 
 
-@dataclass(frozen=True)
-class RoeAverage:
+class RoeAverage(namedtuple("RoeAverage", "theta u_bar v_bar h_bar c_bar N_bar")):
     """sqrt(rho)-weighted average of two states at a fixed angle."""
 
-    theta: float
-    u_bar: float
-    v_bar: float
-    h_bar: float
-    c_bar: float
-    N_bar: float
+    __slots__ = ()
 
 
 def roe_average(left, right, gas, theta=0.0):
@@ -99,18 +93,15 @@ def roe_matrix(left, right, theta, gas):
     return _frame_matrix(avg.u_bar, avg.v_bar, avg.h_bar, theta, gas.gamma)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(namedtuple("EigenSystem", "eigenvalues right left")):
     """Analytic eigendecomposition of the frame matrix.
 
     eigenvalues are ordered (N-c, N, N, N+c). right holds the right
-    eigenvectors as columns, left the left eigenvectors as rows, scaled
-    so that left @ right is the identity.
+    eigenvectors as columns, left the left eigenvectors as rows, both as
+    arrays, scaled so that left @ right is the identity.
     """
 
-    eigenvalues: tuple
-    right: np.ndarray
-    left: np.ndarray
+    __slots__ = ()
 
     def reconstruct(self):
         return self.right @ np.diag(self.eigenvalues) @ self.left

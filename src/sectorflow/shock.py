@@ -21,7 +21,7 @@ and identical with all normal velocities negated for a backward shock.
 """
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import atan, cos, sin, sqrt, tan, asin, pi
 
@@ -64,22 +64,17 @@ class Orientation(enum.Enum):
         return 1.0 if self is Orientation.FORWARD else -1.0
 
 
-@dataclass(frozen=True)
-class ShockSolution:
+class ShockSolution(
+    namedtuple("ShockSolution", "theta orientation upstream downstream z mass_flux")
+):
     """A resolved shock: both polar states, strength and mass flux.
 
-    upstream is the front side, downstream the back side. mass_flux is the
-    signed rho*N, equal on the two sides. A built flow's shock pieces are
-    these; left and right, their primitive sides, are converted once and are
-    not fields, so a dataclasses.replace copy converts its own.
+    upstream is the front side, downstream the back side (PolarStates).
+    mass_flux is the signed rho*N, equal on the two sides. A built flow's
+    shock pieces are these; left and right, their primitive sides, are
+    converted once and are not fields, so a _replace copy converts its own.
+    The instance dict (no __slots__) holds them.
     """
-
-    theta: float
-    orientation: "Orientation"
-    upstream: PolarState
-    downstream: PolarState
-    z: float
-    mass_flux: float
 
     def left_state(self):
         """State on the lower-theta side of the jump."""
@@ -215,11 +210,7 @@ class DiscontinuityKind(enum.Enum):
     INADMISSIBLE = "inadmissible"
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: DiscontinuityKind
-    shock: ShockSolution | None = None
-    reason: str | None = None
+Classification = namedtuple("Classification", "kind shock reason", defaults=(None, None))
 
 
 def classify_discontinuity(left, right, theta, gas):
@@ -297,15 +288,14 @@ def classify_discontinuity(left, right, theta, gas):
     return Classification(kind, shock=sol)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(namedtuple("AdmissibilityReport", "checks")):
     """Named admissibility conditions with their measured margins.
 
     Each entry is (name, passed, margin) where the margin is the amount by
     which the inequality holds (positive means satisfied strictly).
     """
 
-    checks: tuple
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -27,7 +27,7 @@ and each sector's turning. It decomposes the sectors and checks each shock
 once; full_audit reads its sector count and shock rows from that report.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import pi, sqrt
 
 import numpy as np
@@ -182,13 +182,10 @@ def smooth_residual(flow, samples=720, h=1e-5):
     return tuple((np.abs(fd - rhs) / scale).max(axis=1).tolist())
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(namedtuple("StructureReport", "checks sectors shock_reports")):
     """Named checks, the sectors they used and one AdmissibilityReport per shock."""
 
-    checks: tuple
-    sectors: tuple
-    shock_reports: tuple
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -406,21 +403,21 @@ def validate_structure(flow):
     )
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(
+    namedtuple(
+        "AuditReport",
+        "weak_residual_max entropy_min entropy_violations smooth_residual_max"
+        " admissibility structure sector_count",
+    )
+):
     """Aggregated verification results for one flow.
 
     Residual maxima are scale-normalized (per interval, per component), so
     the tolerances mean the same thing for flows of any magnitude.
+    structure is the StructureReport.
     """
 
-    weak_residual_max: tuple
-    entropy_min: float
-    entropy_violations: tuple
-    smooth_residual_max: tuple
-    admissibility: tuple
-    structure: object
-    sector_count: int
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -548,10 +548,11 @@ SHOCK_SIDE_FAILURE = (
 )
 
 
-# modules a cold path must not load: numpy for all of them, and the flow
-# builder for the solver commands (pm-trace needs the wave integrator)
-NUMPY = ("numpy",)
-NO_FLOWFIELD = NUMPY + ("sectorflow.flowfield",)
+# modules a cold path must not load: numpy and dataclasses (with the inspect
+# it pulls in) for all of them, and the flow builder and json for the solver
+# commands (pm-trace needs the wave integrator)
+NO_NUMPY = ("numpy", "dataclasses", "inspect")
+NO_FLOWFIELD = NO_NUMPY + ("sectorflow.flowfield", "json")
 NO_FLOW_BUILDER = NO_FLOWFIELD + ("sectorflow.pmwave",)
 
 
@@ -586,10 +587,10 @@ NO_FLOW_BUILDER = NO_FLOWFIELD + ("sectorflow.pmwave",)
         ),
         # a build that fails closure never reaches the array code, with
         # waves too: the closed-form scan, Brent and the closing march
-        (_main_returns(["build", str(CONFIGS / "three_sector_g14.json")], 2), NUMPY),
-        (_main_returns(["build", "SCALED_TWO_SECTOR"], 2), NUMPY),
+        (_main_returns(["build", str(CONFIGS / "three_sector_g14.json")], 2), NO_NUMPY),
+        (_main_returns(["build", "SCALED_TWO_SECTOR"], 2), NO_NUMPY),
         # every scan point fails on a shock side, checked on floats
-        (_main_prints(["build", "LOW_CEILING_TWO_SECTOR"], 2, SHOCK_SIDE_FAILURE), NUMPY),
+        (_main_prints(["build", "LOW_CEILING_TWO_SECTOR"], 2, SHOCK_SIDE_FAILURE), NO_NUMPY),
     ],
     ids=[
         "package",

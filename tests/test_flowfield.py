@@ -1,7 +1,6 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +237,7 @@ def test_unclosed_description_raises(gas14):
     # that comes back around no longer matches the anchor
     desc = two_sector_description()
     events = list(desc.events)
-    events[0] = replace(events[0], theta_end=0.45)
+    events[0] = events[0]._replace(theta_end=0.45)
     bad = FlowDescription(0.0, desc.anchor_state, tuple(events))
     with pytest.raises(ClosureError, match="does not close up around the circle"):
         build_flow(gas14, bad)
@@ -246,7 +245,7 @@ def test_unclosed_description_raises(gas14):
 
 def test_shooting_without_sign_change_raises(gas14):
     desc = two_sector_description()
-    narrow = replace(desc, shooting=Shooting(0, "theta_end", (0.41, 0.43)))
+    narrow = desc._replace(shooting=Shooting(0, "theta_end", (0.41, 0.43)))
     with pytest.raises(ClosureError, match="no sign change"):
         build_flow(gas14, narrow)
 
@@ -290,8 +289,8 @@ def test_exact_scan_gives_the_rk4_scan_roots(monkeypatch, steps):
 def test_exact_scan_reports_the_rk4_failures(monkeypatch, steps):
     """Past 0.8 the first wave's L turns or a later constant misses its shock."""
     cfg = _scaled_two_sector(steps)
-    desc = replace(cfg.description, shooting=Shooting(0, "theta_end", (0.8, 2.0)))
-    cfg = replace(cfg, description=desc)
+    desc = cfg.description._replace(shooting=Shooting(0, "theta_end", (0.8, 2.0)))
+    cfg = cfg._replace(description=desc)
     got = _shooting_outcome(cfg)
     with monkeypatch.context() as m:
         m.setattr(flowfield, "_exact_wave", flowfield._rk4_wave)
@@ -435,7 +434,7 @@ def test_scan_stays_near_rk4_on_coarse_wide_waves(monkeypatch):
     scan's bit for bit.
     """
     cfg = _scaled_two_sector(1)
-    desc = replace(cfg.description, shooting=Shooting(0, "theta_end", (0.2, 1.2)))
+    desc = cfg.description._replace(shooting=Shooting(0, "theta_end", (0.2, 1.2)))
 
     def closed_form(state, a, b, orient, gas, steps):
         return None, fan_end(*state, a, b, orient, gas)
@@ -459,7 +458,7 @@ def test_scan_stays_near_rk4_on_coarse_wide_waves(monkeypatch):
 
     for scale in (0.96, 1.0, 1.04):
         cfg = _scaled_two_sector(1, scale)
-        cfg = replace(cfg, description=replace(cfg.description, shooting=desc.shooting))
+        cfg = cfg._replace(description=cfg.description._replace(shooting=desc.shooting))
         got = _shooting_outcome(cfg)
         with monkeypatch.context() as m:
             m.setattr(flowfield, "_exact_wave", flowfield._rk4_wave)
@@ -502,7 +501,7 @@ def test_nonfinite_anchor_is_named_before_any_march(monkeypatch, field, value):
     monkeypatch.setattr(flowfield, "_march", lambda *a, **k: calls.append(a) or march(*a, **k))
     cfg = parse_config((CONFIGS / "two_sector.json").read_text())
     desc = cfg.description
-    desc = replace(desc, anchor_state=replace(desc.anchor_state, **{field: value}))
+    desc = desc._replace(anchor_state=desc.anchor_state._replace(**{field: value}))
     with pytest.raises(ValueError) as info:
         build_flow(cfg.gas, desc)
     assert str(info.value) == "piece -1: anchor state has a non-finite %s (%r)" % (field, value)
@@ -543,7 +542,7 @@ def _seam_turned_by(turn, rho=lambda x: 1.0, rk4_turn=None):
 
 def _shoot_unit_bracket(gas14, monkeypatch, march):
     monkeypatch.setattr(flowfield, "_march", march)
-    desc = replace(two_sector_description(), shooting=Shooting(0, "theta_end", (0.0, 1.0)))
+    desc = two_sector_description()._replace(shooting=Shooting(0, "theta_end", (0.0, 1.0)))
     return build_flow(gas14, desc)
 
 
@@ -579,7 +578,7 @@ def test_shooting_moves_on_when_the_first_root_does_not_close(gas14, monkeypatch
     # neither closes: the first root's failure is the one raised
     march, _ = _seam_turned_by(turn, rho=lambda x: 1.0 + x)
     anchor = two_sector_description().anchor_state
-    first_gap = relative_state_gap(replace(anchor, rho=1.3), anchor)
+    first_gap = relative_state_gap(anchor._replace(rho=1.3), anchor)
     with pytest.raises(ClosureError) as info:
         _shoot_unit_bracket(gas14, monkeypatch, march)
     assert str(info.value) == (
@@ -892,13 +891,13 @@ def test_declared_angle_shocks_reproduce_the_built_strengths(name):
     events = []
     for ev, piece in zip(cfg.description.events, built):
         if isinstance(ev, PMEvent):
-            ev = replace(ev, theta_end=piece.theta_end)  # resolves a wave-end shot
+            ev = ev._replace(theta_end=piece.theta_end)  # resolves a wave-end shot
         elif isinstance(ev, ShockEvent) and ev.z is not None:
             ev = ShockEvent(orientation=ev.orientation, theta=piece.theta)
         events.append(ev)
     assert len(events) == len(cfg.description.events)
     rebuilt = build_flow(
-        cfg.gas, replace(cfg.description, events=tuple(events), shooting=None)
+        cfg.gas, cfg.description._replace(events=tuple(events), shooting=None)
     )
     assert {p.orientation for p in rebuilt.shock_points} == set(Orientation)
     assert len(rebuilt.shock_points) == len(flow.shock_points)
@@ -977,8 +976,7 @@ def misplaced_wave_mutant(flow, gas):
 def swapped_shock_mutant(flow):
     k = _piece_index(flow, lambda p: isinstance(p, ShockSolution))
     sol = flow.pieces[k]
-    swapped = replace(
-        sol,
+    swapped = sol._replace(
         upstream=sol.downstream,
         downstream=sol.upstream,
         mass_flux=-sol.mass_flux,

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -113,16 +112,16 @@ def test_replaced_solution_converts_its_own_sides(gas):
         sol.upstream.to_primitive(),
     )
     # the swapped-shock mutant of the audit tests
-    swapped = dataclasses.replace(
-        sol, upstream=sol.downstream, downstream=sol.upstream, mass_flux=-sol.mass_flux
+    swapped = sol._replace(
+        upstream=sol.downstream, downstream=sol.upstream, mass_flux=-sol.mass_flux
     )
     assert swapped.left == sol.upstream.to_primitive() != sol.left
     assert swapped.right == sol.downstream.to_primitive() != sol.right
     # the cached sides are not fields: equality, hashing and replace ignore them
-    assert [f.name for f in dataclasses.fields(sol)] == [
+    assert list(sol._fields) == [
         "theta", "orientation", "upstream", "downstream", "z", "mass_flux",
     ]
-    copy = dataclasses.replace(sol)
+    copy = sol._replace()
     assert copy == sol and hash(copy) == hash(sol)
     assert "left" not in vars(copy)
 

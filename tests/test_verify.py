@@ -1,6 +1,5 @@
 """Weak-form, entropy, and smooth-residual audits on the golden flows."""
 
-import dataclasses
 import math
 
 import pytest
@@ -167,8 +166,7 @@ def _reversed_shock_flow(flow, index):
     th = sp.theta
     left = evaluate(flow, th - 1e-9)
     right = evaluate(flow, th)
-    sol = dataclasses.replace(
-        sp,
+    sol = sp._replace(
         upstream=sp.downstream,
         downstream=sp.upstream,
         mass_flux=-sp.mass_flux,
@@ -257,8 +255,7 @@ def test_full_audit_identifies_inadmissible_shock(two_sector):
     # swap one shock's bookkeeping so its solution claims the expansion
     # direction; the audit must name that shock and fail overall
     target = two_sector.shock_points[1]
-    sol = dataclasses.replace(
-        target,
+    sol = target._replace(
         upstream=target.downstream,
         downstream=target.upstream,
         mass_flux=-target.mass_flux,
