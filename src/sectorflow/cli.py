@@ -106,20 +106,26 @@ def _number(value, path):
     return x
 
 
+def _flag_angle(text, flag):
+    """Finite radians from text: a number, or degrees with a 'deg' suffix."""
+    t = text.strip()
+    try:
+        rad = radians(float(t[:-3])) if t.endswith("deg") else float(t)
+    except ValueError:
+        raise ConfigError(flag, "cannot parse %r as an angle" % text)
+    if not isfinite(rad):
+        raise ConfigError(flag, "must be finite")
+    return rad
+
+
 def _angle(value, path):
     """Finite radians, or a string like "45deg"; normalized into [0, 2pi)."""
     if isinstance(value, str):
-        text = value.strip()
-        if not text.endswith("deg"):
+        if not value.strip().endswith("deg"):
             raise ConfigError(
                 path, "angles are numbers (radians) or strings with a 'deg' suffix"
             )
-        try:
-            rad = radians(float(text[:-3]))
-        except ValueError:
-            raise ConfigError(path, "cannot parse %r as an angle" % value)
-        if not isfinite(rad):
-            raise ConfigError(path, "must be finite")
+        rad = _flag_angle(value, path)
     else:
         rad = _number(value, path)
     return rad % TWO_PI
@@ -350,10 +356,16 @@ def _build(cfg):
 
 
 def _write_atomic(path, text):
+    """Write through path.tmp; on an OSError the .tmp goes and a ConfigError names path."""
     tmp = "%s.tmp" % path
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise ConfigError(path, "cannot write: %s" % exc.strerror)
 
 
 def _emit(text, out):
@@ -573,9 +585,13 @@ def _render(flow, fmt, samples):
 def _cmd_build(ns):
     cfg = _load_config(ns.config)
     flow = _build(cfg)
+    if ns.out is not None:
+        try:
+            os.makedirs(ns.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(ns.out, "cannot write: %s" % exc.strerror)
     print(_summarize(flow))
     if ns.out is not None:
-        os.makedirs(ns.out, exist_ok=True)
         for fmt in cfg.formats:
             path = _artifact_path(ns.out, ns.config, fmt)
             _write_atomic(path, _render(flow, fmt, cfg.samples))
@@ -631,17 +647,6 @@ def _solver_gas(gamma, mach=None):
     if not gamma > 1.0:
         raise ConfigError("--gamma", "must exceed 1")
     return make_gas(gamma, _SOLVER_BOUNDS)
-
-
-def _flag_angle(text, flag):
-    t = text.strip()
-    try:
-        rad = radians(float(t[:-3])) if t.endswith("deg") else float(t)
-    except ValueError:
-        raise ConfigError(flag, "cannot parse %r as an angle" % text)
-    if not isfinite(rad):
-        raise ConfigError(flag, "must be finite")
-    return rad
 
 
 def _cmd_shock_solve(ns):
@@ -717,7 +722,7 @@ def _cmd_pm_trace(ns):
         )
     except ValueError as exc:
         raise BuildError("construction failure: %s" % exc)
-    states = zip(*((s.rho, s.u, s.v, s.p) for _, s in wave.samples))
+    states = zip(*(s for _, s in wave.samples))
     _emit(_csv_text(gas, wave.thetas, *states), ns.out)
     return 0
 

@@ -34,7 +34,6 @@ from .gas import (
     PrimitiveState,
     primitive_to_conserved,
     relative_gap,
-    relative_state_gap,
     require_in_phase_space,
 )
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
@@ -89,6 +88,7 @@ _MATCH_TOL = 1e-9  # largest relative gap of the state marched around to the anc
 # is used.
 _EXACT_MAX_STEP = 1.0 / 32.0
 _SCAN_RECHECK = 1e-6
+_SECTOR_PROBES = 720  # N-sign probes per turn in sector_decompose
 
 
 class ClosureError(Exception):
@@ -177,13 +177,8 @@ class FlowField(namedtuple("FlowField", "gas anchor_theta pieces")):
 def evaluate(flow, theta):
     """Primitive state at an angle, right-continuous at every jump."""
     t = flow.local_angle(theta)
-    idx = bisect_right(flow._starts, t) - 1
-    if idx < 0:
-        idx = 0
-    piece = flow.interval_pieces[idx]
-    if isinstance(piece, ConstantPiece):
-        return piece.state
-    return pm_wave_state(piece.wave, min(t, piece.theta_end))
+    piece = flow.interval_pieces[max(bisect_right(flow._starts, t) - 1, 0)]
+    return _left_state(piece, min(t, piece.theta_end))
 
 
 def evaluate_many(flow, thetas):
@@ -299,7 +294,7 @@ def _next_angle_with_normal(u, v, target_N, above, label, L_sign=None):
 def _rk4_wave(state, a, b, orient, gas, steps):
     """The RK4 wave from a to b and its end state."""
     wave = integrate_pm(PrimitiveState(*state), a, b, orient, gas, steps=steps)
-    return wave, wave.end_state().as_tuple()
+    return wave, wave.end_state()
 
 
 def _exact_wave(state, a, b, orient, gas, steps):
@@ -325,7 +320,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
     none; only a contact's far side is checked here.
     """
     theta0 = desc.anchor_theta
-    state = desc.anchor_state.as_tuple()
+    state = desc.anchor_state
     pieces = [] if keep else None
     cur_start = theta0
     horizon = theta0 + TWO_PI
@@ -398,7 +393,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                 if keep:
                     front = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
                     sol = shock_from_strength(front, z, ev.orientation, gas)
-                    left, right = sol.left.as_tuple(), sol.right.as_tuple()
+                    left, right = sol.left, sol.right
                 else:
                     _, _, front, behind = shock_sides(
                         theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
@@ -596,7 +591,7 @@ def build_flow(gas, desc):
     The anchor is checked once, before any march: finite, then inside the
     phase-space box.
     """
-    anchor = desc.anchor_state.as_tuple()
+    anchor = desc.anchor_state
     for name, x in zip("rho u v p".split(), anchor):
         if not isfinite(x):
             raise ValueError("piece -1: anchor state has a non-finite %s (%r)" % (name, x))
@@ -614,15 +609,11 @@ def build_flow(gas, desc):
 
 def _closed_flow(gas, desc, note):
     pieces, final = _march(gas, desc, keep=True)
-    gap = relative_gap(final, desc.anchor_state.as_tuple())
+    gap = relative_gap(final, desc.anchor_state)
     if gap > _MATCH_TOL:
         raise ClosureError(
             "flow does not close up around the circle (residual %.3e%s)" % (gap, note)
         )
-    return _assemble(gas, desc, pieces)
-
-
-def _assemble(gas, desc, pieces):
     flow = FlowField(gas=gas, anchor_theta=desc.anchor_theta, pieces=tuple(pieces))
     _validate_flow(flow)
     return flow
@@ -648,7 +639,7 @@ def _validate_flow(flow):
         rb = _left_state(b, boundary)
         if boundary in jump_angles:
             continue
-        if relative_state_gap(la, rb) > 1e-8:
+        if relative_gap(la, rb) > 1e-8:
             raise ValueError(
                 "adjacent pieces disagree at their shared angle %.12g" % boundary
             )
@@ -662,7 +653,7 @@ def _validate_flow(flow):
         or abs(p.theta - (flow.anchor_theta + TWO_PI)) < 1e-11
         for p in flow.jump_points
     )
-    if not seam_jump and relative_state_gap(start_state, end_state) > _MATCH_TOL:
+    if not seam_jump and relative_gap(start_state, end_state) > _MATCH_TOL:
         raise ValueError("flow is not periodic at the seam")
 
 
@@ -685,7 +676,7 @@ def _L_at(flow, theta):
     return to_polar(s.u, s.v, theta)[1]
 
 
-def sector_decompose(flow, samples=720):
+def sector_decompose(flow):
     """Split the circle at contacts and classify each sector.
 
     Also enforces the structural facts the decomposition relies on: a
@@ -720,7 +711,7 @@ def sector_decompose(flow, samples=720):
         b = boundaries[(k + 1) % len(boundaries)]
         if b <= a:
             b += TWO_PI
-        n_probe = max(16, int(samples * (b - a) / TWO_PI))
+        n_probe = max(16, int(_SECTOR_PROBES * (b - a) / TWO_PI))
         t = a + (b - a) * np.arange(1, n_probe) / n_probe
         _, u, v, _ = evaluate_many(flow, t)
         N = u * np.sin(t) - v * np.cos(t)
@@ -778,8 +769,8 @@ class SBVDecomposition(
 
 
 def _conserved_jump(flow, point):
-    ul = primitive_to_conserved(point.left, flow.gas).as_tuple()
-    ur = primitive_to_conserved(point.right, flow.gas).as_tuple()
+    ul = primitive_to_conserved(point.left, flow.gas)
+    ur = primitive_to_conserved(point.right, flow.gas)
     return tuple(r - l for l, r in zip(ul, ur))
 
 

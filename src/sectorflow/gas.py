@@ -14,7 +14,6 @@ __all__ = [
     "GasModel",
     "PrimitiveState",
     "relative_gap",
-    "relative_state_gap",
     "ConservedState",
     "PhaseReport",
     "make_gas",
@@ -86,9 +85,6 @@ class PrimitiveState(namedtuple("PrimitiveState", "rho u v p")):
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def as_tuple(self):
-        return tuple(self)
-
     @property
     def tau(self):
         """Specific volume 1/rho."""
@@ -124,22 +120,14 @@ class PrimitiveState(namedtuple("PrimitiveState", "rho u v p")):
 
 
 def relative_gap(a, b):
-    """Max over paired components of |a - b| / max(|a|, |b|, 1), on (rho, u, v, p) tuples."""
+    """Max over paired components of |a - b| / max(|a|, |b|, 1), on two states or (rho, u, v, p) tuples."""
     return max(abs(x - y) / max(abs(x), abs(y), 1.0) for x, y in zip(a, b))
-
-
-def relative_state_gap(a, b):
-    """The relative_gap of two states."""
-    return relative_gap(a.as_tuple(), b.as_tuple())
 
 
 class ConservedState(namedtuple("ConservedState", "rho mom_x mom_y energy")):
     """Conserved variables (rho, rho u, rho v, total energy per volume)."""
 
     __slots__ = ()
-
-    def as_tuple(self):
-        return tuple(self)
 
 
 def primitive_to_conserved(s, gas):
@@ -207,11 +195,6 @@ class PhaseReport(namedtuple("PhaseReport", "ok violations")):
     def __bool__(self):
         return self.ok
 
-    def require(self, what):
-        """Raise ValueError("<what> leaves phase space: <violations>") unless ok."""
-        if not self.ok:
-            raise ValueError(what + " leaves phase space: " + "; ".join(self.violations))
-
 
 def inside_box(rho, u, v, p, gas):
     """True when in_phase_space finds no violation; False also for NaN, which it lets pass."""
@@ -253,6 +236,8 @@ def in_phase_space(s, gas):
 
 
 def require_in_phase_space(rho, u, v, p, gas, what):
-    """in_phase_space(...).require(what) on floats, building no state when inside."""
+    """Raise ValueError("<what> leaves phase space: <violations>"); no state is built inside the box."""
     if not inside_box(rho, u, v, p, gas):
-        in_phase_space(PrimitiveState(rho, u, v, p), gas).require(what)
+        report = in_phase_space(PrimitiveState(rho, u, v, p), gas)
+        if not report:
+            raise ValueError(what + " leaves phase space: " + "; ".join(report.violations))

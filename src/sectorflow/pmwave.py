@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from math import atan2, ceil, cos, hypot, pi, sin, sqrt
 
-from .gas import PrimitiveState, in_phase_space, require_in_phase_space
+from .gas import PrimitiveState, require_in_phase_space
 from .polar import from_polar, to_polar
 from .shock import brentq
 
@@ -199,7 +199,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
     """
     gamma = gas.gamma
     s_ref = start.p / start.rho ** gamma
-    L0, _, span = _wave_start(*start.as_tuple(), theta_start, theta_end, orient, gas)
+    L0, _, span = _wave_start(*start, theta_start, theta_end, orient, gas)
     sign = orient.sign
 
     def rhs(rho, L):
@@ -263,7 +263,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
 
     n = len(wave.thetas)
     for i in (0, n // 2, n - 1):
-        in_phase_space(wave.node_state(i), gas).require("wave")
+        require_in_phase_space(*wave.node_state(i), gas, "wave")
     return wave
 
 
@@ -298,7 +298,7 @@ def fan_end(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked=Fal
 
 def pm_exact(start, theta_start, theta_end, orient, gas):
     """End state at theta_end of the wave integrate_pm marches: fan_end on a PrimitiveState."""
-    return PrimitiveState(*fan_end(*start.as_tuple(), theta_start, theta_end, orient, gas))
+    return PrimitiveState(*fan_end(*start, theta_start, theta_end, orient, gas))
 
 
 def _truncate(wave, theta_cut):

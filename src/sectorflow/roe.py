@@ -160,7 +160,7 @@ def genuine_nonlinearity(s, theta, gas, rel_step=1e-6):
     h = s.enthalpy(gas)
     st, ct = sin(theta), cos(theta)
     N = s.u * st - s.v * ct
-    cons = np.array(primitive_to_conserved(s, gas).as_tuple())
+    cons = np.array(primitive_to_conserved(s, gas))
 
     def n_pm(vec, sign):
         prim = conserved_to_primitive(

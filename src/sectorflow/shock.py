@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import atan, cos, sin, sqrt, tan, asin, pi
 
-from .gas import physical_fluxes, relative_state_gap, require_in_phase_space
+from .gas import physical_fluxes, relative_gap, require_in_phase_space
 from .polar import PolarState, from_polar, to_polar
 
 __all__ = [
@@ -222,7 +222,7 @@ def classify_discontinuity(left, right, theta, gas):
     entropy condition; anything else is inadmissible with the first
     violated condition named.
     """
-    if relative_state_gap(left, right) <= 1e-9:
+    if relative_gap(left, right) <= 1e-9:
         return Classification(DiscontinuityKind.NOT_A_JUMP)
 
     n_zero = 1e-9 * gas.bounds.speed_max

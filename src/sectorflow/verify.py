@@ -44,7 +44,7 @@ from .flowfield import (
     sector_decompose,
     shock_separation_floor,
 )
-from .gas import ray_fluxes, relative_state_gap
+from .gas import ray_fluxes, relative_gap
 from .pmwave import WaveKind, classify_pm, pm_wave_state
 from .polar import TWO_PI, to_polar, wrap_signed
 from .shock import Orientation, ShockSolution, check_admissibility, lax_neighborhood_bound
@@ -53,6 +53,9 @@ _WEAK_TOL = 1e-10
 _ENTROPY_TOL = 1e-10
 _SMOOTH_TOL = 1e-6
 _STRUCTURE_TOL = 1e-6
+_QUAD_POINTS = 8  # Gauss-Legendre nodes per panel in scaled_residuals
+_SMOOTH_SAMPLES = 720  # smooth_residual's samples per turn
+_SMOOTH_STEP = 1e-5  # smooth_residual's difference step
 
 _MAX_PANEL = 0.25
 
@@ -114,14 +117,14 @@ def _residuals(flow, intervals, quad_points, subdiv):
     return residual[:4].T, scale[0], -residual[4], scale[1]
 
 
-def scaled_residuals(flow, intervals, quad_points=8):
+def scaled_residuals(flow, intervals):
     """Weak residuals (n, 4) and entropy productions (n,) of many intervals.
 
     Each interval's values are divided by its own magnitude scale, so one
     tolerance serves flows of any size; weak residuals are magnitudes.
     """
     weak, weak_scale, production, production_scale = _residuals(
-        flow, intervals, quad_points, 1
+        flow, intervals, _QUAD_POINTS, 1
     )
     return np.abs(weak) / weak_scale[:, None], production / production_scale
 
@@ -157,20 +160,21 @@ def entropy_residual(flow, theta1, theta2, quad_points=8, subdiv=1):
     return float(production[0])
 
 
-def smooth_residual(flow, samples=720, h=1e-5):
+def smooth_residual(flow):
     """Scaled central-difference residual of G' = H on smooth pieces.
 
     Samples sit strictly inside constant and wave pieces (never within 2h
     of an edge), so no difference stencil ever crosses a discontinuity.
     Each equation is scaled by the larger of 1 and its own terms.
     """
+    h = _SMOOTH_STEP
     ts = []
     for piece in flow.interval_pieces:
         lo, hi = piece.theta_start, piece.theta_end
         width = hi - lo
         if width <= 6.0 * h:
             continue
-        n = max(3, int(samples * width / TWO_PI))
+        n = max(3, int(_SMOOTH_SAMPLES * width / TWO_PI))
         ts.append(lo + 2.0 * h + (width - 4.0 * h) * (np.arange(n) + 0.5) / n)
     t = np.concatenate(ts)
     stencil = np.concatenate((t + h, t - h, t))
@@ -237,7 +241,7 @@ def _constant_width(flow, piece):
         other = last if piece is first else first
         if (
             isinstance(other, ConstantPiece)
-            and relative_state_gap(piece.state, other.state) <= 1e-9
+            and relative_gap(piece.state, other.state) <= 1e-9
         ):
             width += other.theta_end - other.theta_start
     return width
@@ -455,17 +459,17 @@ def _audit_intervals(flow):
     return intervals
 
 
-def full_audit(flow, quad_points=8, samples=720):
+def full_audit(flow):
     """Run every check on the flow and aggregate a verdict."""
     intervals = _audit_intervals(flow)
-    weak, production = scaled_residuals(flow, intervals, quad_points)
+    weak, production = scaled_residuals(flow, intervals)
     violations = [
         (interval, prod)
         for interval, prod in zip(intervals, production.tolist())
         if prod < -_ENTROPY_TOL
     ]
 
-    smooth = smooth_residual(flow, samples=samples)
+    smooth = smooth_residual(flow)
 
     structure = validate_structure(flow)
     admissibility = [

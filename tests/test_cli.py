@@ -82,6 +82,30 @@ def test_degree_suffix_angles_normalize():
     assert cfg.description.anchor_theta == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("abc", "anchor.theta: angles are numbers (radians) or strings with a 'deg' suffix"),
+        ("xdeg", "anchor.theta: cannot parse 'xdeg' as an angle"),
+        ("1e400deg", "anchor.theta: must be finite"),
+    ],
+)
+def test_config_angle_strings_keep_their_messages(text, message):
+    doc = json.loads(MINIMAL)
+    doc["anchor"]["theta"] = text
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_config_angle_strings_ignore_surrounding_blanks():
+    doc = json.loads(MINIMAL)
+    doc["anchor"]["theta"] = "30deg"
+    plain = parse_config(json.dumps(doc)).description.anchor_theta
+    doc["anchor"]["theta"] = " 30deg "
+    assert parse_config(json.dumps(doc)).description.anchor_theta == plain
+
+
 def test_shock_piece_needs_exactly_one_mode():
     doc = json.loads(MINIMAL)
     doc["pieces"] = [{"kind": "shock", "orientation": "forward", "z": 0.5,
@@ -477,6 +501,29 @@ def test_export_writes_atomically(tmp_path):
     assert out.exists()
     assert not (tmp_path / "flow.json.tmp").exists()
     json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["verify", str(CONFIGS / "uniform.json"), "--out"], "missing/report.json"),
+        (["analyze", str(CONFIGS / "uniform.json"), "--out"], "missing/analysis.json"),
+        (["export", str(CONFIGS / "uniform.json"), "--format", "csv", "--out"], "missing/e.csv"),
+        (["pm-trace", "--gamma", "1.4", "--mach", "2", "--out"], "missing/trace.csv"),
+        (["verify", str(CONFIGS / "uniform.json"), "--out"], "."),
+        (["build", str(CONFIGS / "uniform.json"), "--out"], "taken"),
+    ],
+)
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, argv, out):
+    """A missing directory, a directory or a file in the way: exit 3, one line, no .tmp left."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert main(argv + [out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: %s: cannot write: " % out)
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_outputs_are_byte_deterministic(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas, relative_state_gap
+from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas, relative_gap
 from sectorflow.polar import PolarState, from_polar, to_polar
 from sectorflow.pmwave import (
     WaveKind,
@@ -230,11 +230,11 @@ def test_pm_exact_is_the_limit_of_rk4(gas, L0, orient):
     def gaps(steps):
         w = integrate_pm(start, theta0, theta0 + span, orient, gas, steps=steps)
         nodes = [
-            relative_state_gap(w.node_state(i), pm_exact(start, theta0, t, orient, gas))
+            relative_gap(w.node_state(i), pm_exact(start, theta0, t, orient, gas))
             for i, t in enumerate(w.thetas)
         ]
         mids = [
-            relative_state_gap(pm_wave_state(w, t), pm_exact(start, theta0, t, orient, gas))
+            relative_gap(pm_wave_state(w, t), pm_exact(start, theta0, t, orient, gas))
             for t in (0.5 * (a + b) for a, b in zip(w.thetas, w.thetas[1:]))
         ]
         return max(nodes), max(mids)

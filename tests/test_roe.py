@@ -39,7 +39,7 @@ def test_jacobian_matches_finite_difference(gas):
     s = PrimitiveState(rho=1.3, u=0.7, v=-1.1, p=2.2)
     theta = 0.8
     A = jacobian(s, theta, gas)
-    U0 = np.array(primitive_to_conserved(s, gas).as_tuple())
+    U0 = np.array(primitive_to_conserved(s, gas))
     fd = np.zeros((4, 4))
     for j in range(4):
         h = 1e-7 * max(1.0, abs(U0[j]))
@@ -61,8 +61,8 @@ def test_averaged_matrix_reproduces_flux_jump(rl, pl, ul, vl, rr, pr, ur, vr, th
     left = PrimitiveState(rho=rl, u=ul, v=vl, p=pl)
     right = PrimitiveState(rho=rr, u=ur, v=vr, p=pr)
     A = roe_matrix(left, right, theta, g)
-    dU = np.array(primitive_to_conserved(right, g).as_tuple()) - np.array(
-        primitive_to_conserved(left, g).as_tuple()
+    dU = np.array(primitive_to_conserved(right, g)) - np.array(
+        primitive_to_conserved(left, g)
     )
     dF = _rotated_flux(right, theta, g) - _rotated_flux(left, theta, g)
     scale = max(1.0, float(np.linalg.norm(dF)))
