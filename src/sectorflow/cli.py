@@ -21,6 +21,7 @@ from math import asin, atan2, cos, degrees, isfinite, pi, radians, sin, sqrt
 from .gas import PhaseBounds, PrimitiveState, make_gas
 from .polar import TWO_PI
 from .shock import (
+    DetachedShockError,
     Orientation,
     max_deflection,
     max_deflection_limit,
@@ -247,7 +248,7 @@ def _parse_piece(doc, path):
     )
 
 
-# a shock adjusts its theta or z, a wave its theta_end
+# a shock adjusts the theta or z it declares, a wave its theta_end
 _SHOOT_FIELDS = ("theta", "theta_end", "z")
 
 
@@ -266,7 +267,7 @@ def _parse_solver(doc, path, events):
             _join(spath, "field"),
             "must be one of %s" % ", ".join(_SHOOT_FIELDS),
         )
-    if not hasattr(events[idx], field):
+    if getattr(events[idx], field, None) is None:
         raise ConfigError(
             _join(spath, "field"),
             "piece %d has no adjustable %r" % (idx, field),
@@ -583,19 +584,27 @@ def _render(flow, fmt, samples):
 
 
 def _cmd_build(ns):
+    """Summary and artifacts, all or nothing: a failed write removes the ones written."""
     cfg = _load_config(ns.config)
     flow = _build(cfg)
+    lines = [_summarize(flow)]
     if ns.out is not None:
         try:
             os.makedirs(ns.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(ns.out, "cannot write: %s" % exc.strerror)
-    print(_summarize(flow))
-    if ns.out is not None:
-        for fmt in cfg.formats:
-            path = _artifact_path(ns.out, ns.config, fmt)
-            _write_atomic(path, _render(flow, fmt, cfg.samples))
-            print("wrote %s" % path)
+        written = []
+        try:
+            for fmt in cfg.formats:
+                path = _artifact_path(ns.out, ns.config, fmt)
+                _write_atomic(path, _render(flow, fmt, cfg.samples))
+                written.append(path)
+        except ConfigError:
+            for path in set(written):
+                os.remove(path)
+            raise
+        lines += ["wrote %s" % path for path in written]
+    print("\n".join(lines))
     return 0
 
 
@@ -654,10 +663,10 @@ def _cmd_shock_solve(ns):
     alpha = _flag_angle(ns.deflection, "--deflection")
     try:
         theta_s = solve_shock_angle(ns.mach, alpha, ns.branch, gas)
+    except DetachedShockError as exc:
+        print("no attached shock: %s" % exc, file=sys.stderr)
+        return 1
     except ValueError as exc:
-        if "detached" in str(exc):
-            print("no attached shock: %s" % exc, file=sys.stderr)
-            return 1
         raise ConfigError("shock-solve", str(exc))
     print(
         "shock angle: %.9f rad = %.4f deg (%s branch)"

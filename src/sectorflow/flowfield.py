@@ -24,7 +24,6 @@ right-continuous.
 """
 
 import enum
-import re
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property
@@ -51,6 +50,7 @@ from .shock import (
 
 __all__ = [
     "ClosureError",
+    "MarchError",
     "ConstantPiece",
     "ContactPoint",
     "PMPiece",
@@ -93,6 +93,14 @@ _SECTOR_PROBES = 720  # N-sign probes per turn in sector_decompose
 
 class ClosureError(Exception):
     """The marched state fails to meet the anchor after a full turn."""
+
+
+class MarchError(ValueError):
+    """A march's failure at one piece; reason is str() without its measured values."""
+
+    def __init__(self, message, reason=None):
+        super().__init__(message)
+        self.reason = message if reason is None else reason
 
 
 # --------------------------------------------------------------- pieces
@@ -264,7 +272,7 @@ FlowDescription = namedtuple(
 # -------------------------------------------------------------- marching
 
 
-def _next_angle_with_normal(u, v, target_N, above, label, L_sign=None):
+def _next_angle_with_normal(u, v, target_N, above, L_sign=None):
     """Smallest angle > above where the constant velocity (u, v) has N = target.
 
     Per turn a constant crosses any reachable N twice, once with L >= 0
@@ -273,9 +281,10 @@ def _next_angle_with_normal(u, v, target_N, above, label, L_sign=None):
     q = hypot(u, v)
     phi = atan2(v, u)
     if abs(target_N) > q:
-        raise ValueError(
-            "%s: constant state (speed %.6g) never reaches the required "
-            "normal velocity %.6g" % (label, q, target_N)
+        raise MarchError(
+            "constant state (speed %.6g) never reaches the required "
+            "normal velocity %.6g" % (q, target_N),
+            "constant state ... never reaches the required normal velocity",
         )
     s = asin(max(-1.0, min(1.0, target_N / q)))
     bases = []
@@ -317,7 +326,8 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
     gas, steps) gives a wave (None to leave it out) and its end state.
     Phase checks: the anchor's is build_flow's, a shock's sides
     shock_sides', a wave's end the wave march's, so a wave's start needs
-    none; only a contact's far side is checked here.
+    none; only a contact's far side is checked here. A ValueError while an
+    event is resolved leaves as a MarchError that names the event's piece.
     """
     theta0 = desc.anchor_theta
     state = desc.anchor_state
@@ -325,9 +335,6 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
     cur_start = theta0
     horizon = theta0 + TWO_PI
     g = gas.gamma
-
-    def err(idx, msg):
-        return ValueError("piece %d: %s" % (idx, msg))
 
     def hold(theta_end):
         # the constant from cur_start; unkept, its interval is checked here
@@ -338,58 +345,53 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
 
     for idx, ev in enumerate(desc.events):
         rho, u, v, p = state
-        if isinstance(ev, ShockEvent):
-            c_cur = sqrt(g * p / rho)
-            sign = ev.orientation.sign
-            # the marching state is the shock's left side: the back of a
-            # forward shock, the front of a backward one
-            back = ev.orientation is Orientation.FORWARD
-            if ev.theta is not None:
-                theta_s = ev.theta
-                if not theta_s > cur_start:
-                    raise err(idx, "event angle does not advance the march")
-                N_cur, L_cur = to_polar(u, v, theta_s)
-                try:
+        try:
+            if isinstance(ev, ShockEvent):
+                c_cur = sqrt(g * p / rho)
+                sign = ev.orientation.sign
+                # the marching state is the shock's left side: the back of a
+                # forward shock, the front of a backward one
+                back = ev.orientation is Orientation.FORWARD
+                if ev.theta is not None:
+                    theta_s = ev.theta
+                    if not theta_s > cur_start:
+                        raise ValueError("event angle does not advance the march")
+                    N_cur, L_cur = to_polar(u, v, theta_s)
                     z = strength_from_normal_mach(
                         sign * N_cur / c_cur, g, "back" if back else "front"
                     )
-                except ValueError as e:
-                    raise err(idx, str(e))
-            else:
-                if ev.balance:
-                    # the new state's pressure returns to the anchor value
-                    p_left, p_right = p, desc.anchor_state.p
-                    z = (p_left / p_right if back else p_right / p_left) - 1.0
-                    if not z > 0.0:
-                        raise err(
-                            idx,
-                            "balance shock would need nonpositive strength %.6g" % z,
-                        )
                 else:
-                    z = ev.z
-                    if not z > 0.0:
-                        raise err(idx, "declared shock strength must be positive")
-                # normal Mach number of the marching side at strength z
+                    if ev.balance:
+                        # the new state's pressure returns to the anchor value
+                        p_left, p_right = p, desc.anchor_state.p
+                        z = (p_left / p_right if back else p_right / p_left) - 1.0
+                        if not z > 0.0:
+                            raise MarchError(
+                                "balance shock would need nonpositive strength %.6g" % z,
+                                "balance shock would need nonpositive strength",
+                            )
+                    else:
+                        z = ev.z
+                        if not z > 0.0:
+                            raise ValueError("declared shock strength must be positive")
+                    # normal Mach number of the marching side at strength z
+                    if back:
+                        mach_n = downstream_normal_mach(z, g)
+                    else:
+                        mach_n = sqrt(strength_ratios(z, g)[0])
+                    target = sign * c_cur * mach_n
+                    theta_s = _next_angle_with_normal(u, v, target, cur_start, ev.L_sign)
+                    _, L_cur = to_polar(u, v, theta_s)
+
+                if theta_s >= horizon - _ANGLE_MARGIN:
+                    raise ValueError("event angle passes the closure seam")
+
+                # the shock stands on its front side; a forward shock's front
+                # follows from the marching back side by the closed forms
+                rho_f, p_f = rho, p
                 if back:
-                    mach_n = downstream_normal_mach(z, g)
-                else:
-                    mach_n = sqrt(strength_ratios(z, g)[0])
-                target = sign * c_cur * mach_n
-                theta_s = _next_angle_with_normal(
-                    u, v, target, cur_start, "piece %d" % idx, L_sign=ev.L_sign
-                )
-                _, L_cur = to_polar(u, v, theta_s)
-
-            if theta_s >= horizon - _ANGLE_MARGIN:
-                raise err(idx, "event angle passes the closure seam")
-
-            # the shock stands on its front side; a forward shock's front
-            # follows from the marching back side by the closed forms
-            rho_f, p_f = rho, p
-            if back:
-                rp, rm = strength_ratios(z, g)
-                rho_f, p_f = rho * rm / rp, p / (1.0 + z)
-            try:
+                    rp, rm = strength_ratios(z, g)
+                    rho_f, p_f = rho * rm / rp, p / (1.0 + z)
                 if keep:
                     front = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
                     sol = shock_from_strength(front, z, ev.orientation, gas)
@@ -399,76 +401,72 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                         theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
                     )
                     left, right = (behind, front) if back else (front, behind)
-            except ValueError as e:
-                raise err(idx, str(e))
-            if relative_gap(left, state) > _SHOCK_MATCH_TOL:
-                raise err(idx, "shock does not match the marching state")
+                if relative_gap(left, state) > _SHOCK_MATCH_TOL:
+                    raise ValueError("shock does not match the marching state")
 
-            hold(theta_s)
-            if keep:
-                pieces.append(sol)
-            state = right
-            cur_start = theta_s
+                hold(theta_s)
+                if keep:
+                    pieces.append(sol)
+                state = right
+                cur_start = theta_s
 
-        elif isinstance(ev, ContactEvent):
-            theta_c = _next_angle_with_normal(u, v, 0.0, cur_start, "piece %d" % idx)
-            if theta_c >= horizon - _ANGLE_MARGIN:
-                raise err(idx, "contact angle passes the closure seam")
-            _, L_left = to_polar(u, v, theta_c)
-            if abs(ev.L) <= 0.0 or not ev.rho > 0.0:
-                raise err(idx, "contact needs positive density and moving gas")
-            jump = max(
-                abs(ev.rho - rho) / max(1.0, rho, ev.rho),
-                abs(ev.L - L_left) / max(1.0, abs(L_left), abs(ev.L)),
-            )
-            if jump <= _TRIVIAL_CONTACT:
-                raise err(
-                    idx,
-                    "a trivial contact must jump in density or tangential velocity",
+            elif isinstance(ev, ContactEvent):
+                theta_c = _next_angle_with_normal(u, v, 0.0, cur_start)
+                if theta_c >= horizon - _ANGLE_MARGIN:
+                    raise ValueError("contact angle passes the closure seam")
+                _, L_left = to_polar(u, v, theta_c)
+                if abs(ev.L) <= 0.0 or not ev.rho > 0.0:
+                    raise ValueError("contact needs positive density and moving gas")
+                jump = max(
+                    abs(ev.rho - rho) / max(1.0, rho, ev.rho),
+                    abs(ev.L - L_left) / max(1.0, abs(L_left), abs(ev.L)),
                 )
-            new = (ev.rho, *from_polar(0.0, ev.L, theta_c), p)
-            require_in_phase_space(*new, gas, "piece %d: post-contact state" % idx)
-            hold(theta_c)
-            if keep:
-                pieces.append(ContactPoint(theta_c, pieces[-1].state, PrimitiveState(*new)))
-            state = new
-            cur_start = theta_c
-
-        elif isinstance(ev, PMEvent):
-            sign = ev.orientation.sign
-            c_cur = sqrt(g * p / rho)
-            if ev.theta_start is not None:
-                a = ev.theta_start
-                if a < cur_start - _ANGLE_MARGIN:
-                    raise err(idx, "wave start angle precedes the march")
-            else:
-                N_now, _ = to_polar(u, v, cur_start)
-                if abs(N_now - sign * c_cur) <= _SONIC_START_TOL * c_cur:
-                    a = cur_start
-                else:
-                    a = _next_angle_with_normal(
-                        u, v, sign * c_cur, cur_start, "piece %d" % idx
+                if jump <= _TRIVIAL_CONTACT:
+                    raise ValueError(
+                        "a trivial contact must jump in density or tangential velocity"
                     )
-            if not ev.theta_end > a:
-                raise err(idx, "wave needs a nonempty interval")
-            if ev.theta_end >= horizon - _ANGLE_MARGIN:
-                raise err(idx, "wave end passes the closure seam")
-            try:
-                wave, end = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
-            except ValueError as e:
-                raise err(idx, str(e))
-            if a > cur_start + _ANGLE_MARGIN:
-                hold(a)
-            if keep:
-                pieces.append(PMPiece(wave))
-            state = end
-            cur_start = ev.theta_end
+                new = (ev.rho, *from_polar(0.0, ev.L, theta_c), p)
+                require_in_phase_space(*new, gas, "post-contact state")
+                hold(theta_c)
+                if keep:
+                    pieces.append(ContactPoint(theta_c, pieces[-1].state, PrimitiveState(*new)))
+                state = new
+                cur_start = theta_c
 
-        else:
-            raise err(idx, "unknown event type %r" % (ev,))
+            elif isinstance(ev, PMEvent):
+                sign = ev.orientation.sign
+                c_cur = sqrt(g * p / rho)
+                if ev.theta_start is not None:
+                    a = ev.theta_start
+                    if a < cur_start - _ANGLE_MARGIN:
+                        raise ValueError("wave start angle precedes the march")
+                else:
+                    N_now, _ = to_polar(u, v, cur_start)
+                    if abs(N_now - sign * c_cur) <= _SONIC_START_TOL * c_cur:
+                        a = cur_start
+                    else:
+                        a = _next_angle_with_normal(u, v, sign * c_cur, cur_start)
+                if not ev.theta_end > a:
+                    raise ValueError("wave needs a nonempty interval")
+                if ev.theta_end >= horizon - _ANGLE_MARGIN:
+                    raise ValueError("wave end passes the closure seam")
+                wave, end = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
+                if a > cur_start + _ANGLE_MARGIN:
+                    hold(a)
+                if keep:
+                    pieces.append(PMPiece(wave))
+                state = end
+                cur_start = ev.theta_end
+
+            else:
+                raise ValueError("unknown event type %r" % (ev,))
+        except ValueError as e:
+            raise MarchError(
+                "piece %d: %s" % (idx, e), "piece %d: %s" % (idx, getattr(e, "reason", e))
+            )
 
     if cur_start >= horizon - _ANGLE_MARGIN:
-        raise ValueError("events fill the whole circle, leaving no closure seam")
+        raise MarchError("events fill the whole circle, leaving no closure seam")
     hold(horizon)
     return pieces, state
 
@@ -513,9 +511,9 @@ def _shooting_roots(gas, desc):
         if x not in rk4:
             try:
                 rk4[x] = mismatch(x)
-            except ValueError as e:
+            except MarchError as e:
                 rk4[x] = None
-                failures[x] = str(e)
+                failures[x] = e.reason
         return rk4[x]
 
     has_wave = any(isinstance(ev, PMEvent) for ev in desc.events)
@@ -527,7 +525,7 @@ def _shooting_roots(gas, desc):
             f = mismatch(x, _exact_wave)
             if abs(f) >= _SCAN_RECHECK:
                 return f
-        except ValueError:
+        except MarchError:
             pass
         return rk4_at(x)
 
@@ -535,7 +533,7 @@ def _shooting_roots(gas, desc):
         def f(x):
             return rk4[x] if x in rk4 else mismatch(x)
 
-        return brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
+        return brentq(f, a, b, xtol=1e-13)
 
     n_scan = 65
     xs = [lo + (hi - lo) * k / (n_scan - 1) for k in range(n_scan)]
@@ -552,11 +550,10 @@ def _shooting_roots(gas, desc):
     if roots:
         return roots
     detail = ""
-    undefined = [failures[x] for x in xs if x in failures]
-    if undefined:
-        reasons = Counter(_failure_reason(m) for m in undefined)
+    reasons = Counter(failures[x] for x in xs if x in failures)
+    if reasons:
         detail = "; undefined at %d of %d scan points: %s" % (
-            len(undefined),
+            sum(reasons.values()),
             n_scan,
             ", ".join("%dx %s" % (n, r) for r, n in reasons.most_common()),
         )
@@ -564,19 +561,6 @@ def _shooting_roots(gas, desc):
         "flow does not close up around the circle "
         "(no sign change of the seam mismatch inside the shooting bracket%s)" % detail
     )
-
-
-# a measured value in a failure message: a parenthesised phrase holding a
-# number, or a number that is not a piece index (compiled on first use, as
-# only a failed scan needs it)
-_MEASURED = (
-    r" \([^()]*\d[^()]*\)|(?<!piece) [-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
-)
-
-
-def _failure_reason(message):
-    """A failure message without its measured values, so like failures group."""
-    return re.sub(_MEASURED, lambda m: " ..." if m.group().startswith(" (") else "", message)
 
 
 def build_flow(gas, desc):
@@ -734,9 +718,7 @@ def sector_decompose(flow):
 
         # L is monotone and continuous inside the sector, and the signs
         # checked above bracket its zero
-        theta_bar = brentq(
-            lambda t: _L_at(flow, t), a + eps, b - eps, xtol=1e-15, rtol=8.9e-16
-        )
+        theta_bar = brentq(lambda t: _L_at(flow, t), a + eps, b - eps, xtol=1e-15)
         sectors.append(
             Sector(theta_start=a, theta_end=b, direction=direction, theta_bar=theta_bar)
         )

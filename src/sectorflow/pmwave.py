@@ -249,11 +249,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
     for i in range(len(thetas) - 1):
         if (Ls[i] == 0.0 and i > 0) or Ls[i] * Ls[i + 1] < 0.0:
             crossing = brentq(
-                lambda t: wave.reduced_at(t)[1],
-                thetas[i],
-                thetas[i + 1],
-                xtol=1e-15,
-                rtol=8.9e-16,
+                lambda t: wave.reduced_at(t)[1], thetas[i], thetas[i + 1], xtol=1e-15
             )
             if abs(crossing - theta_end) > 1e-9 * (1.0 + span):
                 if not stop_at_L_zero:

@@ -46,6 +46,7 @@ __all__ = [
     "deflection_angle",
     "detachment_shock_angle",
     "solve_shock_angle",
+    "DetachedShockError",
     "max_deflection",
     "max_deflection_limit",
     "lax_neighborhood_bound",
@@ -393,14 +394,18 @@ def max_deflection_limit(gas):
     return asin(1.0 / gas.gamma)
 
 
+class DetachedShockError(ValueError):
+    """The requested deflection exceeds the largest an attached shock gives."""
+
+
 def solve_shock_angle(mach, alpha, branch, gas):
     """Invert the deflection relation on the requested branch.
 
     branch "weak" returns the smaller shock angle, "strong" the larger.
-    Rejects deflections beyond max_deflection(mach), the detached regime.
-    The closed-form detachment shock angle splits [asin(1/M), pi/2] into the
-    two monotone branches, and this module's brentq finds the root on the
-    requested one to xtol 1e-14.
+    A deflection beyond max_deflection(mach), the detached regime, raises
+    DetachedShockError. The closed-form detachment shock angle splits
+    [asin(1/M), pi/2] into the two monotone branches, and this module's
+    brentq finds the root on the requested one to xtol 1e-14.
     """
     if not mach > 1.0:
         raise ValueError("upstream Mach number must exceed 1")
@@ -416,7 +421,7 @@ def solve_shock_angle(mach, alpha, branch, gas):
     peak = detachment_shock_angle(mach, gas)
     alpha_peak = deflection_angle(mach, peak, gas)
     if alpha > alpha_peak:
-        raise ValueError("detached shock regime: deflection exceeds the maximum")
+        raise DetachedShockError("detached shock regime: deflection exceeds the maximum")
 
     def f(t):
         return deflection_angle(mach, t, gas) - alpha
@@ -430,19 +435,20 @@ def solve_shock_angle(mach, alpha, branch, gas):
     if fa * fb > 0.0:
         # alpha equals the peak value up to rounding
         return peak
-    return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+    return brentq(f, a, b, xtol=1e-14)
 
 
-def brentq(f, a, b, xtol, rtol, maxiter=100):
+def brentq(f, a, b, xtol, maxiter=100):
     """Root of f in the bracket [a, b] by Brent's method.
 
     A port of the algorithm behind SciPy's brentq: each step is an
     inverse-quadratic (or secant) step when that stays well inside the
     bracket and shrinks it fast enough, and a bisection otherwise. Stops
-    once the bracket half-width is below (xtol + rtol |x|) / 2. Raises
-    ValueError when f(a) and f(b) have the same sign and RuntimeError
-    when maxiter steps do not converge.
+    once the bracket half-width is below (xtol + rtol |x|) / 2, with rtol
+    8.9e-16 (4 machine epsilons). Raises ValueError when f(a) and f(b) have
+    the same sign and RuntimeError when maxiter steps do not converge.
     """
+    rtol = 8.9e-16
     xpre, xcur = a, b
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0:

@@ -304,6 +304,60 @@ def test_nonfinite_config_numbers_exit_three(tmp_path, capsys, path, value, key)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "path, value, line",
+    [
+        (("gas",), 1.4, "gas: expected an object"),
+        (("gas", "gamma"), "1.4", "gas.gamma: expected a number"),
+        (("gas", "bounds", "rho_min"), 30.0,
+         "gas.bounds: density bounds must satisfy 0 < rho_min <= rho_max"),
+        (("anchor", "rho"), 0, "anchor: nonpositive density"),
+        (("pieces", 1, "balance"), 1, "pieces[1].balance: expected true or false"),
+        (("pieces", 1, "L_sign"), 2, "pieces[1].L_sign: must be 1 or -1"),
+        (("pieces", 0, "kind"), "fan", "pieces[0].kind: unknown piece kind 'fan'"),
+        (("pieces", 0, "steps"), 64.0, "pieces[0].steps: expected an integer"),
+        (("pieces", 0, "orientation"), "up",
+         "pieces[0].orientation: orientation must be 'forward' or 'backward'"),
+        (("pieces", 2, "rho"), -0.8, "pieces[2].rho: must be positive"),
+        (("pieces",), {}, "pieces: expected a list"),
+        (("solver", "shoot", "piece"), 9, "solver.shoot.piece: no piece with index 9"),
+        (("solver", "shoot", "field"), "rho",
+         "solver.shoot.field: must be one of theta, theta_end, z"),
+        # a field the shock does not declare: z locates pieces[1], and a
+        # balance shock declares neither theta nor z
+        (("solver", "shoot"), {"piece": 1, "field": "theta", "bracket": [1.8, 2.1]},
+         "solver.shoot.field: piece 1 has no adjustable 'theta'"),
+        (("solver", "shoot"), {"piece": 5, "field": "z", "bracket": [0.1, 0.5]},
+         "solver.shoot.field: piece 5 has no adjustable 'z'"),
+        (("solver", "shoot", "bracket"), [0.41], "solver.shoot.bracket: expected [low, high]"),
+        (("solver", "shoot", "bracket"), [0.57, 0.41],
+         "solver.shoot.bracket: low bound must be below high"),
+        (("output", "formats"), "csv", "output.formats: expected a list"),
+        (("output", "formats"), ["png"],
+         "output.formats: unknown format 'png' (known: csv, json, svg)"),
+    ],
+)
+def test_config_errors_name_the_key(tmp_path, capsys, path, value, line):
+    assert main(["build", str(_two_sector_with(tmp_path, path, value))]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "config error: %s\n" % line
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--rho", "0"], "pm-trace: nonpositive density"),
+        (["--span", "-1"], "--span: must be positive"),
+    ],
+)
+def test_pm_trace_flag_errors_name_the_flag(capsys, flags, line):
+    assert main(["pm-trace", "--gamma", "1.4", "--mach", "2"] + flags) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "config error: %s\n" % line
+    assert captured.out == ""
+
+
 def test_anchor_outside_the_box_fails_before_any_march(tmp_path, capsys, monkeypatch):
     from sectorflow import flowfield
 
@@ -352,6 +406,14 @@ def test_detached_deflection_exits_one(capsys):
                  "--gamma", "1.4"])
     assert code == 1
     assert "detached" in capsys.readouterr().err
+
+
+def test_subsonic_shock_request_is_a_config_error(capsys):
+    """The solver's other refusals stay exit 3, not the detached exit 1."""
+    assert main(["shock-solve", "--mach", "0.5", "--deflection", "10deg", "--gamma", "1.4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "config error: shock-solve: upstream Mach number must exceed 1\n"
+    assert captured.out == ""
 
 
 # --------------------------------------------------------------- solvers
@@ -524,6 +586,20 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, argv
     assert captured.err.startswith("config error: %s: cannot write: " % out)
     assert captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_build_leaves_no_artifact_when_one_cannot_be_written(tmp_path, capsys):
+    """The JSON artifact's path is a directory: exit 3, no stdout, the CSV written before it removed."""
+    out = tmp_path / "out"
+    (out / "two_sector.json").mkdir(parents=True)
+    assert main(["build", str(CONFIGS / "two_sector.json"), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s: cannot write: Is a directory\n" % (
+        out / "two_sector.json"
+    )
+    assert [p.name for p in out.iterdir()] == ["two_sector.json"]
+    assert list((out / "two_sector.json").iterdir()) == []
 
 
 def test_outputs_are_byte_deterministic(tmp_path):

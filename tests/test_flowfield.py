@@ -528,7 +528,7 @@ def _seam_turned_by(turn, rho=lambda x: 1.0, rk4_turn=None):
         a = desc.anchor_state
         f = turn if rk4_turn is None or march_wave is flowfield._exact_wave else rk4_turn
         if f(x) is None:
-            raise ValueError("piece 0: stand-in failure")
+            raise flowfield.MarchError("piece 0: stand-in failure")
         speed, phi = math.hypot(a.u, a.v), math.atan2(a.v, a.u) + f(x)
         final = (rho(x), speed * math.cos(phi), speed * math.sin(phi), a.p)
         theta0 = desc.anchor_theta
@@ -596,6 +596,125 @@ def test_shooting_drops_a_cell_where_rk4_fails_at_an_end(gas14, monkeypatch):
         "; undefined at 1 of 65 scan points: 1x piece 0: stand-in failure"
     )
     assert 0.3 not in marched  # Brent never ran
+
+
+# ------------------------------------------------------- march failures
+#
+# Each raise site of _march that a shipped flow never reaches, pinned by
+# its exact message: build_flow's failure without the solver block, and
+# the ClosureError's count of that failure (measured values left out)
+# with it, where every one of the 65 scan points fails the same way.
+
+
+def _failures(gas, desc):
+    """str() of build_flow's failure for desc unshot, then for desc as given."""
+    messages = []
+    for d in (desc._replace(shooting=None), desc):
+        with pytest.raises(ValueError if d.shooting is None else ClosureError) as info:
+            build_flow(gas, d)
+        messages.append(str(info.value))
+    return messages
+
+
+def _swap(i, piece):
+    return lambda pieces: pieces.__setitem__(i, piece)
+
+
+def _put(i, **fields):
+    return lambda pieces: pieces[i].update(fields)
+
+
+def _insert(i, piece):
+    return lambda pieces: pieces.insert(i, piece)
+
+
+@pytest.mark.parametrize(
+    "edit, message, reason",
+    [
+        (
+            _swap(3, {"kind": "shock", "orientation": "forward", "theta": 0.3}),
+            "piece 3: event angle does not advance the march",
+            "piece 3: event angle does not advance the march",
+        ),
+        (
+            _swap(3, {"kind": "shock", "orientation": "forward", "theta": 3.0}),
+            "piece 3: back side of a shock must be subsonic normal",
+            "piece 3: back side of a shock must be subsonic normal",
+        ),
+        (
+            _put(3, z=2.0),
+            "piece 5: balance shock would need nonpositive strength -0.459873",
+            "piece 5: balance shock would need nonpositive strength",
+        ),
+        (
+            _put(2, L=0),
+            "piece 2: contact needs positive density and moving gas",
+            "piece 2: contact needs positive density and moving gas",
+        ),
+        (
+            _put(4, theta_start=1.0),
+            "piece 4: wave start angle precedes the march",
+            "piece 4: wave start angle precedes the march",
+        ),
+        # a second forward wave starts where the first ends, at the
+        # march's own angle, so the one after it fails
+        (
+            _insert(5, {"kind": "wave", "orientation": "forward", "theta_end": 5.6}),
+            "piece 6: balance shock would need nonpositive strength -0.401051",
+            "piece 6: balance shock would need nonpositive strength",
+        ),
+        (
+            _insert(5, {"kind": "wave", "orientation": "forward", "theta_end": 5.052640204563339}),
+            "piece 5: wave needs a nonempty interval",
+            "piece 5: wave needs a nonempty interval",
+        ),
+    ],
+    ids=[
+        "theta-behind", "theta-wrong-side", "balance-nonpositive", "contact-L0",
+        "start-precedes", "sonic-start", "empty-wave",
+    ],
+)
+def test_march_failures_keep_their_messages(edit, message, reason):
+    doc = json.loads((CONFIGS / "two_sector.json").read_text())
+    edit(doc["pieces"])
+    cfg = parse_config(json.dumps(doc))
+    assert _failures(cfg.gas, cfg.description) == [
+        message,
+        NO_SIGN_CHANGE % ("; undefined at 65 of 65 scan points: 65x " + reason),
+    ]
+
+
+def test_march_error_reason_leaves_out_the_measured_values(gas14):
+    desc = two_sector_description()
+    events = list(desc.events)
+    events[3] = ShockEvent(orientation=Orientation.FORWARD, z=2.0)
+    with pytest.raises(flowfield.MarchError) as info:
+        flowfield._march(gas14, flowfield._with_param(desc._replace(events=tuple(events)), 0.5))
+    assert str(info.value) == "piece 5: balance shock would need nonpositive strength -0.459873"
+    assert info.value.reason == "piece 5: balance shock would need nonpositive strength"
+
+
+@pytest.mark.parametrize(
+    "event_index, event, shooting, message",
+    [
+        # the bracket of a shot strength reaches zero
+        (3, ShockEvent(orientation=Orientation.FORWARD, z=-1.0), Shooting(3, "z", (-1.0, 0.0)),
+         "piece 3: declared shock strength must be positive"),
+        (4, PMEvent(orientation=Orientation.FORWARD, theta_end=7.0), None,
+         "piece 4: wave end passes the closure seam"),
+        (2, "bogus", None, "piece 2: unknown event type 'bogus'"),
+    ],
+    ids=["z-nonpositive", "wave-past-seam", "unknown-event"],
+)
+def test_library_march_failures_keep_their_messages(gas14, event_index, event, shooting, message):
+    desc = two_sector_description()
+    events = list(desc.events)
+    events[event_index] = event
+    desc = desc._replace(events=tuple(events), shooting=shooting or desc.shooting)
+    assert _failures(gas14, desc) == [
+        message,
+        NO_SIGN_CHANGE % ("; undefined at 65 of 65 scan points: 65x " + message),
+    ]
 
 
 # -------------------------------------------------------- two-sector flow

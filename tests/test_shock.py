@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas
 from sectorflow.polar import PolarState, to_polar
 from sectorflow.shock import (
+    DetachedShockError,
     DiscontinuityKind,
     Orientation,
     brentq,
@@ -402,6 +403,16 @@ def test_solve_shock_angle_detached(gas):
         solve_shock_angle(2.0, top + 1e-3, "weak", gas)
 
 
+def test_only_the_detached_regime_raises_detached_shock_error(gas):
+    top = max_deflection(2.0, gas)
+    with pytest.raises(DetachedShockError):
+        solve_shock_angle(2.0, top + 1e-3, "strong", gas)
+    for mach, alpha, branch in ((0.5, 0.1, "weak"), (2.0, -0.1, "weak"), (2.0, 0.1, "both")):
+        with pytest.raises(ValueError) as info:
+            solve_shock_angle(mach, alpha, branch, gas)
+        assert not isinstance(info.value, DetachedShockError)
+
+
 def test_solve_shock_angle_zero_deflection(gas):
     assert solve_shock_angle(2.0, 0.0, "weak", gas) == pytest.approx(math.asin(0.5))
     assert solve_shock_angle(2.0, 0.0, "strong", gas) == pytest.approx(math.pi / 2.0)
@@ -411,9 +422,9 @@ def test_solve_shock_angle_zero_deflection(gas):
 
 
 def test_brentq_converges_to_xtol():
-    r = brentq(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    r = brentq(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-14)
     assert abs(r - 0.7390851332151607) <= 1e-14 + 8.9e-16 * r
-    r = brentq(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, xtol=1e-12, rtol=8.9e-16)
+    r = brentq(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, xtol=1e-12)
     assert abs(r - 2.0945514815423265) <= 1e-12 + 8.9e-16 * r
 
 
@@ -424,20 +435,20 @@ def test_brentq_returns_exact_endpoint_zero():
         calls.append(x)
         return x - 0.25
 
-    assert brentq(f, 0.25, 3.0, xtol=1e-12, rtol=8.9e-16) == 0.25
-    assert brentq(f, -1.0, 0.25, xtol=1e-12, rtol=8.9e-16) == 0.25
+    assert brentq(f, 0.25, 3.0, xtol=1e-12) == 0.25
+    assert brentq(f, -1.0, 0.25, xtol=1e-12) == 0.25
     assert len(calls) == 4
 
 
 def test_brentq_needs_a_sign_change():
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
 
 
 def test_brentq_gives_up_after_maxiter():
     with pytest.raises(RuntimeError):
         brentq(lambda x: math.tanh(50.0 * (x - 0.123)), -3.0, 4.0,
-               xtol=1e-14, rtol=8.9e-16, maxiter=1)
+               xtol=1e-14, maxiter=1)
 
 
 def test_lax_neighborhood_bound_positive(gas, gas_heavy):
