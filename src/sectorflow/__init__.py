@@ -49,7 +49,6 @@ _EXPORTS = {
         "PMEvent",
         "Shooting",
         "FlowDescription",
-        "SectorDirection",
         "Sector",
         "SBVDecomposition",
         "build_flow",

@@ -295,6 +295,8 @@ def _parse_output(doc, path):
                 _join(path, "formats"),
                 "unknown format %r (known: %s)" % (f, ", ".join(KNOWN_FORMATS)),
             )
+        if formats.count(f) > 1:
+            raise ConfigError(_join(path, "formats"), "duplicate format %r" % f)
     return samples, tuple(formats)
 
 
@@ -600,7 +602,7 @@ def _cmd_build(ns):
                 _write_atomic(path, _render(flow, fmt, cfg.samples))
                 written.append(path)
         except ConfigError:
-            for path in set(written):
+            for path in written:
                 os.remove(path)
             raise
         lines += ["wrote %s" % path for path in written]

@@ -23,7 +23,6 @@ seam state alone. The built flow is immutable; evaluation is
 right-continuous.
 """
 
-import enum
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property
@@ -60,7 +59,6 @@ __all__ = [
     "PMEvent",
     "Shooting",
     "FlowDescription",
-    "SectorDirection",
     "Sector",
     "SBVDecomposition",
     "build_flow",
@@ -77,7 +75,8 @@ __all__ = [
 _ANGLE_MARGIN = 1e-12
 _SONIC_START_TOL = 1e-9  # a wave starts at the march's angle if |N -+ c| <= this * c
 _TRIVIAL_CONTACT = 1e-9  # largest relative jump in rho and in L of a trivial contact
-_SHOCK_MATCH_TOL = 1e-8  # largest relative gap of a shock's marching side to the march
+# largest relative gap to the march of a shock's marching side and of a wave's sonic start
+_START_MATCH_TOL = 1e-8
 _MATCH_TOL = 1e-9  # largest relative gap of the state marched around to the anchor
 # The closure scan takes a wave's end state from the closed form only when
 # the RK4 march it stands for steps at most _EXACT_MAX_STEP rad. The two seam
@@ -136,13 +135,6 @@ class PMPiece(namedtuple("PMPiece", "wave")):
         return self.wave.theta_end
 
 
-def _left_state(piece, theta):
-    """State of an interval piece at an angle, approaching from inside."""
-    if isinstance(piece, ConstantPiece):
-        return piece.state
-    return pm_wave_state(piece.wave, theta)
-
-
 class FlowField(namedtuple("FlowField", "gas anchor_theta pieces")):
     """Immutable piecewise flow covering one full turn from the anchor.
 
@@ -186,7 +178,9 @@ def evaluate(flow, theta):
     """Primitive state at an angle, right-continuous at every jump."""
     t = flow.local_angle(theta)
     piece = flow.interval_pieces[max(bisect_right(flow._starts, t) - 1, 0)]
-    return _left_state(piece, min(t, piece.theta_end))
+    if isinstance(piece, ConstantPiece):
+        return piece.state
+    return pm_wave_state(piece.wave, min(t, piece.theta_end))
 
 
 def evaluate_many(flow, thetas):
@@ -322,9 +316,10 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
 
     Returns (pieces, final): the flow's pieces, built only with keep (the
     closing march), else None, and the seam state. Every march makes the
-    same checks on the same floats. march_wave(state, a, b, orientation,
-    gas, steps) gives a wave (None to leave it out) and its end state.
-    Phase checks: the anchor's is build_flow's, a shock's sides
+    same checks on the same floats, each where its piece is laid, so the
+    pieces tile the circle and meet end to end. march_wave(state, a, b,
+    orientation, gas, steps) gives a wave (None to leave it out) and its end
+    state. Phase checks: the anchor's is build_flow's, a shock's sides
     shock_sides', a wave's end the wave march's, so a wave's start needs
     none; only a contact's far side is checked here. A ValueError while an
     event is resolved leaves as a MarchError that names the event's piece.
@@ -401,7 +396,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                         theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
                     )
                     left, right = (behind, front) if back else (front, behind)
-                if relative_gap(left, state) > _SHOCK_MATCH_TOL:
+                if relative_gap(left, state) > _START_MATCH_TOL:
                     raise ValueError("shock does not match the marching state")
 
                 hold(theta_s)
@@ -436,6 +431,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
             elif isinstance(ev, PMEvent):
                 sign = ev.orientation.sign
                 c_cur = sqrt(g * p / rho)
+                solved = False
                 if ev.theta_start is not None:
                     a = ev.theta_start
                     if a < cur_start - _ANGLE_MARGIN:
@@ -446,10 +442,18 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                         a = cur_start
                     else:
                         a = _next_angle_with_normal(u, v, sign * c_cur, cur_start)
+                        solved = True
                 if not ev.theta_end > a:
                     raise ValueError("wave needs a nonempty interval")
                 if ev.theta_end >= horizon - _ANGLE_MARGIN:
                     raise ValueError("wave end passes the closure seam")
+                # the wave starts on the march's rho, p and L with N = +-c;
+                # a start solved for N = +-c is sonic by construction
+                if not solved:
+                    _, L_a = to_polar(u, v, a)
+                    sonic = (rho, *from_polar(sign * c_cur, L_a, a), p)
+                    if relative_gap(sonic, state) > _START_MATCH_TOL:
+                        raise ValueError("starting state is not sonic for this orientation")
                 wave, end = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
                 if a > cur_start + _ANGLE_MARGIN:
                     hold(a)
@@ -598,59 +602,21 @@ def _closed_flow(gas, desc, note):
         raise ClosureError(
             "flow does not close up around the circle (residual %.3e%s)" % (gap, note)
         )
-    flow = FlowField(gas=gas, anchor_theta=desc.anchor_theta, pieces=tuple(pieces))
-    _validate_flow(flow)
-    return flow
-
-
-def _validate_flow(flow):
-    """Tiling, endpoint matching and periodicity of a finished flow."""
-    intervals = flow.interval_pieces
-    if not intervals:
-        raise ValueError("flow has no interval pieces")
-    t = flow.anchor_theta
-    for p in intervals:
-        if abs(p.theta_start - t) > 1e-12:
-            raise ValueError("pieces do not tile the circle")
-        t = p.theta_end
-    if abs(t - (flow.anchor_theta + TWO_PI)) > 1e-12:
-        raise ValueError("pieces do not tile the circle")
-
-    jump_angles = {p.theta for p in flow.jump_points}
-    for a, b in zip(intervals, intervals[1:]):
-        boundary = a.theta_end
-        la = _left_state(a, boundary)
-        rb = _left_state(b, boundary)
-        if boundary in jump_angles:
-            continue
-        if relative_gap(la, rb) > 1e-8:
-            raise ValueError(
-                "adjacent pieces disagree at their shared angle %.12g" % boundary
-            )
-
-    first = intervals[0]
-    last = intervals[-1]
-    start_state = _left_state(first, first.theta_start)
-    end_state = _left_state(last, last.theta_end)
-    seam_jump = any(
-        abs(p.theta - flow.anchor_theta) < 1e-11
-        or abs(p.theta - (flow.anchor_theta + TWO_PI)) < 1e-11
-        for p in flow.jump_points
-    )
-    if not seam_jump and relative_gap(start_state, end_state) > _MATCH_TOL:
+    # a wave laid at the anchor's angle starts on its own sonic first node
+    first = pieces[0]
+    if isinstance(first, PMPiece) and relative_gap(first.wave.node_state(0), final) > _MATCH_TOL:
         raise ValueError("flow is not periodic at the seam")
+    return FlowField(gas=gas, anchor_theta=desc.anchor_theta, pieces=tuple(pieces))
 
 
 # --------------------------------------------------------------- sectors
 
 
-class SectorDirection(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
 class Sector(namedtuple("Sector", "theta_start theta_end direction theta_bar")):
-    """Interval between consecutive contacts, with its tangential turn."""
+    """Interval between consecutive contacts, with its tangential turn.
+
+    direction is the Orientation whose sign N has inside the sector.
+    """
 
     __slots__ = ()
 
@@ -705,11 +671,11 @@ def sector_decompose(flow):
         sign = 1.0 if N[0] > 0.0 else -1.0
         if np.any(N * sign < 0.0):
             raise ValueError("sector with sign-inconsistent N")
-        direction = SectorDirection.FORWARD if sign > 0 else SectorDirection.BACKWARD
+        direction = Orientation.FORWARD if sign > 0 else Orientation.BACKWARD
 
         L_in = _L_at(flow, a + eps)
         L_out = _L_at(flow, b - eps)
-        if direction is SectorDirection.FORWARD:
+        if direction is Orientation.FORWARD:
             if not (L_in > 0.0 > L_out):
                 raise ValueError("forward sector tangential signs are wrong")
         else:

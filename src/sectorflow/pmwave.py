@@ -83,17 +83,13 @@ def pm_rhs(state, orient, gas):
 
 
 class PMWave(
-    namedtuple(
-        "PMWave",
-        "orientation theta_start theta_end thetas rhos Ls drhos dLs s_ref gamma kind",
-        defaults=(None,),
-    )
+    namedtuple("PMWave", "orientation theta_start theta_end thetas rhos Ls drhos dLs s_ref gamma")
 ):
     """A sampled sonic wave on [theta_start, theta_end].
 
     thetas/rhos/Ls hold the RK4 samples, drhos/dLs the rhs values there
     (for Hermite evaluation). s_ref is the isentrope constant p / rho^gamma,
-    identical at all samples. kind is a WaveKind or None.
+    identical at all samples.
     """
 
     __slots__ = ()

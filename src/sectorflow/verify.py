@@ -36,7 +36,6 @@ from .flowfield import (
     ConstantPiece,
     ContactPoint,
     PMPiece,
-    SectorDirection,
     _conserved_jump,
     _flow_angle_of,
     evaluate,  # noqa: F401 -- bench/workloads.py counts calls made through verify.evaluate
@@ -294,7 +293,7 @@ def validate_structure(flow):
 
     # split each sector at theta_bar into its L>0 and L<0 parts
     def region(sec, positive):
-        if sec.direction is SectorDirection.FORWARD:
+        if sec.direction is Orientation.FORWARD:
             return (sec.theta_start, sec.theta_bar) if positive else (
                 sec.theta_bar, sec.theta_end
             )
@@ -354,7 +353,7 @@ def validate_structure(flow):
                 except ValueError:
                     kind = None
                 if kind is WaveKind.EXPANSION:
-                    if sec.direction is SectorDirection.FORWARD:
+                    if sec.direction is Orientation.FORWARD:
                         edge = abs(p.theta_end + shift - sec.theta_bar) <= _STRUCTURE_TOL
                     else:
                         edge = abs(p.theta_start + shift - sec.theta_bar) <= _STRUCTURE_TOL

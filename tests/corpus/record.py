@@ -45,6 +45,10 @@ ARGVS = [argv for name in SHIPPED for argv in flow_argvs(name)] + [
     ["verify", "configs/bad_json.json"],
     ["build", "configs/missing.json"],
     ["export", "configs/two_sector.json", "--format", "csv", "--samples", "1"],
+    ["build", "configs/off_sonic_start.json"],
+    ["verify", "configs/off_sonic_start.json"],
+    ["build", "configs/duplicate_format.json", "--out", "out"],
+    ["verify", "configs/duplicate_format.json"],
     # solvers
     ["pm-trace", "--gamma", "1.4", "--mach", "2.0"],
     ["pm-trace", "--gamma", "1.4", "--mach", "2.0", "--out", "trace.csv"],

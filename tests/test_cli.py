@@ -335,6 +335,7 @@ def test_nonfinite_config_numbers_exit_three(tmp_path, capsys, path, value, key)
         (("output", "formats"), "csv", "output.formats: expected a list"),
         (("output", "formats"), ["png"],
          "output.formats: unknown format 'png' (known: csv, json, svg)"),
+        (("output", "formats"), ["csv", "csv", "svg"], "output.formats: duplicate format 'csv'"),
     ],
 )
 def test_config_errors_name_the_key(tmp_path, capsys, path, value, line):
@@ -349,6 +350,8 @@ def test_config_errors_name_the_key(tmp_path, capsys, path, value, line):
     [
         (["--rho", "0"], "pm-trace: nonpositive density"),
         (["--span", "-1"], "--span: must be positive"),
+        (["--mach", "1"], "--mach: must exceed 1 (the wave edge is sonic)"),
+        (["--gamma", "1"], "--gamma: must exceed 1"),
     ],
 )
 def test_pm_trace_flag_errors_name_the_flag(capsys, flags, line):

@@ -5,7 +5,7 @@ stdout, of stderr and of every file the command writes, together with the
 numpy version, Python version and machine it was recorded with
 (tests/corpus/record.py writes it; no test runs that script). Each argv
 runs here in process through main(argv), in a fresh directory holding the
-shipped configs and three broken ones under configs/. Every CSV, JSON and
+shipped configs and five broken ones under configs/. Every CSV, JSON and
 SVG artifact of a run that exits 0 then goes through bench/checks.py, which
 re-derives the physics without importing sectorflow.
 """
@@ -25,6 +25,7 @@ import pytest
 
 from sectorflow.cli import main, parse_config
 from sectorflow.flowfield import build_flow, evaluate
+from test_flowfield import OFF_SONIC_START
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / "corpus" / "corpus.json"
@@ -32,7 +33,7 @@ SHIPPED = ("two_sector", "three_sector_g112", "three_sector_g14", "uniform")
 
 
 def corpus_inputs():
-    """Config name -> text: the shipped configs plus three broken ones."""
+    """Config name -> text: the shipped configs plus five broken ones."""
     texts = {
         name: (ROOT / "configs" / (name + ".json")).read_text(encoding="utf-8")
         for name in SHIPPED
@@ -44,6 +45,12 @@ def corpus_inputs():
     unknown["colour"] = "red"
     texts["unknown_key"] = json.dumps(unknown, indent=2)
     texts["bad_json"] = '{"gas": '
+    off_sonic = json.loads(texts["two_sector"])
+    off_sonic["pieces"][0]["theta_start"] = OFF_SONIC_START
+    texts["off_sonic_start"] = json.dumps(off_sonic, indent=2)
+    duplicate = json.loads(texts["uniform"])
+    duplicate["output"]["formats"] = ["csv", "csv", "svg"]
+    texts["duplicate_format"] = json.dumps(duplicate, indent=2)
     return texts
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sectorflow import flowfield, gas as gas_module
+from sectorflow import flowfield, gas as gas_module, verify
 from sectorflow.cli import (
     analyze_to_document,
     export_csv,
@@ -24,7 +24,7 @@ from sectorflow.gas import (
 )
 from sectorflow.polar import TWO_PI, PolarState, from_polar, to_polar, wrap_signed
 from sectorflow.pmwave import fan_end, integrate_pm
-from sectorflow.shock import Orientation, ShockSolution
+from sectorflow.shock import Orientation, ShockSolution, lax_neighborhood_bound
 from sectorflow.flowfield import (
     ClosureError,
     ConstantPiece,
@@ -34,7 +34,6 @@ from sectorflow.flowfield import (
     FlowField,
     PMEvent,
     PMPiece,
-    SectorDirection,
     ShockEvent,
     Shooting,
     build_flow,
@@ -63,6 +62,10 @@ TWO_SECTOR_SHOCKS = (
 )
 TWO_SECTOR_CONTACTS = (2.752780885458, 6.0)
 TWO_SECTOR_WAVE_B = (0.389061149854, 0.505661201964)
+# the backward wave's start, where the anchor state has N = -c exactly
+TWO_SECTOR_SONIC_START = 0.3890611498540748
+# that start moved by 1e-7 c / |L|: off sonic by a relative 1e-7 in N
+OFF_SONIC_START = 0.38906122944579313
 TWO_SECTOR_WAVE_F = (4.849357381270, 5.052640204563)
 TWO_SECTOR_BARS = {"forward": 4.2718039649, "backward": 7.6274664191}
 TWO_SECTOR_TV_JUMP = 5.189935890709
@@ -172,8 +175,8 @@ def test_uniform_flow_builds_and_decomposes(gas14):
     assert angles[0] == pytest.approx(1.1, abs=1e-12)
     assert angles[1] == pytest.approx(1.1 + math.pi, abs=1e-12)
     assert {s.direction for s in secs} == {
-        SectorDirection.FORWARD,
-        SectorDirection.BACKWARD,
+        Orientation.FORWARD,
+        Orientation.BACKWARD,
     }
     assert_L_vanishes_at_theta_bar(flow, secs)
     assert validate_structure(flow).ok
@@ -377,12 +380,15 @@ def test_shipped_shooting_roots_are_pinned(name):
         ("two_sector", 64),
         ("three_sector_g112", None),
         ("three_sector_g14", None),
+        ("off_sonic_start", None),
     ],
 )
 def test_march_keeping_pieces_ends_where_one_keeping_none_does(name, steps):
     """At every scan point, with either wave march: the same final bits or the same error."""
     if name == "two_sector":
         cfg = _scaled_two_sector(steps)
+    elif name == "off_sonic_start":
+        cfg = _edited_two_sector(_put(0, theta_start=OFF_SONIC_START))
     else:
         cfg = parse_config((CONFIGS / (name + ".json")).read_text())
     desc = cfg.description
@@ -628,6 +634,15 @@ def _insert(i, piece):
     return lambda pieces: pieces.insert(i, piece)
 
 
+def _edited_two_sector(edit, anchor_theta=None):
+    """The shipped two_sector config with edit applied to its pieces list."""
+    doc = json.loads((CONFIGS / "two_sector.json").read_text())
+    edit(doc["pieces"])
+    if anchor_theta is not None:
+        doc["anchor"]["theta"] = anchor_theta
+    return parse_config(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "edit, message, reason",
     [
@@ -668,20 +683,54 @@ def _insert(i, piece):
             "piece 5: wave needs a nonempty interval",
             "piece 5: wave needs a nonempty interval",
         ),
+        # a declared start a relative 1e-7 off sonic, inside pmwave's own
+        # 1e-6 but past the march's 1e-8
+        (
+            _put(0, theta_start=OFF_SONIC_START),
+            "piece 0: starting state is not sonic for this orientation",
+            "piece 0: starting state is not sonic for this orientation",
+        ),
     ],
     ids=[
         "theta-behind", "theta-wrong-side", "balance-nonpositive", "contact-L0",
-        "start-precedes", "sonic-start", "empty-wave",
+        "start-precedes", "sonic-start", "empty-wave", "off-sonic-start",
     ],
 )
 def test_march_failures_keep_their_messages(edit, message, reason):
-    doc = json.loads((CONFIGS / "two_sector.json").read_text())
-    edit(doc["pieces"])
-    cfg = parse_config(json.dumps(doc))
+    cfg = _edited_two_sector(edit)
     assert _failures(cfg.gas, cfg.description) == [
         message,
         NO_SIGN_CHANGE % ("; undefined at 65 of 65 scan points: 65x " + reason),
     ]
+
+
+def test_declared_start_is_checked_in_the_march_that_builds_pieces():
+    # the shooting root as the declared end: no scan, only the closing march
+    cfg = _edited_two_sector(_put(0, theta_start=OFF_SONIC_START, theta_end=0.5056612019615194))
+    with pytest.raises(flowfield.MarchError) as info:
+        build_flow(cfg.gas, cfg.description._replace(shooting=None))
+    assert str(info.value) == "piece 0: starting state is not sonic for this orientation"
+    # at the sonic angle itself the declared start builds the shipped flow
+    cfg = _edited_two_sector(_put(0, theta_start=TWO_SECTOR_SONIC_START))
+    flow = build_flow(cfg.gas, cfg.description)
+    assert flow.interval_pieces[1].theta_start == TWO_SECTOR_SONIC_START
+
+
+def test_a_wave_laid_at_the_anchor_angle_meets_the_seam_on_its_first_node():
+    # anchored on the backward wave's sonic angle, the flow starts with the wave
+    cfg = _edited_two_sector(lambda pieces: None, anchor_theta=TWO_SECTOR_SONIC_START)
+    flow = build_flow(cfg.gas, cfg.description)
+    assert isinstance(flow.pieces[0], PMPiece)
+    assert flow.pieces[0].theta_start == TWO_SECTOR_SONIC_START
+    # 2.5e-9 rad past it, with the start declared there: the wave's sonic
+    # first node is a relative 3.4e-9 from the state marched around, inside
+    # the march's 1e-8 but not the seam's 1e-9
+    theta = TWO_SECTOR_SONIC_START + 2.5e-9
+    cfg = _edited_two_sector(_put(0, theta_start=theta), anchor_theta=theta)
+    with pytest.raises(ValueError) as info:
+        build_flow(cfg.gas, cfg.description)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "flow is not periodic at the seam"
 
 
 def test_march_error_reason_leaves_out_the_measured_values(gas14):
@@ -1045,12 +1094,15 @@ def _with_pieces(flow, pieces):
     return FlowField(gas=flow.gas, anchor_theta=flow.anchor_theta, pieces=tuple(pieces))
 
 
-def four_contacts_mutant(flow):
+def _with_contacts(flow, thetas):
+    """flow with trivial contacts (its state at 0 on both sides) at the given angles."""
     state = evaluate(flow, 0.0)
-    fakes = tuple(
-        ContactPoint(theta=t, left=state, right=state) for t in (0.3, 1.7, 3.1, 4.5)
-    )
+    fakes = tuple(ContactPoint(theta=t, left=state, right=state) for t in thetas)
     return _with_pieces(flow, flow.pieces + fakes)
+
+
+def four_contacts_mutant(flow):
+    return _with_contacts(flow, (0.3, 1.7, 3.1, 4.5))
 
 
 def _splice_backward_wave(flow, gas, L_seed):
@@ -1136,3 +1188,170 @@ def test_swapped_shock_fails_admissibility(two_sector):
     passed, detail = rep.named("shock admissibility")
     assert not passed
     assert "fails" in detail
+
+
+# ------------------------------------------------------ structure branches
+#
+# Hand-built flows for the branches of sector_decompose and
+# validate_structure that no built flow reaches. The inflow region's shape
+# is reported as pass or fail only, so each admitted shape is pinned by
+# passing and the rejected one by its detail.
+
+
+def _shock_index(flow, orientation):
+    return _piece_index(
+        flow, lambda p: isinstance(p, ShockSolution) and p.orientation is orientation
+    )
+
+
+def _waves_for_shock(flow, gas, orientation, ends, dL=0.0):
+    """flow with its first shock of this orientation replaced by waves of it.
+
+    The constant ahead of the shock runs on to its next N = +-c angle;
+    from there each wave follows the last up to the next of ends (None:
+    the L zero), with its stored L lowered by dL, and the last end state
+    holds until the constant behind the shock ends.
+    """
+    k = _shock_index(flow, orientation)
+    const, after = flow.pieces[k - 1], flow.pieces[k + 1]
+    s = const.state
+    N = orientation.sign * s.sound_speed(gas)
+    a = flowfield._next_angle_with_normal(s.u, s.v, N, const.theta_start)
+    start = PrimitiveState(s.rho, *from_polar(N, to_polar(s.u, s.v, a)[1], a), s.p)
+    pieces = [ConstantPiece(const.theta_start, a, s)]
+    for end in ends:
+        wave = integrate_pm(
+            start, a, end or after.theta_end, orientation, gas, stop_at_L_zero=end is None
+        )
+        pieces.append(PMPiece(wave._replace(Ls=tuple(L - dL for L in wave.Ls))))
+        start, a = wave.end_state(), wave.theta_end
+    pieces.append(ConstantPiece(a, after.theta_end, start))
+    return _with_pieces(flow, flow.pieces[: k - 1] + tuple(pieces) + flow.pieces[k + 2 :])
+
+
+FIVE_CASE_FAILURE = (False, "inflow region fails the five-case classification")
+
+
+# The forward sector's shock gives way to expansions from 4.0209 on, where
+# the constant ahead has N = +c; their L falls to zero at the turn, 4.3315.
+# The backward sector's gives way to one from 2.18 on, before its contact.
+@pytest.mark.parametrize(
+    "orientation, ends, dL, shape",
+    [
+        (Orientation.FORWARD, (None,), 0.0, (True, "")),
+        (Orientation.FORWARD, (4.2,), 0.0, (True, "")),
+        (Orientation.BACKWARD, (2.5,), 0.0, (True, "")),
+        (Orientation.FORWARD, (4.2, None), 0.0, FIVE_CASE_FAILURE),
+        # L lowered past zero before the wave ends: no wave kind at all
+        (Orientation.FORWARD, (None,), 0.1, FIVE_CASE_FAILURE),
+    ],
+    ids=[
+        "expansion-to-the-turn", "one-expansion", "one-backward-expansion",
+        "two-expansions", "wave-straddling-the-turn",
+    ],
+)
+def test_inflow_region_shapes_with_waves(two_sector, gas14, orientation, ends, dL, shape):
+    mutant = _waves_for_shock(two_sector, gas14, orientation, ends, dL)
+    assert validate_structure(mutant).named("inflow region shape") == shape
+
+
+def test_normal_shock_at_the_turn_is_an_admitted_inflow_shape(two_sector):
+    # the backward shock laid by the march 1e-7 past the backward sector's
+    # turn, where the constant ahead of it has |L| about 2e-7
+    k = _shock_index(two_sector, Orientation.BACKWARD)
+    const, after = two_sector.pieces[k - 1], two_sector.pieces[k + 1]
+    backward = next(
+        sec for sec in sector_decompose(two_sector) if sec.direction is Orientation.BACKWARD
+    )
+    theta = backward.theta_bar - TWO_PI + 1e-7
+    event = ShockEvent(orientation=Orientation.BACKWARD, theta=theta)
+    laid, _ = flowfield._march(
+        two_sector.gas, FlowDescription(const.theta_start, const.state, (event,)), keep=True
+    )
+    sol = laid[1]
+    assert abs(sol.upstream.L) <= 1e-6
+    pieces = (
+        ConstantPiece(const.theta_start, theta, const.state),
+        sol,
+        ConstantPiece(theta, after.theta_end, sol.right),
+    )
+    mutant = _with_pieces(
+        two_sector, two_sector.pieces[: k - 1] + pieces + two_sector.pieces[k + 2 :]
+    )
+    assert validate_structure(mutant).named("inflow region shape") == (True, "")
+
+
+def test_narrow_constant_beside_a_shock_fails_its_neighborhood(two_sector):
+    # the constant ahead of the forward shock split half its need before it
+    k = _shock_index(two_sector, Orientation.FORWARD)
+    const, sp = two_sector.pieces[k - 1], two_sector.pieces[k]
+    need = lax_neighborhood_bound(two_sector.gas) * verify._jump_norm(two_sector, sp)
+    split = sp.theta - need / 2
+    pieces = list(two_sector.pieces)
+    pieces[k - 1 : k] = [
+        ConstantPiece(const.theta_start, split, const.state),
+        ConstantPiece(split, sp.theta, const.state),
+    ]
+    rep = validate_structure(_with_pieces(two_sector, pieces))
+    assert rep.named("shock neighborhoods") == (False, (sp.theta - split) - need)
+
+
+def test_opposite_shocks_closer_than_the_floor_fail_their_separation(two_sector):
+    # the backward shock moved onto the forward one
+    k = _shock_index(two_sector, Orientation.BACKWARD)
+    forward = two_sector.pieces[_shock_index(two_sector, Orientation.FORWARD)]
+    pieces = list(two_sector.pieces)
+    pieces[k] = pieces[k]._replace(theta=forward.theta)
+    rep = validate_structure(_with_pieces(two_sector, pieces))
+    assert rep.named("opposite shock separation") == (
+        False,
+        -shock_separation_floor(two_sector.gas),
+    )
+
+
+def _constants(gas, state, *cuts):
+    """A flow of one state, stored as one constant piece per cut interval."""
+    ends = (0.0,) + cuts + (TWO_PI,)
+    pieces = tuple(ConstantPiece(a, b, state) for a, b in zip(ends, ends[1:]))
+    return FlowField(gas=gas, anchor_theta=0.0, pieces=pieces)
+
+
+@pytest.mark.parametrize(
+    "mutant, message",
+    [
+        (
+            lambda gas: _constants(gas, evaluate(uniform_flow(gas), 0.0), 1.0),
+            "flow without contacts must be a single constant",
+        ),
+        # gas at rest, which no build reaches: the anchor check calls it a
+        # stagnation point
+        (
+            lambda gas: _constants(gas, PrimitiveState(rho=1.0, u=0.0, v=0.0, p=1.0)),
+            "sector with vanishing N throughout",
+        ),
+        # the flow angle is 1.1: N changes sign at 1.1 + pi
+        (
+            lambda gas: _with_contacts(uniform_flow(gas), (1.6, 1.6 + math.pi)),
+            "sector with sign-inconsistent N",
+        ),
+        # N > 0 throughout, but L < 0 already at the entry
+        (
+            lambda gas: _with_contacts(
+                uniform_flow(gas), (1.2 + math.pi / 2, 1.0 + math.pi)
+            ),
+            "forward sector tangential signs are wrong",
+        ),
+        # flow angle -2: N < 0 throughout, but L > 0 already at the entry
+        (
+            lambda gas: _with_contacts(
+                uniform_flow(gas, phi=-2.0), (-1.9 + 1.5 * math.pi, -2.1 + 2.0 * math.pi)
+            ),
+            "backward sector tangential signs are wrong",
+        ),
+    ],
+    ids=["no-contacts", "at-rest", "N-changes-sign", "forward-L-signs", "backward-L-signs"],
+)
+def test_sector_decompose_rejects_what_it_cannot_split(gas14, mutant, message):
+    with pytest.raises(ValueError) as info:
+        sector_decompose(mutant(gas14))
+    assert str(info.value) == message

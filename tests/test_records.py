@@ -37,7 +37,6 @@ WAVE = pmwave.PMWave(
     dLs=(-1.0, -1.0),
     s_ref=1.0,
     gamma=1.4,
-    kind=pmwave.WaveKind.EXPANSION,
 )
 DESCRIPTION = flowfield.FlowDescription(
     anchor_theta=0.0,
@@ -49,7 +48,7 @@ FLOW = flowfield.FlowField(
     gas=GAS, anchor_theta=0.0, pieces=(flowfield.ConstantPiece(0.0, TWO_PI, STATE),)
 )
 SECTOR = flowfield.Sector(
-    theta_start=0.5, theta_end=3.5, direction=flowfield.SectorDirection.FORWARD, theta_bar=2.0
+    theta_start=0.5, theta_end=3.5, direction=FORWARD, theta_bar=2.0
 )
 PIECE = flowfield.ConstantPiece(theta_start=0.0, theta_end=0.5, state=STATE)
 SHOCK_EVENT = flowfield.ShockEvent(
@@ -135,7 +134,7 @@ FIELDS = {
     ),
     "PMWave": (
         "orientation", "theta_start", "theta_end", "thetas", "rhos", "Ls", "drhos", "dLs",
-        "s_ref", "gamma", "kind",
+        "s_ref", "gamma",
     ),
     "StructureReport": ("checks", "sectors", "shock_reports"),
     "AuditReport": (
@@ -181,9 +180,8 @@ def test_record_contract(record):
         (flowfield.ShockEvent(FORWARD, theta=0.3), {"z": None, "balance": False, "L_sign": None}),
         (flowfield.PMEvent(FORWARD, 1.0), {"theta_start": None, "steps": None}),
         (flowfield.FlowDescription(0.0, STATE, ()), {"shooting": None}),
-        (pmwave.PMWave(*WAVE[:-1]), {"kind": None}),
     ],
-    ids=["Classification", "ShockEvent", "PMEvent", "FlowDescription", "PMWave"],
+    ids=["Classification", "ShockEvent", "PMEvent", "FlowDescription"],
 )
 def test_record_defaults(record, defaults):
     assert {f: getattr(record, f) for f in defaults} == defaults
