@@ -23,7 +23,7 @@ and identical with all normal velocities negated for a backward shock.
 import enum
 from collections import namedtuple
 from functools import cached_property
-from math import atan, cos, sin, sqrt, tan, asin, pi
+from math import acos, asin, atan, atan2, cos, pi, sin, sqrt, tan
 
 from .gas import physical_fluxes, relative_gap, require_in_phase_space
 from .polar import PolarState, from_polar, to_polar
@@ -353,6 +353,22 @@ def check_admissibility(sol, gas):
     return AdmissibilityReport(checks=checks)
 
 
+def _turning(m2, beta, gamma):
+    """Unclamped turning of a shock at angle beta and its slope d(turning)/d(beta).
+
+    turning = atan(num / den) with num = 2 (M^2 sin^2 beta - 1) cot beta and
+    den = M^2 (gamma + cos 2 beta) + 2; num' = 2 M^2 cos 2 beta + 2 / sin^2 beta
+    and den' = -2 M^2 sin 2 beta give the slope without squaring M^2.
+    """
+    s = sin(beta)
+    c2 = cos(2.0 * beta)
+    num = 2.0 * (m2 * s * s - 1.0) / tan(beta)
+    den = m2 * (gamma + c2) + 2.0
+    ratio = num / den
+    slope = 2.0 * (m2 * c2 + 1.0 / (s * s) + ratio * m2 * sin(2.0 * beta)) / den
+    return atan(ratio), slope / (1.0 + ratio * ratio)
+
+
 def deflection_angle(mach, shock_angle, gas):
     """Flow turning angle of an oblique shock at the given shock angle.
 
@@ -365,12 +381,7 @@ def deflection_angle(mach, shock_angle, gas):
     mach_angle = asin(1.0 / mach)
     if shock_angle < mach_angle - 1e-14 or shock_angle > 0.5 * pi + 1e-14:
         raise ValueError("shock angle outside [asin(1/M), pi/2]")
-    m2 = mach * mach
-    s = sin(shock_angle)
-    num = 2.0 * (m2 * s * s - 1.0) / tan(shock_angle)
-    den = m2 * (gas.gamma + cos(2.0 * shock_angle)) + 2.0
-    a = atan(num / den)
-    return max(a, 0.0)
+    return max(_turning(mach * mach, shock_angle, gas.gamma)[0], 0.0)
 
 
 def detachment_shock_angle(mach, gas):
@@ -403,9 +414,17 @@ def solve_shock_angle(mach, alpha, branch, gas):
 
     branch "weak" returns the smaller shock angle, "strong" the larger.
     A deflection beyond max_deflection(mach), the detached regime, raises
-    DetachedShockError. The closed-form detachment shock angle splits
-    [asin(1/M), pi/2] into the two monotone branches, and this module's
-    brentq finds the root on the requested one to xtol 1e-14.
+    DetachedShockError. With t = tan(alpha), r = 1/M^2 and x = tan(beta)
+    the relation is the cubic (NACA Report 1135, divided through by M^2)
+
+        t (g-1+2r) x^3 - 2 (1-r) x^2 + t (g+1+2r) x + 2r = 0.
+
+    The strong root comes from the trigonometric form as w = t (g-1+2r) x,
+    so beta = atan2(w, t (g-1+2r)) tends to pi/2 as t -> 0. The weak root is
+    the positive root of the quadratic left by deflating the strong one,
+    which cancels nothing. At most three Newton steps on the turning then
+    polish the angle; a step is kept only if it stays between the branch's
+    ends (asin(1/M), the detachment angle, pi/2) and lowers the miss.
     """
     if not mach > 1.0:
         raise ValueError("upstream Mach number must exceed 1")
@@ -422,20 +441,34 @@ def solve_shock_angle(mach, alpha, branch, gas):
     alpha_peak = deflection_angle(mach, peak, gas)
     if alpha > alpha_peak:
         raise DetachedShockError("detached shock regime: deflection exceeds the maximum")
-
-    def f(t):
-        return deflection_angle(mach, t, gas) - alpha
-
-    a, b = (lo, peak) if branch == "weak" else (peak, hi)
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        # alpha equals the peak value up to rounding
+    if alpha == alpha_peak:
         return peak
-    return brentq(f, a, b, xtol=1e-14)
+
+    g, m2 = gas.gamma, mach * mach
+    r, t = 1.0 / m2, tan(alpha)
+    a3, a1 = t * (g - 1.0 + 2.0 * r), t * (g + 1.0 + 2.0 * r)
+    b2 = 2.0 * (mach - 1.0) * r * (mach + 1.0)  # 2 (1 - r), exact near M = 1, finite for M^2 near overflow
+    d0 = b2 * b2 - 3.0 * a3 * a1
+    cos3 = (b2 * b2 * b2 - 4.5 * a3 * a1 * b2 - 27.0 * a3 * a3 * r) / (d0 * sqrt(d0))
+    w = (b2 + 2.0 * sqrt(d0) * cos(acos(min(max(cos3, -1.0), 1.0)) / 3.0)) / 3.0
+    if branch == "strong":
+        a, b, beta = peak, hi, atan2(w, a3)
+    else:
+        q = -2.0 * r / w
+        p = (a3 * q - a1) / w
+        a, b, beta = lo, peak, atan(0.5 * (sqrt(max(p * p - 4.0 * q, 0.0)) - p))
+    beta = min(max(beta, a), b)
+
+    turn, slope = _turning(m2, beta, g)
+    for _ in range(3):
+        trial = beta - (turn - alpha) / slope if slope else beta
+        if not a <= trial <= b:
+            break
+        t_turn, t_slope = _turning(m2, trial, g)
+        if not abs(t_turn - alpha) < abs(turn - alpha):
+            break
+        beta, turn, slope = trial, t_turn, t_slope
+    return beta
 
 
 def brentq(f, a, b, xtol, maxiter=100):

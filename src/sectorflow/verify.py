@@ -324,41 +324,26 @@ def validate_structure(flow):
                     seen_wave = True
     checks.append(("single compression per stretch", ok2, detail2))
 
-    # (3) the L>0 part realizes one of the five admitted shapes
+    # (3) the L>0 part realizes one of the five admitted shapes: constant,
+    # one shock (normal at the turn or not), one expansion (to the turn or not)
     ok3 = True
     detail3 = ""
     for sec in sectors:
         a, b = region(sec, positive=True)
         feats = [
-            (t, p, shift)
-            for t, p, shift in _pieces_in(flow, a, b)
+            (p, shift)
+            for _, p, shift in _pieces_in(flow, a, b)
             if isinstance(p, (ShockSolution, PMPiece))
         ]
-        label = None
-        if not feats:
-            label = "constant"
-        elif len(feats) == 1:
-            t, p, shift = feats[0]
-            if isinstance(p, ShockSolution):
-                if (
-                    abs(p.upstream.L) <= _STRUCTURE_TOL
-                    and abs(t - sec.theta_bar) <= _STRUCTURE_TOL
-                ):
-                    label = "normal shock at the turn"
-                else:
-                    label = "one shock"
-            else:
-                try:
-                    kind = classify_pm(p.wave, sec.theta_bar - shift, tol=_STRUCTURE_TOL)
-                except ValueError:
-                    kind = None
-                if kind is WaveKind.EXPANSION:
-                    if sec.direction is Orientation.FORWARD:
-                        edge = abs(p.theta_end + shift - sec.theta_bar) <= _STRUCTURE_TOL
-                    else:
-                        edge = abs(p.theta_start + shift - sec.theta_bar) <= _STRUCTURE_TOL
-                    label = "expansion to the turn" if edge else "one expansion"
-        if label is None:
+        admitted = len(feats) <= 1
+        if feats and admitted and isinstance(feats[0][0], PMPiece):
+            p, shift = feats[0]
+            try:
+                kind = classify_pm(p.wave, sec.theta_bar - shift, tol=_STRUCTURE_TOL)
+            except ValueError:
+                kind = None
+            admitted = kind is WaveKind.EXPANSION
+        if not admitted:
             ok3 = False
             detail3 = "inflow region fails the five-case classification"
     checks.append(("inflow region shape", ok3, detail3))

@@ -65,6 +65,9 @@ ARGVS = [argv for name in SHIPPED for argv in flow_argvs(name)] + [
     ["shock-solve", "--gamma", "1.4", "--mach", "inf", "--deflection", "10deg"],
     ["shock-solve", "--gamma", "1.4", "--mach", "2.0", "--deflection", "abc"],
     ["shock-solve", "--gamma", "1.4", "--mach", "2.0", "--deflection", "infdeg"],
+    ["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "1e-17", "--branch", "strong"],
+    ["shock-solve", "--gamma", "1.4", "--mach", "2", "--deflection", "1e-17", "--branch", "weak"],
+    ["shock-solve", "--gamma", "1.4", "--mach", "1e150", "--deflection", "0.5", "--branch", "strong"],
     ["max-turn", "--gamma", "1.4"],
     ["max-turn", "--gamma", "1.4", "--mach", "2.0"],
     ["max-turn", "--gamma", "1.4", "--mach", "1.0"],

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -416,6 +417,50 @@ def test_only_the_detached_regime_raises_detached_shock_error(gas):
 def test_solve_shock_angle_zero_deflection(gas):
     assert solve_shock_angle(2.0, 0.0, "weak", gas) == pytest.approx(math.asin(0.5))
     assert solve_shock_angle(2.0, 0.0, "strong", gas) == pytest.approx(math.pi / 2.0)
+
+
+@pytest.mark.parametrize("mach", [1.05, 2.0, 20.0])
+@pytest.mark.parametrize("alpha", [1e-300, 1e-17])
+def test_strong_branch_at_tiny_deflection_is_near_normal(gas, mach, alpha):
+    # deflection_angle(M, pi/2) is about 1e-16 in floats, so the strong
+    # branch must not collapse onto the detachment angle below that
+    strong = solve_shock_angle(mach, alpha, "strong", gas)
+    assert strong > detachment_shock_angle(mach, gas)
+    assert abs(deflection_angle(mach, strong, gas) - alpha) <= 2e-14
+
+
+SHARE_BANDS = {
+    "interior": (0.05, 0.95),
+    "near the fold": (0.95, 0.999999),
+    "at the fold": (0.999999, 1.0 - 1e-14),
+    "tiny": None,  # alpha log-uniform on [1e-300, 1e-6]
+}
+
+
+@pytest.mark.parametrize("band", SHARE_BANDS)
+def test_solve_shock_angle_misses_by_rounding_in_every_band(band):
+    rng = random.Random(1135)
+    bounds = PhaseBounds(rho_min=1e-6, rho_max=1e6, p_min=1e-6, p_max=1e6,
+                         speed_max=1e6, e_min=1e-12)
+    machs = [math.exp(rng.uniform(math.log(1.0001), math.log(1e6))) for _ in range(8000)]
+    for mach in machs + [1.0 + 1e-7, 1e150]:
+        g = make_gas(rng.uniform(1.02, 3.0), bounds)
+        top = max_deflection(mach, g)
+        if SHARE_BANDS[band] is None:
+            alpha = math.exp(rng.uniform(math.log(1e-300), math.log(1e-6)))
+        else:
+            alpha = rng.uniform(*SHARE_BANDS[band]) * top
+        alpha = min(alpha, top)  # near M = 1 the whole attached range is tiny
+        peak = detachment_shock_angle(mach, g)
+        weak = solve_shock_angle(mach, alpha, "weak", g)
+        strong = solve_shock_angle(mach, alpha, "strong", g)
+        for beta in (weak, strong):
+            assert abs(deflection_angle(mach, beta, g) - alpha) <= 2e-14, (mach, g.gamma, alpha)
+        assert weak <= peak <= strong
+        assert solve_shock_angle(mach, top, "weak", g) == peak
+        assert solve_shock_angle(mach, top, "strong", g) == peak
+        assert solve_shock_angle(mach, 0.0, "weak", g) == math.asin(1.0 / mach)
+        assert solve_shock_angle(mach, 0.0, "strong", g) == 0.5 * math.pi
 
 
 # ------------------------------------------------------------ root finder
