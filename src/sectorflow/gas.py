@@ -20,6 +20,7 @@ __all__ = [
     "primitive_to_conserved",
     "conserved_to_primitive",
     "physical_fluxes",
+    "normal_flux",
     "ray_fluxes",
     "inside_box",
     "in_phase_space",
@@ -169,20 +170,25 @@ def physical_fluxes(s, gas):
     return _euler_fluxes(s.rho, s.u, s.v, s.p, gas.gamma)
 
 
+def normal_flux(fx, fy, st, ct):
+    """G = sin(theta) f^x - cos(theta) f^y from the Euler fluxes, on floats or arrays."""
+    return [st * x - ct * y for x, y in zip(fx, fy)]
+
+
 def ray_fluxes(rho, u, v, p, theta, gamma):
     """Fluxes through (G) and along (H) the ray at theta, elementwise on arrays.
 
     Both come back as (5, n) arrays with rows mass, momentum x, momentum y,
-    energy and entropy: G = sin(theta) f^x - cos(theta) f^y and H =
-    cos(theta) f^x + sin(theta) f^y for the Euler rows, rho N s and rho L s
-    for the entropy surrogate s = p / rho^gamma (N, L as in polar.to_polar).
+    energy and entropy: normal_flux and H = cos(theta) f^x + sin(theta) f^y
+    for the Euler rows, rho N s and rho L s for the entropy surrogate
+    s = p / rho^gamma (N, L as in polar.to_polar).
     """
     import numpy as np
 
     st, ct = np.sin(theta), np.cos(theta)
     fx, fy = _euler_fluxes(rho, u, v, p, gamma)
     s = p / rho ** gamma
-    G = [st * x - ct * y for x, y in zip(fx, fy)] + [rho * (u * st - v * ct) * s]
+    G = normal_flux(fx, fy, st, ct) + [rho * (u * st - v * ct) * s]
     H = [ct * x + st * y for x, y in zip(fx, fy)] + [rho * (u * ct + v * st) * s]
     return np.array(G), np.array(H)
 

@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import acos, asin, atan, atan2, cos, pi, sin, sqrt, tan
 
-from .gas import physical_fluxes, relative_gap, require_in_phase_space
+from .gas import normal_flux, physical_fluxes, relative_gap, require_in_phase_space
 from .polar import PolarState, from_polar, to_polar
 
 __all__ = [
@@ -191,16 +191,18 @@ def shock_from_strength(upstream, z, orient, gas):
     )
 
 
-def rh_residual(left, right, theta, gas):
-    """Jump of the rotated flux, sin(theta) [f^x] - cos(theta) [f^y].
-
-    The jump is right state minus left state. All four components vanish
-    exactly when the jump conditions hold at theta.
-    """
-    fxl, fyl = physical_fluxes(left, gas)
-    fxr, fyr = physical_fluxes(right, gas)
+def _flux_jump(fluxes_left, fluxes_right, theta):
     st, ct = sin(theta), cos(theta)
-    return tuple(st * (fxr[i] - fxl[i]) - ct * (fyr[i] - fyl[i]) for i in range(4))
+    gl, gr = normal_flux(*fluxes_left, st, ct), normal_flux(*fluxes_right, st, ct)
+    return tuple(r - l for l, r in zip(gl, gr))
+
+
+def rh_residual(left, right, theta, gas):
+    """Jump of the normal flux gas.normal_flux, right state minus left state.
+
+    All four components vanish exactly when the jump conditions hold at theta.
+    """
+    return _flux_jump(physical_fluxes(left, gas), physical_fluxes(right, gas), theta)
 
 
 class DiscontinuityKind(enum.Enum):
@@ -217,47 +219,44 @@ Classification = namedtuple("Classification", "kind shock reason", defaults=(Non
 def classify_discontinuity(left, right, theta, gas):
     """Decide what kind of jump, if any, the two states form at theta.
 
-    States within relative distance 1e-9 are not a jump. A contact needs
-    both normal velocities at the zero threshold and equal pressures. A
-    shock needs all four jump conditions, a consistent N sign, and the
-    entropy condition; anything else is inadmissible with the first
-    violated condition named.
+    States within relative distance 1e-9 are not a jump. A normal velocity
+    counts as zero within 1e-9 max(|V|, c) of the left state. A contact
+    needs both at zero and pressures equal within 1e-12 max(1, p_left). A
+    shock needs all four jump conditions, one N sign on both sides and a
+    pressure rise through the gas path; anything else is inadmissible with
+    the first violated condition named. The shock's admissibility margins
+    are check_admissibility's, run by the caller on the returned shock.
     """
     if relative_gap(left, right) <= 1e-9:
         return Classification(DiscontinuityKind.NOT_A_JUMP)
 
-    n_zero = 1e-9 * gas.bounds.speed_max
+    n_zero = 1e-9 * max(left.speed, left.sound_speed(gas))
     Nl, Ll = to_polar(left.u, left.v, theta)
     Nr, Lr = to_polar(right.u, right.v, theta)
-    p_scale = max(left.p, right.p)
 
     if abs(Nl) <= n_zero and abs(Nr) <= n_zero:
-        if abs(left.p - right.p) <= 1e-9 * p_scale:
+        if abs(right.p - left.p) <= 1e-12 * max(1.0, left.p):
             return Classification(DiscontinuityKind.CONTACT)
         return Classification(
             DiscontinuityKind.INADMISSIBLE, reason="pressure jumps across a contact"
         )
 
-    res = rh_residual(left, right, theta, gas)
-    fxl, fyl = physical_fluxes(left, gas)
-    fxr, fyr = physical_fluxes(right, gas)
-    for i in range(4):
-        scale = max(abs(fxl[i]), abs(fxr[i]), abs(fyl[i]), abs(fyr[i]), 1.0)
+    fl, fr = physical_fluxes(left, gas), physical_fluxes(right, gas)
+    res = _flux_jump(fl, fr, theta)
+    for i, name in enumerate(("mass", "x-momentum", "y-momentum", "energy")):
+        scale = max(abs(fl[0][i]), abs(fr[0][i]), abs(fl[1][i]), abs(fr[1][i]), 1.0)
         if abs(res[i]) > 1e-8 * scale:
-            names = ("mass", "x-momentum", "y-momentum", "energy")
             return Classification(
                 DiscontinuityKind.INADMISSIBLE,
-                reason="%s flux jumps across the discontinuity" % names[i],
+                reason="%s flux jumps across the discontinuity" % name,
             )
 
     if Nl > n_zero and Nr > n_zero:
-        orient = Orientation.FORWARD
-        front, back = right, left
-        n_front, n_back, l_front = Nr, Nl, Lr
+        kind, orient = DiscontinuityKind.FORWARD_SHOCK, Orientation.FORWARD
+        front, back, n_front, n_back, l_front = right, left, Nr, Nl, Lr
     elif Nl < -n_zero and Nr < -n_zero:
-        orient = Orientation.BACKWARD
-        front, back = left, right
-        n_front, n_back, l_front = Nl, Nr, Ll
+        kind, orient = DiscontinuityKind.BACKWARD_SHOCK, Orientation.BACKWARD
+        front, back, n_front, n_back, l_front = left, right, Nl, Nr, Ll
     else:
         return Classification(
             DiscontinuityKind.INADMISSIBLE, reason="normal velocity changes sign"
@@ -275,16 +274,6 @@ def classify_discontinuity(left, right, theta, gas):
         downstream=PolarState(theta=theta, N=n_back, L=l_front, rho=back.rho, p=back.p),
         z=z,
         mass_flux=front.rho * n_front,
-    )
-    report = check_admissibility(sol, gas)
-    if not report.ok:
-        return Classification(
-            DiscontinuityKind.INADMISSIBLE, shock=sol, reason=report.first_failure()
-        )
-    kind = (
-        DiscontinuityKind.FORWARD_SHOCK
-        if orient is Orientation.FORWARD
-        else DiscontinuityKind.BACKWARD_SHOCK
     )
     return Classification(kind, shock=sol)
 
@@ -353,19 +342,20 @@ def check_admissibility(sol, gas):
     return AdmissibilityReport(checks=checks)
 
 
-def _turning(m2, beta, gamma):
+def _turning(r, beta, gamma):
     """Unclamped turning of a shock at angle beta and its slope d(turning)/d(beta).
 
-    turning = atan(num / den) with num = 2 (M^2 sin^2 beta - 1) cot beta and
-    den = M^2 (gamma + cos 2 beta) + 2; num' = 2 M^2 cos 2 beta + 2 / sin^2 beta
-    and den' = -2 M^2 sin 2 beta give the slope without squaring M^2.
+    With r = 1/M^2, turning = atan(num / den) with num = 2 (sin^2 beta - r)
+    cot beta and den = gamma + cos 2 beta + 2 r, the classical relation
+    divided through by M^2 so that no M^2 can overflow; num' = 2 cos 2 beta
+    + 2 r / sin^2 beta and den' = -2 sin 2 beta give the slope.
     """
     s = sin(beta)
     c2 = cos(2.0 * beta)
-    num = 2.0 * (m2 * s * s - 1.0) / tan(beta)
-    den = m2 * (gamma + c2) + 2.0
+    num = 2.0 * (s * s - r) / tan(beta)
+    den = gamma + c2 + 2.0 * r
     ratio = num / den
-    slope = 2.0 * (m2 * c2 + 1.0 / (s * s) + ratio * m2 * sin(2.0 * beta)) / den
+    slope = 2.0 * (c2 + r / (s * s) + ratio * sin(2.0 * beta)) / den
     return atan(ratio), slope / (1.0 + ratio * ratio)
 
 
@@ -381,7 +371,7 @@ def deflection_angle(mach, shock_angle, gas):
     mach_angle = asin(1.0 / mach)
     if shock_angle < mach_angle - 1e-14 or shock_angle > 0.5 * pi + 1e-14:
         raise ValueError("shock angle outside [asin(1/M), pi/2]")
-    return max(_turning(mach * mach, shock_angle, gas.gamma)[0], 0.0)
+    return max(_turning(1.0 / (mach * mach), shock_angle, gas.gamma)[0], 0.0)
 
 
 def detachment_shock_angle(mach, gas):
@@ -444,8 +434,7 @@ def solve_shock_angle(mach, alpha, branch, gas):
     if alpha == alpha_peak:
         return peak
 
-    g, m2 = gas.gamma, mach * mach
-    r, t = 1.0 / m2, tan(alpha)
+    g, r, t = gas.gamma, 1.0 / (mach * mach), tan(alpha)
     a3, a1 = t * (g - 1.0 + 2.0 * r), t * (g + 1.0 + 2.0 * r)
     b2 = 2.0 * (mach - 1.0) * r * (mach + 1.0)  # 2 (1 - r), exact near M = 1, finite for M^2 near overflow
     d0 = b2 * b2 - 3.0 * a3 * a1
@@ -459,12 +448,12 @@ def solve_shock_angle(mach, alpha, branch, gas):
         a, b, beta = lo, peak, atan(0.5 * (sqrt(max(p * p - 4.0 * q, 0.0)) - p))
     beta = min(max(beta, a), b)
 
-    turn, slope = _turning(m2, beta, g)
+    turn, slope = _turning(r, beta, g)
     for _ in range(3):
         trial = beta - (turn - alpha) / slope if slope else beta
         if not a <= trial <= b:
             break
-        t_turn, t_slope = _turning(m2, trial, g)
+        t_turn, t_slope = _turning(r, trial, g)
         if not abs(t_turn - alpha) < abs(turn - alpha):
             break
         beta, turn, slope = trial, t_turn, t_slope

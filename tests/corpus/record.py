@@ -72,6 +72,8 @@ ARGVS = [argv for name in SHIPPED for argv in flow_argvs(name)] + [
     ["max-turn", "--gamma", "1.4", "--mach", "2.0"],
     ["max-turn", "--gamma", "1.4", "--mach", "1.0"],
     ["max-turn", "--gamma", "1.4", "--mach", "1e160"],
+    ["max-turn", "--gamma", "1.02", "--mach", "1e154"],
+    ["shock-solve", "--gamma", "1.02", "--mach", "1e154", "--deflection", "1.5"],
     # bad flags and help
     ["frobnicate"],
     [],

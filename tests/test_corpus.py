@@ -8,10 +8,15 @@ runs here in process through main(argv), in a fresh directory holding the
 shipped configs and five broken ones under configs/. Every CSV, JSON and
 SVG artifact of a run that exits 0 then goes through bench/checks.py, which
 re-derives the physics without importing sectorflow.
+
+tests/corpus/mutations.json holds the same record for `build` and `verify`
+on each config of the seeded mutation generator tests/corpus/mutate.py
+(which writes it); each is replayed here too.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -210,3 +215,31 @@ def test_corpus_artifacts_reach_every_check(checks):
         for name in c["files"]
     }
     assert {"csv", "json", "svg"} <= suffixes
+
+
+# ------------------------------------------------------------- mutations
+
+
+def _load_mutate():
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tests" / "corpus" / "mutate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MUTATE = _load_mutate()
+MUTATIONS_DOC = json.loads(MUTATE.RECORD.read_text(encoding="utf-8"))
+MUTANTS = {name: (what, text) for name, what, text in MUTATE.mutants()}
+
+
+def test_every_generated_mutant_is_recorded():
+    assert [c["name"] for c in MUTATIONS_DOC["cases"]] == list(MUTANTS)
+    assert MUTATIONS_DOC["seed"] == MUTATE.SEED
+
+
+@pytest.mark.parametrize("case", MUTATIONS_DOC["cases"], ids=lambda c: c["name"])
+def test_mutant_replays_byte_identical(case):
+    what, text = MUTANTS[case["name"]]
+    assert (case["what"], case["config"]) == (what, _sha(text)), "generator and record disagree"
+    runs = [MUTATE.run_mutant(text, command) for command in MUTATE.COMMANDS]
+    assert runs == case["runs"], what

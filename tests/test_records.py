@@ -56,7 +56,7 @@ SHOCK_EVENT = flowfield.ShockEvent(
 )
 ADMISSIBILITY = shock.AdmissibilityReport(checks=(("entropy increases", True, 0.5),))
 STRUCTURE = verify.StructureReport(
-    checks=(("sector turning", True, 1e-9),), sectors=(SECTOR,), shock_reports=(ADMISSIBILITY,)
+    checks=(("sector turning", True, 1e-9),), sectors=(SECTOR,), jumps=((0.3, "shock", True, ""),)
 )
 
 # one record of each class, hashable fields throughout
@@ -136,7 +136,7 @@ FIELDS = {
         "orientation", "theta_start", "theta_end", "thetas", "rhos", "Ls", "drhos", "dLs",
         "s_ref", "gamma",
     ),
-    "StructureReport": ("checks", "sectors", "shock_reports"),
+    "StructureReport": ("checks", "sectors", "jumps"),
     "AuditReport": (
         "weak_residual_max", "entropy_min", "entropy_violations", "smooth_residual_max",
         "admissibility", "structure", "sector_count",

@@ -286,6 +286,36 @@ def test_classify_rejects_normal_sign_change(gas):
     assert out.kind is DiscontinuityKind.INADMISSIBLE
 
 
+def test_classify_contact_bounds_scale_with_the_left_state(gas):
+    # |N| <= 1e-9 max(|V|, c) of the left state and |dp| <= 1e-12 max(1, p_left)
+    from sectorflow.polar import from_polar
+
+    theta, L = 0.9, 3.0
+    left = PrimitiveState(1.0, *from_polar(0.0, L, theta), 2.0)
+    n_zero = 1e-9 * max(L, left.sound_speed(gas))
+
+    def right(N, p=2.0):
+        return PrimitiveState(3.0, *from_polar(N, -L, theta), p)
+
+    assert classify_discontinuity(left, right(0.5 * n_zero), theta, gas).kind is DiscontinuityKind.CONTACT
+    assert classify_discontinuity(left, right(2.0 * n_zero), theta, gas).kind is not DiscontinuityKind.CONTACT
+    assert classify_discontinuity(left, right(0.0, 2.0 + 1.5e-12), theta, gas).kind is DiscontinuityKind.CONTACT
+    out = classify_discontinuity(left, right(0.0, 2.0 + 3e-12), theta, gas)
+    assert (out.kind, out.reason) == (DiscontinuityKind.INADMISSIBLE, "pressure jumps across a contact")
+
+
+def test_classify_gives_the_kind_and_leaves_the_margins_to_check_admissibility(gas):
+    # a shock stronger than this box admits still satisfies the jump
+    # conditions: classify names its kind, check_admissibility fails it
+    wide = make_gas(1.4, gas.bounds._replace(p_max=1e3, speed_max=100.0))
+    z = 2.0 * gas.z_max
+    sol = shock_from_strength(_upstream(), z, Orientation.BACKWARD, wide)
+    out = classify_discontinuity(sol.left, sol.right, 1.0, gas)
+    assert out.kind is DiscontinuityKind.BACKWARD_SHOCK and out.reason is None
+    assert out.shock.z == pytest.approx(z, rel=1e-12)
+    assert check_admissibility(out.shock, gas).first_failure() == "strength window"
+
+
 def test_admissibility_margins_and_floor(gas):
     sol = shock_from_strength(_upstream(), 0.8, Orientation.FORWARD, gas)
     rep = check_admissibility(sol, gas)
@@ -368,6 +398,16 @@ def test_max_deflection_monotone_and_limited(gas):
     limit = max_deflection_limit(gas)
     assert all(v < limit for v in vals)
     assert max_deflection(1e6, gas) == pytest.approx(limit, abs=1e-8)
+
+
+def test_max_deflection_reaches_its_limit_where_m_squared_overflows():
+    # M^2 = 1e308 is finite but M^2 (gamma + cos 2b) is not
+    g = make_gas(1.02, PhaseBounds(0.05, 20.0, 0.05, 20.0, 15.0, 1e-3))
+    limit = max_deflection_limit(g)
+    for mach in (1e154, 1e160):
+        assert max_deflection(mach, g) == pytest.approx(limit, abs=1e-15)
+        with pytest.raises(DetachedShockError):
+            solve_shock_angle(mach, 1.5, "weak", g)
 
 
 def test_limit_values(gas, gas_heavy):

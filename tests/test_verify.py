@@ -14,7 +14,8 @@ from sectorflow.flowfield import (
     evaluate,
 )
 from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas
-from sectorflow.polar import to_polar
+from sectorflow.polar import from_polar, to_polar
+from sectorflow.shock import shock_from_strength
 from sectorflow.verify import (
     entropy_residual,
     full_audit,
@@ -296,3 +297,46 @@ def test_full_audit_decomposes_once_and_checks_each_shock_once(two_sector, monke
     n = len(two_sector.shock_points)
     assert calls == {"sector_decompose": 1, "check_admissibility": n}
     assert report.sector_count == 2 and len(report.admissibility) == n + 2
+
+
+# ---------------------------------------------------- stored jump records
+#
+# Each mutant rescales one stored jump record and leaves every constant
+# alone, so evaluate returns the same flow and only the judge, which reads
+# the jump's limits through evaluate, can tell. The smallest failing eps
+# is 1e-7 for the shocks and 3e-8 for the contacts; each case runs at ten
+# times that, where the audit used to pass.
+
+
+def _stronger_shock(flow, k, eps):
+    sol = flow.shock_points[k]
+    return sol, shock_from_strength(sol.upstream, sol.z * (1.0 + eps), sol.orientation, flow.gas)
+
+
+def _faster_contact(flow, k, eps):
+    cp = flow.contact_points[k]
+    N, L = to_polar(cp.right.u, cp.right.v, cp.theta)
+    u, v = from_polar(N, L * (1.0 + eps), cp.theta)
+    return cp, cp._replace(right=cp.right._replace(u=u, v=v))
+
+
+def _with_record(flow, old, new):
+    return flow._replace(pieces=tuple(new if p is old else p for p in flow.pieces))
+
+
+@pytest.mark.parametrize(
+    "mutate, k, eps",
+    [(_stronger_shock, k, 1e-6) for k in range(3)] + [(_faster_contact, k, 3e-7) for k in range(2)],
+    ids=["shock-0", "shock-1", "shock-2", "contact-0", "contact-1"],
+)
+def test_full_audit_fails_a_jump_record_that_disagrees_with_the_flow(two_sector, mutate, k, eps):
+    kind = "shock" if mutate is _stronger_shock else "contact"
+    old, new = mutate(two_sector, k, eps)
+    rep = full_audit(_with_record(two_sector, old, new))
+    assert rep.verdict == "fail"
+    assert [row for row in rep.admissibility if not row[2]] == [
+        (old.theta, kind, False, "stored sides disagree with the flow's limits")
+    ]
+    assert rep.structure.named("shock admissibility")[0] == (kind == "contact")
+    assert rep.weak_residual_max == full_audit(two_sector).weak_residual_max
+    assert full_audit(_with_record(two_sector, *mutate(two_sector, k, 1e-9))).ok
