@@ -381,8 +381,9 @@ def _emit(text, out):
 def _csv_text(gas, theta, rho, u, v, p):
     """Header plus one row per angle, from lists of states at those angles.
 
-    N, L and phi are the values of polar.to_polar and polar.flow_angle;
-    cells are Python float reprs, so they round-trip exactly.
+    N and L are the values of polar.to_polar, and phi is the direction of
+    the velocity rebuilt from them, in (-pi, pi]; cells are Python float
+    reprs, so they round-trip exactly.
     """
     gamma = gas.gamma
     lines = [CSV_COLUMNS]

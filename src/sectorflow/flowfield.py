@@ -308,7 +308,7 @@ def _exact_wave(state, a, b, orient, gas, steps):
     """
     if steps is not None and b - a > _EXACT_MAX_STEP * steps:
         return None, _rk4_wave(state, a, b, orient, gas, steps)[1]
-    return None, fan_end(*state, a, b, orient, gas, start_checked=True)
+    return None, fan_end(*state, a, b, orient, gas)
 
 
 def _march(gas, desc, march_wave=_rk4_wave, keep=False):
@@ -387,21 +387,18 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                 if back:
                     rp, rm = strength_ratios(z, g)
                     rho_f, p_f = rho * rm / rp, p / (1.0 + z)
-                if keep:
-                    front = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
-                    sol = shock_from_strength(front, z, ev.orientation, gas)
-                    left, right = sol.left, sol.right
-                else:
-                    _, _, front, behind = shock_sides(
-                        theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
-                    )
-                    left, right = (behind, front) if back else (front, behind)
+                _, _, front, behind = shock_sides(
+                    theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
+                )
+                left, right = (behind, front) if back else (front, behind)
                 if relative_gap(left, state) > _START_MATCH_TOL:
                     raise ValueError("shock does not match the marching state")
 
                 hold(theta_s)
                 if keep:
-                    pieces.append(sol)
+                    # the record; its primitive sides are left and right, the same floats
+                    upstream = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
+                    pieces.append(shock_from_strength(upstream, z, ev.orientation, gas))
                 state = right
                 cur_start = theta_s
 

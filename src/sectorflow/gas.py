@@ -87,11 +87,6 @@ class PrimitiveState(namedtuple("PrimitiveState", "rho u v p")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
-    def tau(self):
-        """Specific volume 1/rho."""
-        return 1.0 / self.rho
-
-    @property
     def speed(self):
         return sqrt(self.u * self.u + self.v * self.v)
 
@@ -110,14 +105,6 @@ class PrimitiveState(namedtuple("PrimitiveState", "rho u v p")):
     def total_energy(self, gas):
         """Total energy per unit volume, p/(gamma-1) + rho |u|^2 / 2."""
         return self.p / (gas.gamma - 1.0) + 0.5 * self.rho * (self.u ** 2 + self.v ** 2)
-
-    def entropy_indicator(self, gas):
-        """Entropy surrogate s = p / rho^gamma.
-
-        Physical specific entropy is a monotone function of this quantity,
-        so every inequality check on entropy uses it directly.
-        """
-        return self.p / self.rho ** gas.gamma
 
 
 def relative_gap(a, b):

@@ -9,10 +9,9 @@ with c = c(rho) on the isentrope through the starting state. N never
 appears as an unknown: it is slaved to +-c(rho), which keeps the sonic
 and isentropic invariants exact at every sample by construction.
 
-One private rhs, _sonic_rhs, evaluates this system for pm_rhs, the RK4
-loop, the cut at an L zero and pm_state_derivative. It raises ValueError
-when the density is not positive: a fan marched that far has reached
-vacuum before its end angle.
+One private rhs, _sonic_rhs, evaluates this system for the RK4 loop and
+pm_state_derivative. It raises ValueError when the density is not
+positive: a fan marched that far has reached vacuum before its end angle.
 
 Integration is fixed-step RK4 with cubic Hermite dense output (the rhs is
 cheap, so sample derivatives are stored alongside the samples).
@@ -24,13 +23,13 @@ k^2 = (gamma-1)/(gamma+1) and R^2 = L0^2 + c0^2/k^2,
     L = R sin(phi),  c = k R cos(phi),  phi = phi0 -+ k (theta - theta0)
 
 (upper sign forward). fan_end gives a wave's end state from it on plain
-floats, and pm_exact as a PrimitiveState.
+floats.
 """
 
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
-from math import atan2, ceil, cos, hypot, pi, sin, sqrt
+from math import atan2, ceil, cos, hypot, inf, pi, sin, sqrt
 
 from .gas import PrimitiveState, require_in_phase_space
 from .polar import from_polar, to_polar
@@ -39,10 +38,8 @@ from .shock import brentq
 __all__ = [
     "WaveKind",
     "PMWave",
-    "pm_rhs",
     "integrate_pm",
     "fan_end",
-    "pm_exact",
     "classify_pm",
     "pm_wave_state",
     "pm_wave_arrays",
@@ -67,19 +64,6 @@ def _sonic_rhs(rho, L, sign, s_ref, gamma):
         raise ValueError("wave reaches vacuum before its end angle")
     c = _sound_speed_isentrope(rho, s_ref, gamma)
     return sign * 2.0 * rho * L / ((gamma + 1.0) * c), -sign * c
-
-
-def pm_rhs(state, orient, gas):
-    """(d rho / d theta, d L / d theta) at a sonic state.
-
-    Raises when the state is not sonic for the requested orientation.
-    """
-    c = state.sound_speed(gas)
-    if abs(state.N - orient.sign * c) > SONIC_TOL * c:
-        raise ValueError("state is not sonic for this orientation")
-    return _sonic_rhs(
-        state.rho, state.L, orient.sign, state.p / state.rho ** gas.gamma, gas.gamma
-    )
 
 
 class PMWave(
@@ -163,8 +147,8 @@ def pm_wave_arrays(wave, thetas):
     return rho, N * st + L * ct, -N * ct + L * st, wave.s_ref * rho ** wave.gamma
 
 
-def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked=False):
-    """Checks on a wave's start (sonic; in phase space unless start_checked) and span.
+def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas):
+    """Checks on a wave's start (sonic) and span.
 
     Returns (L0, c0, span): the start's tangential velocity and sound
     speed, and the span.
@@ -173,8 +157,6 @@ def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked
     c0 = sqrt(gas.gamma * p / rho)
     if abs(N0 - orient.sign * c0) > SONIC_TOL * c0:
         raise ValueError("starting state is not sonic for this orientation")
-    if not start_checked:
-        require_in_phase_space(rho, u, v, p, gas, "starting state")
 
     span = theta_end - theta_start
     if span < 0.0:
@@ -182,20 +164,24 @@ def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked
     return L0, c0, span
 
 
-def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at_L_zero=False):
+def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
     """Integrate a sonic wave from a starting state to a target angle.
 
-    start must be sonic at theta_start for the orientation. steps defaults
-    to 64 per radian of span. With stop_at_L_zero the march ends at the
-    first step across a zero of L, and the wave is cut at that zero
-    (located by brentq on the dense output); otherwise an interior sign
-    change is an error, since a wave of one kind cannot continue through
-    the tangential-velocity zero. A wave that reaches vacuum before its
-    end angle is an error either way.
+    start must be sonic at theta_start for the orientation, inside phase
+    space, and have a finite positive p / rho^gamma. steps defaults to 64
+    per radian of span. An interior sign change of L is an error, since a
+    wave of one kind cannot continue through the tangential-velocity zero,
+    and so is a wave that reaches vacuum before its end angle.
     """
-    gamma = gas.gamma
-    s_ref = start.p / start.rho ** gamma
     L0, _, span = _wave_start(*start, theta_start, theta_end, orient, gas)
+    require_in_phase_space(*start, gas, "starting state")
+    gamma = gas.gamma
+    try:
+        s_ref = start.p / start.rho ** gamma
+    except ArithmeticError:  # rho^gamma overflows, or underflows to zero
+        s_ref = inf
+    if not 0.0 < s_ref < inf:
+        raise ValueError("starting state has no finite positive p / rho^gamma")
     sign = orient.sign
 
     def rhs(rho, L):
@@ -225,8 +211,6 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
         d = rhs(rho, L)
         drhos.append(d[0])
         dLs.append(d[1])
-        if stop_at_L_zero and Ls[-2] * L < 0.0:
-            break  # the cut lies in this step; the rest of the span is never used
 
     wave = PMWave(
         orientation=orient,
@@ -248,27 +232,26 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None, stop_at
                 lambda t: wave.reduced_at(t)[1], thetas[i], thetas[i + 1], xtol=1e-15
             )
             if abs(crossing - theta_end) > 1e-9 * (1.0 + span):
-                if not stop_at_L_zero:
-                    raise ValueError("tangential velocity changes sign inside the wave")
-                wave = _truncate(wave, crossing)
+                raise ValueError("tangential velocity changes sign inside the wave")
             break
 
-    n = len(wave.thetas)
+    n = len(thetas)
     for i in (0, n // 2, n - 1):
         require_in_phase_space(*wave.node_state(i), gas, "wave")
     return wave
 
 
-def fan_end(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked=False):
+def fan_end(rho, u, v, p, theta_start, theta_end, orient, gas):
     """End (rho, u, v, p) at theta_end of the wave integrate_pm marches, in closed form.
 
-    Makes integrate_pm's checks: a sonic start inside phase space (unless
-    start_checked), no vacuum (|phi| reaching pi/2), no zero of L before
-    theta_end, and an end state inside phase space. |phi| is monotone along
-    the wave, and so are density, pressure, energy and speed, so the wave
-    stays inside the box if its two ends do. Plain floats, no array code.
+    Makes integrate_pm's checks but the start's phase check, which is the
+    caller's: a sonic start, no vacuum (|phi| reaching pi/2), no zero of L
+    before theta_end, and an end state inside phase space. |phi| is
+    monotone along the wave, and so are density, pressure, energy and
+    speed, so the wave stays inside the box if its two ends do. Plain
+    floats, no array code.
     """
-    L0, c0, span = _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked)
+    L0, c0, span = _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas)
     gamma = gas.gamma
     sign = orient.sign
     k = sqrt((gamma - 1.0) / (gamma + 1.0))
@@ -286,26 +269,6 @@ def fan_end(rho, u, v, p, theta_start, theta_end, orient, gas, start_checked=Fal
     end = (rho * ratio, *from_polar(sign * c, R * sin(phi), theta_end), p * ratio ** gamma)
     require_in_phase_space(*end, gas, "wave")
     return end
-
-
-def pm_exact(start, theta_start, theta_end, orient, gas):
-    """End state at theta_end of the wave integrate_pm marches: fan_end on a PrimitiveState."""
-    return PrimitiveState(*fan_end(*start, theta_start, theta_end, orient, gas))
-
-
-def _truncate(wave, theta_cut):
-    """Rebuild a wave cut at an interior angle (last sample interpolated)."""
-    k = bisect_left(wave.thetas, theta_cut)
-    rho, L = wave.reduced_at(theta_cut)
-    drho, dL = _sonic_rhs(rho, L, wave.orientation.sign, wave.s_ref, wave.gamma)
-    return wave._replace(
-        theta_end=theta_cut,
-        thetas=wave.thetas[:k] + (theta_cut,),
-        rhos=wave.rhos[:k] + (rho,),
-        Ls=wave.Ls[:k] + (L,),
-        drhos=wave.drhos[:k] + (drho,),
-        dLs=wave.dLs[:k] + (dL,),
-    )
 
 
 def classify_pm(wave, theta_bar, tol=1e-9):

@@ -1,4 +1,4 @@
-"""Velocity frame attached to the ray at angle theta, and the flow angle.
+"""Velocity frame attached to the ray at angle theta.
 
 At a given theta the frame splits the velocity into N (normal to the ray,
 positive when the gas crosses rays toward decreasing theta) and L (along
@@ -11,7 +11,7 @@ The transform is a rotation, so it preserves speed and inverts exactly.
 """
 
 from collections import namedtuple
-from math import atan2, cos, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 
 from .gas import PrimitiveState
 
@@ -23,7 +23,6 @@ __all__ = [
     "wrap_signed",
     "to_polar",
     "from_polar",
-    "flow_angle",
     "PolarState",
 ]
 
@@ -58,22 +57,6 @@ def from_polar(N, L, theta):
     return N * st + L * ct, -N * ct + L * st
 
 
-def flow_angle(N, L, theta):
-    """Direction of the velocity vector, in (-pi, pi].
-
-    Reconstructs (u, v) from the frame values and takes the two-argument
-    arctangent, which stays finite where the L-ratio form of the same
-    angle has its spurious singularity.
-    """
-    if N == 0.0 and L == 0.0:
-        raise ValueError("flow angle undefined for zero velocity")
-    u, v = from_polar(N, L, theta)
-    phi = atan2(v, u)
-    if phi == -pi:
-        phi = pi
-    return phi
-
-
 class PolarState(namedtuple("PolarState", "theta N L rho p")):
     """A thermodynamic state carried in the ray frame at angle theta."""
 
@@ -84,9 +67,6 @@ class PolarState(namedtuple("PolarState", "theta N L rho p")):
 
     def sound_speed(self, gas):
         return sqrt(gas.gamma * self.p / self.rho)
-
-    def flow_angle(self):
-        return flow_angle(self.N, self.L, self.theta)
 
     def to_primitive(self):
         u, v = self.velocity()

@@ -34,7 +34,6 @@ __all__ = [
     "DiscontinuityKind",
     "Classification",
     "AdmissibilityReport",
-    "hugoniot_value",
     "strength_ratios",
     "shock_sides",
     "shock_from_strength",
@@ -98,18 +97,6 @@ class ShockSolution(
     def right(self):
         """Primitive state on the higher-theta side of the jump."""
         return self.right_state().to_primitive()
-
-
-def hugoniot_value(tau, p, tau_ref, p_ref, gas):
-    """Hugoniot function H of a trial state against a reference state.
-
-    H = e(tau, p) - e(tau_ref, p_ref) + (tau - tau_ref)(p + p_ref)/2,
-    zero exactly when the pair satisfies the shock energy condition.
-    """
-    gm1 = gas.gamma - 1.0
-    e = p * tau / gm1
-    e_ref = p_ref * tau_ref / gm1
-    return e - e_ref + 0.5 * (tau - tau_ref) * (p + p_ref)
 
 
 def strength_ratios(z, gamma):
@@ -460,7 +447,10 @@ def solve_shock_angle(mach, alpha, branch, gas):
     return beta
 
 
-def brentq(f, a, b, xtol, maxiter=100):
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, xtol):
     """Root of f in the bracket [a, b] by Brent's method.
 
     A port of the algorithm behind SciPy's brentq: each step is an
@@ -468,7 +458,7 @@ def brentq(f, a, b, xtol, maxiter=100):
     bracket and shrinks it fast enough, and a bisection otherwise. Stops
     once the bracket half-width is below (xtol + rtol |x|) / 2, with rtol
     8.9e-16 (4 machine epsilons). Raises ValueError when f(a) and f(b) have
-    the same sign and RuntimeError when maxiter steps do not converge.
+    the same sign and RuntimeError when _BRENT_MAXITER steps do not converge.
     """
     rtol = 8.9e-16
     xpre, xcur = a, b
@@ -480,7 +470,7 @@ def brentq(f, a, b, xtol, maxiter=100):
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -507,7 +497,7 @@ def brentq(f, a, b, xtol, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
         fcur = f(xcur)
-    raise RuntimeError("brentq did not converge in %d iterations" % maxiter)
+    raise RuntimeError("brentq did not converge in %d iterations" % _BRENT_MAXITER)
 
 
 def lax_neighborhood_bound(gas):

@@ -49,6 +49,10 @@ ARGVS = [argv for name in SHIPPED for argv in flow_argvs(name)] + [
     ["verify", "configs/off_sonic_start.json"],
     ["build", "configs/duplicate_format.json", "--out", "out"],
     ["verify", "configs/duplicate_format.json"],
+    ["build", "configs/tiny_two_sector.json"],
+    ["verify", "configs/tiny_two_sector.json"],
+    ["analyze", "configs/tiny_two_sector.json"],
+    ["verify", "configs/tiny_uniform.json"],
     # solvers
     ["pm-trace", "--gamma", "1.4", "--mach", "2.0"],
     ["pm-trace", "--gamma", "1.4", "--mach", "2.0", "--out", "trace.csv"],
@@ -58,6 +62,8 @@ ARGVS = [argv for name in SHIPPED for argv in flow_argvs(name)] + [
     ["pm-trace", "--gamma", "1.4", "--mach", "2", "--span", "10"],
     ["pm-trace", "--gamma", "1.4", "--mach", "2", "--steps", "0"],
     ["pm-trace", "--gamma", "1.4", "--mach", "2", "--span", "nandeg"],
+    ["pm-trace", "--gamma", "1.4", "--mach", "2", "--rho", "1e-300"],
+    ["pm-trace", "--gamma", "1.4", "--mach", "2", "--rho", "1e300", "--p", "1e-300"],
     ["shock-solve", "--gamma", "1.4", "--mach", "2.0", "--deflection", "10deg", "--branch", "weak"],
     ["shock-solve", "--gamma", "1.4", "--mach", "2.0", "--deflection", "10deg", "--branch", "strong"],
     ["shock-solve", "--gamma", "1.4", "--mach", "3.0", "--deflection", " 0.3 "],

@@ -43,7 +43,6 @@ from sectorflow.roe import (
 from sectorflow.shock import (
     Orientation,
     deflection_angle,
-    hugoniot_value,
     lax_neighborhood_bound,
     max_deflection,
     max_deflection_limit,
@@ -51,12 +50,7 @@ from sectorflow.shock import (
     shock_from_strength,
     solve_shock_angle,
 )
-from sectorflow.verify import (
-    entropy_residual,
-    scaled_residuals,
-    validate_structure,
-    weak_residual,
-)
+from sectorflow.verify import scaled_residuals, validate_structure
 
 from test_flowfield import (
     THREE_SECTOR_BOUNDS,
@@ -67,6 +61,7 @@ from test_flowfield import (
     three_sector_description,
     uniform_flow,
 )
+from test_verify import interval_residuals
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -168,9 +163,11 @@ def test_criterion_2_shock_algebra_sweep(report):
         )
         worst_rh = max(worst_rh, max(abs(x) for x in res) / fscale)
 
-        hv = hugoniot_value(
-            1.0 / sol.downstream.rho, sol.downstream.p, 1.0 / rho, p, gas
-        )
+        # Hugoniot H = e - e_ref + (tau - tau_ref)(p + p_ref)/2 with e = p tau / (gamma - 1)
+        tau_d = 1.0 / sol.downstream.rho
+        hv = (sol.downstream.p * tau_d - p / rho) / (gamma - 1.0) + 0.5 * (
+            tau_d - 1.0 / rho
+        ) * (sol.downstream.p + p)
         worst_hug = max(
             worst_hug, abs(hv) / max(p / rho, sol.downstream.p / sol.downstream.rho)
         )
@@ -400,7 +397,7 @@ def test_criterion_6_weak_form(report, shipped_two_sector):
                 sp.theta + 1e-4,
                 above.theta_end - 0.02 * (above.theta_end - above.theta_start),
             )
-            r = weak_residual(flow, lo, hi)
+            r = interval_residuals(flow, lo, hi)[0]
             worst_straddle = max(worst_straddle, max(abs(x) for x in r))
 
     orders = []
@@ -408,9 +405,9 @@ def test_criterion_6_weak_form(report, shipped_two_sector):
         if not isinstance(piece, PMPiece):
             continue
         lo, hi = piece.theta_start - 0.05, piece.theta_end + 0.05
-        r1 = weak_residual(flow, lo, hi, quad_points=2, subdiv=1)
-        r2 = weak_residual(flow, lo, hi, quad_points=2, subdiv=2)
-        r4 = weak_residual(flow, lo, hi, quad_points=2, subdiv=4)
+        r1, r2, r4 = (
+            interval_residuals(flow, lo, hi, quad_points=2, subdiv=k)[0] for k in (1, 2, 4)
+        )
         d1 = max(abs(a - b) for a, b in zip(r1, r2))
         d2 = max(abs(a - b) for a, b in zip(r2, r4))
         orders.append(math.log2(d1 / d2) if d2 > 1e-14 else 4.0)

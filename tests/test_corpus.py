@@ -5,7 +5,7 @@ stdout, of stderr and of every file the command writes, together with the
 numpy version, Python version and machine it was recorded with
 (tests/corpus/record.py writes it; no test runs that script). Each argv
 runs here in process through main(argv), in a fresh directory holding the
-shipped configs and five broken ones under configs/. Every CSV, JSON and
+shipped configs and seven broken ones under configs/. Every CSV, JSON and
 SVG artifact of a run that exits 0 then goes through bench/checks.py, which
 re-derives the physics without importing sectorflow.
 
@@ -38,7 +38,7 @@ SHIPPED = ("two_sector", "three_sector_g112", "three_sector_g14", "uniform")
 
 
 def corpus_inputs():
-    """Config name -> text: the shipped configs plus five broken ones."""
+    """Config name -> text: the shipped configs plus seven broken ones."""
     texts = {
         name: (ROOT / "configs" / (name + ".json")).read_text(encoding="utf-8")
         for name in SHIPPED
@@ -56,6 +56,12 @@ def corpus_inputs():
     duplicate = json.loads(texts["uniform"])
     duplicate["output"]["formats"] = ["csv", "csv", "svg"]
     texts["duplicate_format"] = json.dumps(duplicate, indent=2)
+    # floors below the anchor's rho = p = 1e-300, whose rho^gamma underflows to 0
+    for name in ("two_sector", "uniform"):
+        tiny = json.loads(texts[name])
+        tiny["gas"]["bounds"].update(rho_min=1e-320, p_min=1e-320, e_min=1e-320)
+        tiny["anchor"].update(rho=1e-300, p=1e-300)
+        texts["tiny_" + name] = json.dumps(tiny, indent=2)
     return texts
 
 

@@ -45,6 +45,8 @@ from sectorflow.flowfield import (
 )
 from sectorflow.verify import full_audit, validate_structure
 
+from test_pmwave import L_zero_angle
+
 # ----------------------------------------------------------- golden flows
 #
 # Two-sector flow, gamma = 1.4 (the conftest box). Anchored just past the
@@ -337,18 +339,20 @@ def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
     monkeypatch.setattr(
         PolarState, "to_primitive", counted("to_primitive", PolarState.to_primitive)
     )
-    for name in ("_march", "shock_from_strength"):
+    for name in ("_march", "shock_sides", "shock_from_strength"):
         monkeypatch.setattr(flowfield, name, counted(name, getattr(flowfield, name)))
     cfg = _scaled_two_sector()
     flow = build_flow(cfg.gas, cfg.description)
     assert counts["_march"] == 71
-    # only the closing march builds shock objects; the other 70 marches
-    # check their 210 shocks' sides on floats
+    # every march resolves its 3 shocks on floats; only the closing one
+    # builds shock objects, whose sides are converted when first read
+    assert counts["shock_sides"] == 213
     assert counts["shock_from_strength"] == 3
-    assert counts["to_primitive"] == 6  # two per kept shock
-    # every phase check: the anchor, two per shock, one per contact, the
-    # ends of 130 closed-form waves and the start and 3 nodes of 12 RK4 ones
-    assert counts["inside_box"] == 747
+    assert counts["to_primitive"] == 0
+    # every phase check: the anchor, two per resolved shock and two more
+    # per shock object, one per contact, the ends of 130 closed-form waves
+    # and the start and 3 nodes of 12 RK4 ones
+    assert counts["inside_box"] == 753
     # every state passes the float box test, so none is checked as a state object
     assert counts["in_phase_space"] == 0
 
@@ -357,7 +361,7 @@ def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
     export_csv(flow, cfg.samples)
     export_svg(flow)
     analyze_to_document(flow, cfg.samples)
-    assert counts["to_primitive"] == 0
+    assert counts["to_primitive"] == 6  # two per kept shock
 
 
 SHIPPED_ROOTS = {
@@ -1220,9 +1224,9 @@ def _waves_for_shock(flow, gas, orientation, ends, dL=0.0):
     start = PrimitiveState(s.rho, *from_polar(N, to_polar(s.u, s.v, a)[1], a), s.p)
     pieces = [ConstantPiece(const.theta_start, a, s)]
     for end in ends:
-        wave = integrate_pm(
-            start, a, end or after.theta_end, orientation, gas, stop_at_L_zero=end is None
-        )
+        if end is None:
+            end = L_zero_angle(gas, start, a, orientation)
+        wave = integrate_pm(start, a, end, orientation, gas)
         pieces.append(PMPiece(wave._replace(Ls=tuple(L - dL for L in wave.Ls))))
         start, a = wave.end_state(), wave.theta_end
     pieces.append(ConstantPiece(a, after.theta_end, start))

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas, relative_gap
-from sectorflow.polar import PolarState, from_polar, to_polar
+from sectorflow.polar import from_polar, to_polar
 from sectorflow.pmwave import (
     WaveKind,
+    _sonic_rhs,
     classify_pm,
+    fan_end,
     integrate_pm,
-    pm_exact,
-    pm_rhs,
     pm_state_derivative,
     pm_wave_state,
 )
@@ -35,34 +35,40 @@ def _sonic_start(gas, L0, theta0, rho0=1.0, p0=1.0, orient=Orientation.FORWARD):
     return PrimitiveState(rho=rho0, u=u0, v=v0, p=p0)
 
 
+def L_zero_angle(gas, start, theta0, orient):
+    """Angle of the wave's zero of L, from the closed-form fan phi0 -+ k (theta - theta0)."""
+    k = math.sqrt((gas.gamma - 1.0) / (gas.gamma + 1.0))
+    _, L0 = to_polar(start.u, start.v, theta0)
+    return theta0 + math.atan2(L0, start.sound_speed(gas) / k) / (orient.sign * k)
+
+
+def _fan_end(start, theta_start, theta_end, orient, gas):
+    return fan_end(*start, theta_start, theta_end, orient, gas)
+
+
 def test_rhs_values(gas):
-    ps = PolarState(theta=0.5, N=math.sqrt(1.4), L=0.9, rho=1.0, p=1.0)
-    drho, dL = pm_rhs(ps, Orientation.FORWARD, gas)
     c = math.sqrt(1.4)
+    drho, dL = _sonic_rhs(1.0, 0.9, Orientation.FORWARD.sign, 1.0, gas.gamma)
     assert dL == pytest.approx(-c, rel=1e-15)
     assert drho == pytest.approx(2.0 * 0.9 / (2.4 * c), rel=1e-15)
-    psb = PolarState(theta=0.5, N=-math.sqrt(1.4), L=0.9, rho=1.0, p=1.0)
-    drb, dLb = pm_rhs(psb, Orientation.BACKWARD, gas)
+    drb, dLb = _sonic_rhs(1.0, 0.9, Orientation.BACKWARD.sign, 1.0, gas.gamma)
     assert dLb == pytest.approx(c, rel=1e-15)
     assert drb == pytest.approx(-drho, rel=1e-15)
 
 
-def test_rhs_rejects_nonsonic(gas):
-    ps = PolarState(theta=0.5, N=1.5, L=0.9, rho=1.0, p=1.0)
-    with pytest.raises(ValueError, match="sonic"):
-        pm_rhs(ps, Orientation.FORWARD, gas)
-    ps2 = PolarState(theta=0.5, N=math.sqrt(1.4), L=0.9, rho=1.0, p=1.0)
-    with pytest.raises(ValueError, match="sonic"):
-        pm_rhs(ps2, Orientation.BACKWARD, gas)
+@pytest.mark.parametrize("march", [integrate_pm, _fan_end])
+def test_nonsonic_starts_rejected(gas, march):
+    for N, orient in ((1.5, Orientation.FORWARD), (math.sqrt(1.4), Orientation.BACKWARD)):
+        start = PrimitiveState(1.0, *from_polar(N, 0.9, 0.5), 1.0)
+        with pytest.raises(ValueError, match="sonic"):
+            march(start, 0.5, 0.9, orient, gas)
 
 
 def test_terminal_state_oracle(gas):
     theta0 = 1.0
     start = _sonic_start(gas, 0.9, theta0)
-    w = integrate_pm(
-        start, theta0, theta0 + 1.0, Orientation.FORWARD, gas,
-        steps=512, stop_at_L_zero=True,
-    )
+    end = L_zero_angle(gas, start, theta0, Orientation.FORWARD)
+    w = integrate_pm(start, theta0, end, Orientation.FORWARD, gas, steps=512)
     end = w.end_state()
     N, L = to_polar(end.u, end.v, w.theta_end)
     assert L == pytest.approx(0.0, abs=1e-10)
@@ -153,20 +159,20 @@ def test_interior_sign_change_raises(gas):
         integrate_pm(start, theta0, theta0 + 1.5, Orientation.FORWARD, gas)
 
 
-def test_stop_at_l_zero_cuts_the_wave(gas):
+def test_wave_ending_at_the_l_zero(gas):
     theta0 = 1.0
     start = _sonic_start(gas, 0.3, theta0)
-    w = integrate_pm(
-        start, theta0, theta0 + 1.5, Orientation.FORWARD, gas, stop_at_L_zero=True
-    )
+    end = L_zero_angle(gas, start, theta0, Orientation.FORWARD)
+    w = integrate_pm(start, theta0, end, Orientation.FORWARD, gas)
     assert w.theta_end < theta0 + 1.5
     assert abs(w.Ls[-1]) <= 1e-10
-    # an end angle past the vacuum edge: the march ends at the cut, and the
-    # same 64 steps per radian give the same wave
-    far = integrate_pm(
-        start, theta0, theta0 + 6.0, Orientation.FORWARD, gas, stop_at_L_zero=True
-    )
-    assert far == w
+    # past it, L changes sign inside the wave
+    with pytest.raises(ValueError, match="changes sign"):
+        integrate_pm(start, theta0, end + 0.01, Orientation.FORWARD, gas)
+
+
+def _end(gas, start, theta0, span, orient, stop):
+    return L_zero_angle(gas, start, theta0, orient) if stop else theta0 + span
 
 
 @pytest.mark.parametrize(
@@ -178,17 +184,19 @@ def test_stop_at_l_zero_cuts_the_wave(gas):
     ],
 )
 def test_stored_slopes_are_the_rhs(gas, L0, span, orient, stop):
-    """Every stored (drho, dL), the cut's last one too, is pm_rhs at its sample."""
+    """Every stored (drho, dL), the one at the L zero too, is the sonic rhs at its sample."""
     theta0 = 0.8
     start = _sonic_start(gas, L0, theta0, orient=orient)
-    w = integrate_pm(start, theta0, theta0 + span, orient, gas, stop_at_L_zero=stop)
+    w = integrate_pm(start, theta0, _end(gas, start, theta0, span, orient, stop), orient, gas)
     assert (w.theta_end < theta0 + span) == stop
     for i, (t, prim) in enumerate(w.samples):
         N, L = to_polar(prim.u, prim.v, t)
-        ps = PolarState(theta=t, N=N, L=L, rho=prim.rho, p=prim.p)
-        # relative, but absolute for d rho at the cut, where L = 0
+        assert N == pytest.approx(orient.sign * prim.sound_speed(gas), rel=1e-14)
+        s_ref = prim.p / prim.rho ** gas.gamma
+        # relative, but absolute for d rho at the L zero
         near_zero = 1e-14 if abs(L) < 1e-8 else 0.0
-        for got, want in zip((w.drhos[i], w.dLs[i]), pm_rhs(ps, orient, gas)):
+        rhs = _sonic_rhs(prim.rho, L, orient.sign, s_ref, gas.gamma)
+        for got, want in zip((w.drhos[i], w.dLs[i]), rhs):
             assert got == pytest.approx(want, rel=1e-14, abs=near_zero)
 
 
@@ -208,7 +216,7 @@ def test_node_states_are_the_dense_output_at_the_nodes(gas, L0, span, orient, st
     """end_state and samples read the stored nodes, bit for bit pm_wave_state there."""
     theta0 = 0.8
     start = _sonic_start(gas, L0, theta0, orient=orient)
-    w = integrate_pm(start, theta0, theta0 + span, orient, gas, stop_at_L_zero=stop)
+    w = integrate_pm(start, theta0, _end(gas, start, theta0, span, orient, stop), orient, gas)
     assert _bits(w.end_state()) == _bits(pm_wave_state(w, w.thetas[-1]))
     for t, prim in w.samples:
         assert _bits(prim) == _bits(pm_wave_state(w, t))
@@ -217,7 +225,7 @@ def test_node_states_are_the_dense_output_at_the_nodes(gas, L0, span, orient, st
 @pytest.mark.parametrize(
     "L0, orient", [(0.7, Orientation.FORWARD), (-0.6, Orientation.BACKWARD)]
 )
-def test_pm_exact_is_the_limit_of_rk4(gas, L0, orient):
+def test_fan_end_is_the_limit_of_rk4(gas, L0, orient):
     """The closed form agrees with RK4 at nodes and Hermite midpoints.
 
     Measured at 256 steps over 0.45 rad: nodes 8.8e-15, midpoints 9.1e-14
@@ -230,11 +238,11 @@ def test_pm_exact_is_the_limit_of_rk4(gas, L0, orient):
     def gaps(steps):
         w = integrate_pm(start, theta0, theta0 + span, orient, gas, steps=steps)
         nodes = [
-            relative_gap(w.node_state(i), pm_exact(start, theta0, t, orient, gas))
+            relative_gap(w.node_state(i), _fan_end(start, theta0, t, orient, gas))
             for i, t in enumerate(w.thetas)
         ]
         mids = [
-            relative_gap(pm_wave_state(w, t), pm_exact(start, theta0, t, orient, gas))
+            relative_gap(pm_wave_state(w, t), _fan_end(start, theta0, t, orient, gas))
             for t in (0.5 * (a + b) for a, b in zip(w.thetas, w.thetas[1:]))
         ]
         return max(nodes), max(mids)
@@ -254,7 +262,7 @@ def test_pm_exact_is_the_limit_of_rk4(gas, L0, orient):
         (0.4, 0.5, None, "precedes"),
     ],
 )
-def test_pm_exact_fails_where_integrate_pm_does(gas, L0, theta_end, bounds, match):
+def test_fan_end_fails_where_integrate_pm_does(gas, L0, theta_end, bounds, match):
     if bounds is not None:
         gas = make_gas(
             1.4,
@@ -263,7 +271,7 @@ def test_pm_exact_fails_where_integrate_pm_does(gas, L0, theta_end, bounds, matc
         )
     theta0 = 0.0 if bounds is not None else 1.0
     start = _sonic_start(gas, L0, theta0)
-    for march in (integrate_pm, pm_exact):
+    for march in (integrate_pm, _fan_end):
         with pytest.raises(ValueError, match=match):
             march(start, theta0, theta_end, Orientation.FORWARD, gas)
 
@@ -285,6 +293,19 @@ def test_phase_space_exit_rejected():
     start = PrimitiveState(rho=1.0, u=u0, v=v0, p=1.0)
     with pytest.raises(ValueError, match="phase space"):
         integrate_pm(start, 0.0, 0.6, Orientation.FORWARD, tight)
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e300])
+def test_start_without_a_finite_isentrope_constant_rejected(rho):
+    # rho^gamma underflows to 0 at 1e-300 and overflows at 1e300
+    wide = make_gas(
+        1.4,
+        PhaseBounds(rho_min=1e-320, rho_max=1e301, p_min=1e-320, p_max=1e301,
+                    speed_max=1e300, e_min=1e-320),
+    )
+    start = _sonic_start(wide, 0.5, 0.0, rho0=rho, p0=rho)
+    with pytest.raises(ValueError, match="p / rho\\^gamma"):
+        integrate_pm(start, 0.0, 0.3, Orientation.FORWARD, wide)
 
 
 def test_zero_length_wave(gas):
@@ -317,7 +338,8 @@ def test_wave_first_integral(L0, rho0, p0, span, forward):
     # pick the L sign that keeps |L| falling so the span stays in range
     u0, v0 = from_polar(orient.sign * c0, sgn * L0, theta0)
     start = PrimitiveState(rho=rho0, u=u0, v=v0, p=p0)
-    w = integrate_pm(start, theta0, theta0 + span, orient, g, stop_at_L_zero=True)
+    end = min(theta0 + span, L_zero_angle(g, start, theta0, orient))
+    w = integrate_pm(start, theta0, end, orient, g)
     gam = g.gamma
 
     def invariant(rho, L):
@@ -362,9 +384,8 @@ def test_classify_backward(gas):
 def test_classify_wave_ending_at_sonic_turn(gas):
     theta0 = 1.0
     start = _sonic_start(gas, 0.3, theta0)
-    w = integrate_pm(
-        start, theta0, theta0 + 1.5, Orientation.FORWARD, gas, stop_at_L_zero=True
-    )
+    end = L_zero_angle(gas, start, theta0, Orientation.FORWARD)
+    w = integrate_pm(start, theta0, end, Orientation.FORWARD, gas)
     assert classify_pm(w, w.theta_end) is WaveKind.EXPANSION
 
 

@@ -1,0 +1,81 @@
+"""Everything the package defines is used by the package.
+
+A function, class, method or property that only the tests call is either
+a second way of doing a job the commands already do, or no job at all.
+The scan parses src/sectorflow with ast. A module-level def or class is
+used when a name or attribute of that spelling is read anywhere in the
+package outside its own body; a method or property, when an attribute of
+that spelling is read. Imports and the export lists are not reads.
+
+Dunders and argparse's error hook are exempt. Every other exception is in
+ALLOWED, with the acceptance criterion or benchmark layer that calls it.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sectorflow"
+
+ALLOWED = {
+    "roe.jacobian": "acceptance criteria 3 and 5: the frame Jacobian",
+    "roe.roe_matrix": "acceptance criterion 3; solver-sweep layer roe.roe_matrix_us",
+    "roe.eigensystem": "acceptance criterion 3; solver-sweep layer roe.eigensystem_us",
+    "roe.EigenSystem.reconstruct": "acceptance criterion 3: R diag(lambda) L gives the Roe matrix",
+    "roe.genuine_nonlinearity": "acceptance criterion 4",
+    "pmwave.pm_state_derivative": "acceptance criterion 5: a wave's U' in the Jacobian's kernel",
+    "shock.rh_residual": "acceptance criterion 2: the jump conditions of the shock sweep",
+    "verify.StructureReport.named": "acceptance criterion 7 reads the structure checks by name",
+    "shock.AdmissibilityReport.margin": (
+        "the admissibility report's reader of one condition's margin, beside"
+        " StructureReport.named; the shock-sweep tests read the Lax margins with it"
+    ),
+}
+EXEMPT = {"cli._Parser.error"}  # argparse calls it on a bad flag
+
+
+def _reads(node):
+    """(spelling, is_attribute) of every name or attribute read under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id, False
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr, True
+
+
+def _definitions(module, tree):
+    """(qualified name, node, is_member) of each top-level def or class and its members."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield "%s.%s" % (module, node.name), node, False
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        yield "%s.%s.%s" % (module, node.name, member.name), member, True
+
+
+def unused_definitions():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    reads = Counter()
+    for tree in trees.values():
+        reads.update(_reads(tree))
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for qualname, node, member in _definitions(module, tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = Counter(_reads(node))
+            count = reads[name, True] - own[name, True]
+            if not member:
+                count += reads[name, False] - own[name, False]
+            if count <= 0:
+                unused.append(qualname)
+    return unused
+
+
+def test_every_definition_is_used_by_the_package():
+    unused = set(unused_definitions())
+    assert sorted(unused - set(ALLOWED) - EXEMPT) == [], "only the tests use these"
+    # an exception whose name has gained a caller in the package, or is gone, goes too
+    assert sorted((set(ALLOWED) | EXEMPT) - unused) == []

@@ -16,12 +16,7 @@ from sectorflow.flowfield import (
 from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas
 from sectorflow.polar import from_polar, to_polar
 from sectorflow.shock import shock_from_strength
-from sectorflow.verify import (
-    entropy_residual,
-    full_audit,
-    smooth_residual,
-    weak_residual,
-)
+from sectorflow.verify import _residuals, full_audit, smooth_residual
 
 from test_flowfield import (
     THREE_SECTOR_BOUNDS,
@@ -59,6 +54,13 @@ def uniform(gas14):
     return build_flow(gas14, FlowDescription(0.0, anchor, ()))
 
 
+def interval_residuals(flow, theta1, theta2, quad_points=8, subdiv=1):
+    """Raw weak residual (4-tuple) and entropy production of one interval, on any turn."""
+    t1 = flow.local_angle(theta1)
+    weak, _, production, _ = _residuals(flow, [(t1, t1 + (theta2 - theta1))], quad_points, subdiv)
+    return tuple(weak[0].tolist()), float(production[0])
+
+
 def _straddle(flow, theta):
     """Midpoint-to-midpoint interval crossing exactly one jump."""
     mids = [0.5 * (p.theta_start + p.theta_end) for p in flow.interval_pieces]
@@ -76,12 +78,12 @@ def test_weak_residual_constant_piece(two_sector):
     piece = two_sector.interval_pieces[4]
     assert isinstance(piece, ConstantPiece)
     w = piece.theta_end - piece.theta_start
-    r = weak_residual(two_sector, piece.theta_start + 0.1 * w, piece.theta_end - 0.1 * w)
+    r = interval_residuals(two_sector, piece.theta_start + 0.1 * w, piece.theta_end - 0.1 * w)[0]
     assert max(abs(x) for x in r) <= 1e-12
 
 
 def test_weak_residual_uniform_any_interval(uniform):
-    r = weak_residual(uniform, 0.3, 5.9)
+    r = interval_residuals(uniform, 0.3, 5.9)[0]
     assert max(abs(x) for x in r) <= 1e-12
 
 
@@ -90,7 +92,7 @@ def test_weak_residual_across_each_shock(two_sector):
     # so the residual stays at quadrature floor, well under 1e-10
     for sp in two_sector.shock_points:
         lo, hi = _straddle(two_sector, sp.theta)
-        r = weak_residual(two_sector, lo, hi)
+        r = interval_residuals(two_sector, lo, hi)[0]
         assert max(abs(x) for x in r) <= 1e-10
 
 
@@ -99,12 +101,12 @@ def test_weak_residual_across_each_shock_three_sector(three_sector):
     # higher; the audit's scaled view is tested further down
     for sp in three_sector.shock_points:
         lo, hi = _straddle(three_sector, sp.theta)
-        r = weak_residual(three_sector, lo, hi)
+        r = interval_residuals(three_sector, lo, hi)[0]
         assert max(abs(x) for x in r) <= 1e-6
 
 
 def test_weak_residual_full_circle(two_sector):
-    r = weak_residual(two_sector, 0.0, TWO_PI)
+    r = interval_residuals(two_sector, 0.0, TWO_PI)[0]
     assert max(abs(x) for x in r) <= 1e-9
 
 
@@ -112,9 +114,9 @@ def test_weak_residual_full_circle(two_sector):
 def test_weak_residual_wave_quadrature_order(two_sector, interval):
     """Panel refinement converges at the 2-point rule's theoretical order 4."""
     lo, hi = interval[0] - 0.05, interval[1] + 0.05
-    r1 = weak_residual(two_sector, lo, hi, quad_points=2, subdiv=1)
-    r2 = weak_residual(two_sector, lo, hi, quad_points=2, subdiv=2)
-    r4 = weak_residual(two_sector, lo, hi, quad_points=2, subdiv=4)
+    r1 = interval_residuals(two_sector, lo, hi, quad_points=2, subdiv=1)[0]
+    r2 = interval_residuals(two_sector, lo, hi, quad_points=2, subdiv=2)[0]
+    r4 = interval_residuals(two_sector, lo, hi, quad_points=2, subdiv=4)[0]
     d1 = max(abs(a - b) for a, b in zip(r1, r2))
     d2 = max(abs(a - b) for a, b in zip(r2, r4))
     if d2 <= 1e-14:
@@ -123,36 +125,29 @@ def test_weak_residual_wave_quadrature_order(two_sector, interval):
     assert order >= 3.9
 
 
-def test_weak_residual_rejects_empty_interval(two_sector):
-    with pytest.raises(ValueError):
-        weak_residual(two_sector, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        entropy_residual(two_sector, 3.0, 2.5)
-
-
 # -------------------------------------------------------------- entropy
 
 
 def test_entropy_zero_on_constant(two_sector):
     piece = two_sector.interval_pieces[4]
     w = piece.theta_end - piece.theta_start
-    e = entropy_residual(
+    e = interval_residuals(
         two_sector, piece.theta_start + 0.1 * w, piece.theta_end - 0.1 * w
-    )
+    )[1]
     assert abs(e) <= 1e-13
 
 
 def test_entropy_production_positive_at_shocks(two_sector):
     for sp in two_sector.shock_points:
         lo, hi = _straddle(two_sector, sp.theta)
-        assert entropy_residual(two_sector, lo, hi) > 1e-4
+        assert interval_residuals(two_sector, lo, hi)[1] > 1e-4
 
 
 def test_entropy_zero_across_contacts(two_sector):
     # no mass crosses a contact, so it produces nothing
     for cp in two_sector.contact_points:
         lo, hi = _straddle(two_sector, cp.theta)
-        e = entropy_residual(two_sector, lo, hi)
+        e = interval_residuals(two_sector, lo, hi)[1]
         assert abs(e) <= 1e-9
 
 
@@ -187,10 +182,10 @@ def _reversed_shock_flow(flow, index):
 def test_reversed_shock_flags_negative_production(two_sector):
     rev = _reversed_shock_flow(two_sector, 1)
     th = two_sector.shock_points[1].theta
-    e = entropy_residual(rev, th - 0.2, th + 0.2)
+    e = interval_residuals(rev, th - 0.2, th + 0.2)[1]
     assert e < -1e-4
     # the weak form cannot tell: jump conditions hold either way round
-    r = weak_residual(rev, th - 0.2, th + 0.2)
+    r = interval_residuals(rev, th - 0.2, th + 0.2)[0]
     assert max(abs(x) for x in r) <= 1e-12
 
 
@@ -200,7 +195,7 @@ def test_reversed_shock_flags_negative_production(two_sector):
     w=st.floats(min_value=1e-3, max_value=TWO_PI),
 )
 def test_entropy_never_negative_on_random_subintervals(two_sector, a, w):
-    e = entropy_residual(two_sector, a, a + w)
+    e = interval_residuals(two_sector, a, a + w)[1]
     assert e >= -1e-9
 
 
@@ -250,6 +245,27 @@ def test_full_audit_uniform_at_floor(uniform):
     assert max(rep.smooth_residual_max) <= 1e-8
     assert rep.admissibility == ()
     assert rep.sector_count == 2
+
+
+def test_full_audit_fails_a_nan_entropy_production():
+    # rho^gamma of the anchor's 1e-300 underflows to 0, so s = p / rho^gamma
+    # is infinite and every production NaN, which is no pass
+    tiny = make_gas(1.4, PhaseBounds(1e-320, 20.0, 1e-320, 20.0, 15.0, 1e-320))
+    anchor = PrimitiveState(rho=1e-300, u=2.0, v=0.7, p=1e-300)
+    rep = full_audit(build_flow(tiny, FlowDescription(0.0, anchor, ())))
+    assert math.isnan(rep.entropy_min)
+    assert rep.entropy_violations
+    assert all(math.isnan(prod) for _, prod in rep.entropy_violations)
+    assert rep.verdict == "fail"
+
+
+@pytest.mark.parametrize("field", ["weak_residual_max", "smooth_residual_max"])
+def test_a_nan_residual_component_fails_the_verdict(uniform, field):
+    rep = full_audit(uniform)
+    for k in range(4):
+        values = [0.0] * 4
+        values[k] = math.nan
+        assert not rep._replace(**{field: tuple(values)}).ok
 
 
 def test_full_audit_identifies_inadmissible_shock(two_sector):
