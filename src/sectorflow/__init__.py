@@ -4,8 +4,9 @@ The names below are what the command line, the builder and the audit run,
 plus the algebra the acceptance checks and the benchmark call directly
 (the Roe matrix and eigensystem, rh_residual). They load on first use
 (PEP 562), so importing the package, the command line or the solver
-modules does not import numpy; only the array paths (evaluate_many, the
-audit, the exporters) do.
+modules does not import numpy. Only the audit does (verify, with
+evaluate_many, and the Roe algebra); the builder, analyze and the CSV and
+SVG exporters run on plain floats.
 """
 
 import importlib
@@ -55,7 +56,6 @@ _EXPORTS = {
         "SBVDecomposition",
         "build_flow",
         "evaluate",
-        "evaluate_many",
         "sector_decompose",
         "bv_decompose",
         "shock_separation_floor",
@@ -64,6 +64,7 @@ _EXPORTS = {
         "AuditReport",
         "StructureReport",
         "validate_structure",
+        "evaluate_many",
         "smooth_residual",
         "full_audit",
     ),

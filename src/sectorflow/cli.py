@@ -41,7 +41,7 @@ CSV_COLUMNS = "theta,rho,u,v,p,N,L,c,mach_n,s,phi"
 _FLOWFIELD_NAMES = (
     "ClosureError", "ConstantPiece", "ContactEvent", "FlowDescription", "PMEvent",
     "PMPiece", "ShockEvent", "Shooting", "bv_decompose", "build_flow", "evaluate",
-    "evaluate_many", "sector_decompose",
+    "sector_decompose",
 )
 
 
@@ -403,14 +403,23 @@ def export_csv(flow, samples=DEFAULT_SAMPLES):
     """Right-continuous ring sampling; one row per sample plus the header."""
     _bind_flowfield()
     theta = [flow.anchor_theta + TWO_PI * k / samples for k in range(samples)]
-    return _csv_text(flow.gas, theta, *(col.tolist() for col in evaluate_many(flow, theta)))
+    return _csv_text(flow.gas, theta, *zip(*(evaluate(flow, t) for t in theta)))
+
+
+def _null_non_finite(x):
+    """x with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(x, dict):
+        return {k: _null_non_finite(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_null_non_finite(v) for v in x]
+    return None if isinstance(x, float) and not isfinite(x) else x
 
 
 def audit_to_document(report):
-    """AuditReport as plain data, ready for json.dumps."""
+    """AuditReport as plain data, ready for strict JSON: a non-finite number is None."""
     from .verify import _ENTROPY_TOL, _SMOOTH_TOL, _WEAK_TOL
 
-    return {
+    return _null_non_finite({
         "verdict": report.verdict,
         "weak_residual_max": list(report.weak_residual_max),
         "entropy_min": report.entropy_min,
@@ -432,13 +441,13 @@ def audit_to_document(report):
         },
         "sector_count": report.sector_count,
         "tolerances": {"weak": _WEAK_TOL, "entropy": _ENTROPY_TOL, "smooth": _SMOOTH_TOL},
-    }
+    })
 
 
 def export_json(report):
     import json
 
-    return json.dumps(audit_to_document(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(audit_to_document(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _svg_point(theta, r):
@@ -577,12 +586,12 @@ def _artifact_path(out_dir, config_path, fmt):
 
 
 def _render(flow, fmt, samples):
-    from .verify import full_audit
-
     if fmt == "csv":
         return export_csv(flow, samples)
     if fmt == "svg":
         return export_svg(flow)
+    from .verify import full_audit
+
     return export_json(full_audit(flow))
 
 
@@ -716,6 +725,11 @@ def _cmd_pm_trace(ns):
     except ValueError as exc:
         raise ConfigError("pm-trace", str(exc))
     c = start.sound_speed(gas)
+    if not (c > 0.0 and isfinite(c)):
+        raise BuildError(
+            "construction failure: the sound speed sqrt(gamma p / rho) of --rho and"
+            " --p is %r, not a positive finite number" % c
+        )
     orient = Orientation.FORWARD if ns.orientation == "forward" else Orientation.BACKWARD
     # sonic entry: speed M c along the x axis, angle placed so N = +-c
     theta0 = asin(1.0 / ns.mach) * (1.0 if orient is Orientation.FORWARD else -1.0)

@@ -20,12 +20,14 @@ scalar (an angle or a strength) against the flow-angle mismatch at the
 seam. The march carries its state as (rho, u, v, p) floats, and only the
 closing march builds piece objects: the scan and the root finder read the
 seam state alone. The built flow is immutable; evaluation is
-right-continuous.
+right-continuous. Nothing here needs arrays: the sector and
+bounded-variation decompositions read the flow through evaluate.
 """
 
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property
+from itertools import product
 from math import asin, atan2, ceil, hypot, isfinite, pi, sqrt
 
 from .gas import (
@@ -35,7 +37,7 @@ from .gas import (
     require_in_phase_space,
 )
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
-from .pmwave import fan_end, integrate_pm, pm_wave_arrays, pm_wave_state
+from .pmwave import fan_end, integrate_pm, pm_wave_state
 from .shock import (
     Orientation,
     ShockSolution,
@@ -63,7 +65,6 @@ __all__ = [
     "SBVDecomposition",
     "build_flow",
     "evaluate",
-    "evaluate_many",
     "sector_decompose",
     "bv_decompose",
     "shock_separation_floor",
@@ -87,7 +88,6 @@ _MATCH_TOL = 1e-9  # largest relative gap of the state marched around to the anc
 # is used.
 _EXACT_MAX_STEP = 1.0 / 32.0
 _SCAN_RECHECK = 1e-6
-_SECTOR_PROBES = 720  # N-sign probes per turn in sector_decompose
 
 
 class ClosureError(Exception):
@@ -181,34 +181,6 @@ def evaluate(flow, theta):
     if isinstance(piece, ConstantPiece):
         return piece.state
     return pm_wave_state(piece.wave, min(t, piece.theta_end))
-
-
-def evaluate_many(flow, thetas):
-    """(rho, u, v, p) arrays at many angles, elementwise what evaluate gives.
-
-    Same periodic wrap and right-continuous piece lookup as evaluate, with
-    wave pieces interpolated as whole arrays and clamped at their end.
-    """
-    import numpy as np
-
-    t = np.mod(np.asarray(thetas, dtype=float) - flow.anchor_theta, TWO_PI)
-    t = flow.anchor_theta + np.where(t >= TWO_PI, t - TWO_PI, t)
-    idx = np.maximum(np.searchsorted(flow._starts, t, side="right") - 1, 0)
-    pieces = flow.interval_pieces
-    table = np.array(
-        [
-            (p.state.rho, p.state.u, p.state.v, p.state.p)
-            if isinstance(p, ConstantPiece)
-            else (np.nan,) * 4
-            for p in pieces
-        ]
-    )
-    out = table[idx].T.copy()
-    for k, p in enumerate(pieces):
-        if isinstance(p, PMPiece):
-            on = idx == k
-            out[:, on] = pm_wave_arrays(p.wave, np.minimum(t[on], p.theta_end))
-    return tuple(out)
 
 
 def _flow_angle_of(state):
@@ -630,27 +602,19 @@ def sector_decompose(flow):
     consistent normal sign inside each sector, the entry and exit signs
     of L, and the hard cap of three sectors.
     """
-    import numpy as np
-
     contacts = flow.contact_points
     if contacts:
         boundaries = sorted(p.theta for p in contacts)
     else:
-        if len(flow.interval_pieces) > 1 or not isinstance(
-            flow.interval_pieces[0], ConstantPiece
-        ):
+        first = flow.interval_pieces[0]
+        if len(flow.interval_pieces) > 1 or not isinstance(first, ConstantPiece):
             raise ValueError("flow without contacts must be a single constant")
-        s = flow.interval_pieces[0].state
-        phi = atan2(s.v, s.u)
-        base = flow.anchor_theta
-        b1 = base + wrap_angle(phi - base)
-        b2 = base + wrap_angle(phi + pi - base)
-        boundaries = sorted((b1, b2))
+        # the two zeros of N, where theta is the flow angle phi or phi + pi
+        phi, base = _flow_angle_of(first.state), flow.anchor_theta
+        boundaries = sorted(base + wrap_angle(x - base) for x in (phi, phi + pi))
 
     if len(boundaries) > 3:
-        raise ValueError(
-            "%d contacts violates maximum-sector theorem" % len(boundaries)
-        )
+        raise ValueError("%d contacts violates maximum-sector theorem" % len(boundaries))
 
     eps = 1e-7
     sectors = []
@@ -658,33 +622,33 @@ def sector_decompose(flow):
         b = boundaries[(k + 1) % len(boundaries)]
         if b <= a:
             b += TWO_PI
-        n_probe = max(16, int(_SECTOR_PROBES * (b - a) / TWO_PI))
-        t = a + (b - a) * np.arange(1, n_probe) / n_probe
-        _, u, v, _ = evaluate_many(flow, t)
-        N = u * np.sin(t) - v * np.cos(t)
-        N = N[np.abs(N) > 1e-12]
-        if not len(N):
+        # N's sign from probes eps inside the ends of each piece in the sector,
+        # at most pi/2 apart: a constant's N = |V| sin(theta - phi) has zeros
+        # pi apart, and a wave's N = +-c never vanishes
+        N = []
+        for shift, p in product((0.0, TWO_PI), flow.interval_pieces):
+            lo, hi = max(p.theta_start + shift, a), min(p.theta_end + shift, b)
+            if hi > lo:
+                d = min(eps, 0.5 * (hi - lo))
+                n = max(1, ceil((hi - lo - 2.0 * d) / (0.5 * pi)))
+                for t in (lo + d + (hi - lo - 2.0 * d) * j / n for j in range(n + 1)):
+                    s = evaluate(flow, t)
+                    N.append(to_polar(s.u, s.v, t)[0])
+        N = [x for x in N if abs(x) > 1e-12]
+        if not N:
             raise ValueError("sector with vanishing N throughout")
         sign = 1.0 if N[0] > 0.0 else -1.0
-        if np.any(N * sign < 0.0):
+        if any(x * sign < 0.0 for x in N):
             raise ValueError("sector with sign-inconsistent N")
         direction = Orientation.FORWARD if sign > 0 else Orientation.BACKWARD
-
-        L_in = _L_at(flow, a + eps)
-        L_out = _L_at(flow, b - eps)
-        if direction is Orientation.FORWARD:
-            if not (L_in > 0.0 > L_out):
-                raise ValueError("forward sector tangential signs are wrong")
-        else:
-            if not (L_in < 0.0 < L_out):
-                raise ValueError("backward sector tangential signs are wrong")
+        # L enters with N's sign and leaves with the other
+        if not sign * _L_at(flow, a + eps) > 0.0 > sign * _L_at(flow, b - eps):
+            raise ValueError("%s sector tangential signs are wrong" % direction.value)
 
         # L is monotone and continuous inside the sector, and the signs
         # checked above bracket its zero
         theta_bar = brentq(lambda t: _L_at(flow, t), a + eps, b - eps, xtol=1e-15)
-        sectors.append(
-            Sector(theta_start=a, theta_end=b, direction=direction, theta_bar=theta_bar)
-        )
+        sectors.append(Sector(a, b, direction, theta_bar))
     return sectors
 
 
@@ -721,29 +685,32 @@ def _conserved_jump(flow, point):
 
 def bv_decompose(flow, samples=720):
     """Cumulative-jump decomposition U = U_L + U_S sampled on the circle."""
-    import numpy as np
-
     jumps = sorted(
         ((flow.local_angle(p.theta), _conserved_jump(flow, p)) for p in flow.jump_points),
         key=lambda q: q[0],
     )
-    tv_jump = sum(sqrt(sum(d * d for d in dU)) for _, dU in jumps)
 
-    base = flow.anchor_theta
-    ts = base + TWO_PI * np.arange(samples + 1) / samples
-    rho, u, v, p = evaluate_many(flow, ts)
-    E = p / (flow.gas.gamma - 1.0) + 0.5 * rho * (u ** 2 + v ** 2)
-    saltus = np.zeros((4, len(ts)))
-    for a, dU in jumps:
-        saltus += np.where(a <= ts, np.array(dU)[:, None], 0.0)
-    part = np.array([rho, rho * u, rho * v, E]) - saltus
-    d = np.diff(part, axis=1)
-    step = np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2)
+    base, g1 = flow.anchor_theta, flow.gas.gamma - 1.0
+    ts = [base + TWO_PI * k / samples for k in range(samples + 1)]
+    part = []
+    saltus, passed = (0.0,) * 4, 0  # the jumps at or below t, summed in order
+    for t in ts:
+        while passed < len(jumps) and jumps[passed][0] <= t:
+            saltus = tuple(x + d for x, d in zip(saltus, jumps[passed][1]))
+            passed += 1
+        rho, u, v, p = evaluate(flow, t)
+        s0, s1, s2, s3 = saltus
+        E = p / g1 + 0.5 * rho * (u * u + v * v)
+        part.append((rho - s0, rho * u - s1, rho * v - s2, E - s3))
+    step = []
+    for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(part, part[1:]):
+        d0, d1, d2, d3 = b0 - a0, b1 - a1, b2 - a2, b3 - a3
+        step.append(sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
 
     return SBVDecomposition(
         jump_part=tuple(jumps),
-        lipschitz_part=tuple(zip(ts.tolist(), map(tuple, part.T.tolist()))),
-        total_variation=tv_jump,
-        tv_lipschitz=sum(step.tolist()),
-        lipschitz_constant=max((step / np.diff(ts)).tolist()),
+        lipschitz_part=tuple(zip(ts, part)),
+        total_variation=sum(sqrt(sum(d * d for d in dU)) for _, dU in jumps),
+        tv_lipschitz=sum(step),
+        lipschitz_constant=max(h / (t1 - t0) for h, t0, t1 in zip(step, ts, ts[1:])),
     )

@@ -41,12 +41,11 @@ from .flowfield import (
     _conserved_jump,
     _flow_angle_of,
     evaluate,
-    evaluate_many,
     sector_decompose,
     shock_separation_floor,
 )
 from .gas import ray_fluxes, relative_gap
-from .pmwave import WaveKind, classify_pm, pm_wave_state
+from .pmwave import WaveKind, classify_pm, pm_wave_arrays, pm_wave_state
 from .polar import TWO_PI, wrap_signed
 from .shock import (
     DiscontinuityKind, Orientation, ShockSolution, check_admissibility, classify_discontinuity,
@@ -68,6 +67,24 @@ _JUMP_EPS = 1e-10
 # Largest relative gap of a jump's stored sides to those limits: the
 # builder's own flowfield._START_MATCH_TOL, so whatever builds passes.
 _RECORD_TOL = 1e-8
+
+
+def evaluate_many(flow, thetas):
+    """(rho, u, v, p) arrays at many angles, elementwise what evaluate gives.
+
+    evaluate's wrap and right-continuous lookup; a wave is clamped at its end.
+    """
+    t = np.mod(np.asarray(thetas, dtype=float) - flow.anchor_theta, TWO_PI)
+    t = flow.anchor_theta + np.where(t >= TWO_PI, t - TWO_PI, t)
+    idx = np.maximum(np.searchsorted(flow._starts, t, side="right") - 1, 0)
+    pieces = flow.interval_pieces
+    table = [p.state if isinstance(p, ConstantPiece) else (np.nan,) * 4 for p in pieces]
+    out = np.array(table)[idx].T.copy()
+    for k, p in enumerate(pieces):
+        if isinstance(p, PMPiece):
+            on = idx == k
+            out[:, on] = pm_wave_arrays(p.wave, np.minimum(t[on], p.theta_end))
+    return tuple(out)
 
 
 def _breakpoints(flow):

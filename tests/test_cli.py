@@ -20,7 +20,8 @@ from sectorflow.cli import (
     main,
     parse_config,
 )
-from sectorflow.flowfield import build_flow, evaluate_many
+from sectorflow.flowfield import build_flow
+from sectorflow.verify import evaluate_many
 from sectorflow.gas import make_gas
 from sectorflow.polar import TWO_PI
 from sectorflow.shock import deflection_angle
@@ -717,6 +718,27 @@ NO_FLOW_BUILDER = NO_FLOWFIELD + ("sectorflow.pmwave",)
         (_main_returns(["build", "SCALED_TWO_SECTOR"], 2), NO_NUMPY),
         # every scan point fails on a shock side, checked on floats
         (_main_prints(["build", "LOW_CEILING_TWO_SECTOR"], 2, SHOCK_SIDE_FAILURE), NO_NUMPY),
+        # a flow that closes, where nothing asks for the audit: the summary's
+        # sectors, the CSV ring, the SVG and the analysis read evaluate
+        (_main_returns(["build", str(CONFIGS / "two_sector.json")], 0), NO_NUMPY),
+        (_main_returns(["build", "TMP_DIR/csv_svg.json", "--out", "TMP_DIR/out"], 0), NO_NUMPY),
+        (_main_returns(["analyze", str(CONFIGS / "two_sector.json")], 0), NO_NUMPY),
+        (
+            _main_returns(
+                ["export", str(CONFIGS / "two_sector.json"), "--format", "csv",
+                 "--out", "TMP_DIR/flow.csv"],
+                0,
+            ),
+            NO_NUMPY,
+        ),
+        (
+            _main_returns(
+                ["export", str(CONFIGS / "two_sector.json"), "--format", "svg",
+                 "--out", "TMP_DIR/flow.svg"],
+                0,
+            ),
+            NO_NUMPY,
+        ),
     ],
     ids=[
         "package",
@@ -731,6 +753,11 @@ NO_FLOW_BUILDER = NO_FLOWFIELD + ("sectorflow.pmwave",)
         "build-unclosed",
         "build-unclosed-waves",
         "build-unclosed-shock-sides",
+        "build",
+        "build-out-csv-svg",
+        "analyze",
+        "export-csv",
+        "export-svg",
     ],
 )
 def test_cold_paths_do_not_load_numpy(statement, unloaded, tmp_path):
@@ -743,6 +770,10 @@ def test_cold_paths_do_not_load_numpy(statement, unloaded, tmp_path):
     doc["gas"]["bounds"]["p_max"] = 1.5  # below the first shock's back pressure
     low_ceiling = tmp_path / "low_ceiling.json"
     low_ceiling.write_text(json.dumps(doc))
+    doc = json.loads((CONFIGS / "two_sector.json").read_text())
+    doc["output"]["formats"] = ["csv", "svg"]
+    (tmp_path / "csv_svg.json").write_text(json.dumps(doc))
+    statement = statement.replace("TMP_DIR", str(tmp_path))
     statement = statement.replace("SCALED_TWO_SECTOR", str(scaled))
     statement = statement.replace("LOW_CEILING_TWO_SECTOR", str(low_ceiling))
     done = _python(
@@ -831,3 +862,33 @@ def test_exporters_call_evaluate_and_bv_decompose_through_cli(monkeypatch):
     calls.clear()
     cli_module.analyze_to_document(flow, cfg.samples)
     assert calls == ["bv_decompose"]
+
+
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+def test_verify_writes_a_nan_residual_as_null(tmp_path, capsys):
+    # uniform anchored at rho = p = 1e-300 under floors of 1e-320: p / rho^gamma
+    # is infinite, and the entropy productions are NaN
+    doc = json.loads((CONFIGS / "uniform.json").read_text())
+    doc["gas"]["bounds"].update(rho_min=1e-320, p_min=1e-320, e_min=1e-320)
+    doc["anchor"].update(rho=1e-300, p=1e-300)
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(doc))
+    assert main(["verify", str(config)]) == 1
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["verdict"] == "fail"
+    assert report["entropy_min"] is None
+    assert report["entropy_violations"]
+    assert all(v["production"] is None for v in report["entropy_violations"])
+
+
+@pytest.mark.parametrize("rho, p, c", [("1e300", "1e-300", "0.0"), ("1e-300", "1e300", "inf")])
+def test_pm_trace_names_a_sound_speed_that_is_not_positive_and_finite(capsys, rho, p, c):
+    argv = ["pm-trace", "--gamma", "1.4", "--mach", "2", "--rho", rho, "--p", p]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "construction failure: the sound speed sqrt(gamma p / rho) of --rho and --p"
+        " is %s, not a positive finite number\n" % c
+    )

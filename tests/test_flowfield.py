@@ -39,11 +39,10 @@ from sectorflow.flowfield import (
     build_flow,
     bv_decompose,
     evaluate,
-    evaluate_many,
     sector_decompose,
     shock_separation_floor,
 )
-from sectorflow.verify import full_audit, validate_structure
+from sectorflow.verify import evaluate_many, full_audit, validate_structure
 
 from test_pmwave import L_zero_angle
 
@@ -978,6 +977,50 @@ def test_lipschitz_part_continuous_across_jumps(two_sector):
             assert jump_of_U == pytest.approx(declared, rel=1e-6, abs=1e-7)
 
 
+def _numpy_bv_decompose(flow, samples):
+    """bv_decompose as it was on numpy arrays, kept as the float version's reference."""
+    jumps = sorted(
+        ((flow.local_angle(p.theta), flowfield._conserved_jump(flow, p)) for p in flow.jump_points),
+        key=lambda q: q[0],
+    )
+    ts = flow.anchor_theta + TWO_PI * np.arange(samples + 1) / samples
+    rho, u, v, p = evaluate_many(flow, ts)
+    E = p / (flow.gas.gamma - 1.0) + 0.5 * rho * (u ** 2 + v ** 2)
+    saltus = np.zeros((4, len(ts)))
+    for a, dU in jumps:
+        saltus += np.where(a <= ts, np.array(dU)[:, None], 0.0)
+    part = np.array([rho, rho * u, rho * v, E]) - saltus
+    d = np.diff(part, axis=1)
+    step = np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2)
+    return (
+        tuple(jumps),
+        tuple(zip(ts.tolist(), map(tuple, part.T.tolist()))),
+        sum(math.sqrt(sum(x * x for x in dU)) for _, dU in jumps),
+        sum(step.tolist()),
+        max((step / np.diff(ts)).tolist()),
+    )
+
+
+@pytest.mark.parametrize("samples", [360, 1440])
+@pytest.mark.parametrize("name", ["two_sector", "three_sector_g112", "uniform"])
+def test_bv_decompose_matches_the_numpy_reference(name, samples):
+    from sectorflow.cli import parse_config
+
+    cfg = parse_config((CONFIGS / ("%s.json" % name)).read_text())
+    flow = build_flow(cfg.gas, cfg.description)
+    got = bv_decompose(flow, samples)
+    jumps, part, tv, tv_lip, lip = _numpy_bv_decompose(flow, samples)
+
+    def close(x, y):
+        return abs(x - y) <= 4 * math.ulp(max(abs(x), abs(y)))
+
+    assert (got.jump_part, got.total_variation) == (jumps, tv)
+    assert [t for t, _ in got.lipschitz_part] == [t for t, _ in part]
+    for (_, x), (_, y) in zip(got.lipschitz_part, part):
+        assert all(map(close, x, y)), (x, y)
+    assert close(got.tv_lipschitz, tv_lip) and close(got.lipschitz_constant, lip)
+
+
 def test_pointwise_split_reconstructs_the_flow(two_sector):
     bv = bv_decompose(two_sector, samples=360)
     jumps = []
@@ -1359,3 +1402,18 @@ def test_sector_decompose_rejects_what_it_cannot_split(gas14, mutant, message):
     with pytest.raises(ValueError) as info:
         sector_decompose(mutant(gas14))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("shift", [1e-3, 1e-5])
+def test_sector_sign_check_sees_a_zero_next_to_a_contact(two_sector, shift):
+    # the contact at 6.0 moved up: the constant before it runs past its own
+    # N zero, so N changes sign shift rad inside the sector that ends there
+    k = _piece_index(two_sector, lambda p: isinstance(p, ContactPoint) and p.theta == 6.0)
+    pieces = list(two_sector.pieces)
+    theta = pieces[k].theta + shift
+    pieces[k - 1] = pieces[k - 1]._replace(theta_end=theta)
+    pieces[k] = pieces[k]._replace(theta=theta)
+    pieces[k + 1] = pieces[k + 1]._replace(theta_start=theta)
+    with pytest.raises(ValueError) as info:
+        sector_decompose(_with_pieces(two_sector, pieces))
+    assert str(info.value) == "sector with sign-inconsistent N"

@@ -1,4 +1,4 @@
-"""Everything the package defines is used by the package.
+"""Everything the package defines is used by the package, and numpy only where arrays pay.
 
 A function, class, method or property that only the tests call is either
 a second way of doing a job the commands already do, or no job at all.
@@ -9,6 +9,10 @@ that spelling is read. Imports and the export lists are not reads.
 
 Dunders and argparse's error hook are exempt. Every other exception is in
 ALLOWED, with the acceptance criterion or benchmark layer that calls it.
+
+numpy is imported by the audit (verify), the Roe algebra (roe) and the two
+array routines the audit calls; the builder, the exporters and analyze run
+on plain floats through evaluate, so a cold build never loads it.
 """
 
 import ast
@@ -79,3 +83,29 @@ def test_every_definition_is_used_by_the_package():
     assert sorted(unused - set(ALLOWED) - EXEMPT) == [], "only the tests use these"
     # an exception whose name has gained a caller in the package, or is gone, goes too
     assert sorted((set(ALLOWED) | EXEMPT) - unused) == []
+
+
+# where numpy may be imported: a module (at its top level) or module.function
+NUMPY_IMPORTS = {"verify", "roe", "gas.ray_fluxes", "pmwave.pm_wave_arrays"}
+
+
+def numpy_imports():
+    """Where the package imports numpy: a module's top level, or the top-level def or class."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Import):
+                    names = [alias.name for alias in inner.names]
+                elif isinstance(inner, ast.ImportFrom) and inner.level == 0:
+                    names = [inner.module]
+                else:
+                    continue
+                if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                    named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    found.add("%s.%s" % (path.stem, node.name) if named else path.stem)
+    return found
+
+
+def test_numpy_is_imported_only_where_arrays_are_used():
+    assert numpy_imports() == NUMPY_IMPORTS
