@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 from math import asin, atan2, cos, degrees, isfinite, pi, radians, sin, sqrt
 
-from .gas import PhaseBounds, PrimitiveState, make_gas
+from .gas import ENTROPY_TOL, SMOOTH_TOL, WEAK_TOL, PhaseBounds, PrimitiveState, make_gas
 from .polar import TWO_PI
 from .shock import (
     DetachedShockError,
@@ -417,8 +417,6 @@ def _null_non_finite(x):
 
 def audit_to_document(report):
     """AuditReport as plain data, ready for strict JSON: a non-finite number is None."""
-    from .verify import _ENTROPY_TOL, _SMOOTH_TOL, _WEAK_TOL
-
     return _null_non_finite({
         "verdict": report.verdict,
         "weak_residual_max": list(report.weak_residual_max),
@@ -440,7 +438,7 @@ def audit_to_document(report):
             ],
         },
         "sector_count": report.sector_count,
-        "tolerances": {"weak": _WEAK_TOL, "entropy": _ENTROPY_TOL, "smooth": _SMOOTH_TOL},
+        "tolerances": {"weak": WEAK_TOL, "entropy": ENTROPY_TOL, "smooth": SMOOTH_TOL},
     })
 
 

@@ -15,6 +15,9 @@ with:
   * a smooth wave starts where the incoming constant meets the sonic
     condition N = +-c and runs to a declared end angle.
 
+No jump the march lays by accident exceeds gas.MATCH_TOL, under the
+audit's thresholds: a wave's start, declared or not, is sonic to MATCH_TOL
+c, and a shock's marching side and the closed seam match to it.
 Closure around the circle is generally met by shooting on one declared
 scalar (an angle or a strength) against the flow-angle mismatch at the
 seam. The march carries its state as (rho, u, v, p) floats, and only the
@@ -31,9 +34,7 @@ from itertools import product
 from math import asin, atan2, ceil, hypot, isfinite, pi, sqrt
 
 from .gas import (
-    PrimitiveState,
-    primitive_to_conserved,
-    relative_gap,
+    MATCH_TOL, NO_JUMP_TOL, PrimitiveState, primitive_to_conserved, relative_gap,
     require_in_phase_space,
 )
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
@@ -70,15 +71,10 @@ __all__ = [
     "shock_separation_floor",
 ]
 
-# Tolerances of the march and of closure shooting. Within _ANGLE_MARGIN an
-# event reaches the seam, a wave start the march's angle, and the next angle
-# with a given N the current one.
+# Tolerances of the march and of closure shooting (its accidental jumps are
+# gas.MATCH_TOL's). Within _ANGLE_MARGIN an event reaches the seam, a wave
+# start the march's angle, and the next angle with a given N the current one.
 _ANGLE_MARGIN = 1e-12
-_SONIC_START_TOL = 1e-9  # a wave starts at the march's angle if |N -+ c| <= this * c
-_TRIVIAL_CONTACT = 1e-9  # largest relative jump in rho and in L of a trivial contact
-# largest relative gap to the march of a shock's marching side and of a wave's sonic start
-_START_MATCH_TOL = 1e-8
-_MATCH_TOL = 1e-9  # largest relative gap of the state marched around to the anchor
 # The closure scan takes a wave's end state from the closed form only when
 # the RK4 march it stands for steps at most _EXACT_MAX_STEP rad. The two seam
 # mismatches then differ by at most about 5.5e-3 h^4, so 5.2e-9 (measured on
@@ -363,7 +359,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                     theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
                 )
                 left, right = (behind, front) if back else (front, behind)
-                if relative_gap(left, state) > _START_MATCH_TOL:
+                if relative_gap(left, state) > MATCH_TOL:
                     raise ValueError("shock does not match the marching state")
 
                 hold(theta_s)
@@ -385,7 +381,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                     abs(ev.rho - rho) / max(1.0, rho, ev.rho),
                     abs(ev.L - L_left) / max(1.0, abs(L_left), abs(ev.L)),
                 )
-                if jump <= _TRIVIAL_CONTACT:
+                if jump <= NO_JUMP_TOL:
                     raise ValueError(
                         "a trivial contact must jump in density or tangential velocity"
                     )
@@ -399,30 +395,22 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
 
             elif isinstance(ev, PMEvent):
                 sign = ev.orientation.sign
-                c_cur = sqrt(g * p / rho)
-                solved = False
                 if ev.theta_start is not None:
                     a = ev.theta_start
                     if a < cur_start - _ANGLE_MARGIN:
                         raise ValueError("wave start angle precedes the march")
                 else:
+                    c_cur = sqrt(g * p / rho)
                     N_now, _ = to_polar(u, v, cur_start)
-                    if abs(N_now - sign * c_cur) <= _SONIC_START_TOL * c_cur:
+                    if abs(N_now - sign * c_cur) <= MATCH_TOL * c_cur:
                         a = cur_start
                     else:
                         a = _next_angle_with_normal(u, v, sign * c_cur, cur_start)
-                        solved = True
                 if not ev.theta_end > a:
                     raise ValueError("wave needs a nonempty interval")
                 if ev.theta_end >= horizon - _ANGLE_MARGIN:
                     raise ValueError("wave end passes the closure seam")
-                # the wave starts on the march's rho, p and L with N = +-c;
-                # a start solved for N = +-c is sonic by construction
-                if not solved:
-                    _, L_a = to_polar(u, v, a)
-                    sonic = (rho, *from_polar(sign * c_cur, L_a, a), p)
-                    if relative_gap(sonic, state) > _START_MATCH_TOL:
-                        raise ValueError("starting state is not sonic for this orientation")
+                # the wave march checks that the state is sonic at a, as above
                 wave, end = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
                 if a > cur_start + _ANGLE_MARGIN:
                     hold(a)
@@ -567,14 +555,13 @@ def build_flow(gas, desc):
 def _closed_flow(gas, desc, note):
     pieces, final = _march(gas, desc, keep=True)
     gap = relative_gap(final, desc.anchor_state)
-    if gap > _MATCH_TOL:
+    if gap > MATCH_TOL:
         raise ClosureError(
             "flow does not close up around the circle (residual %.3e%s)" % (gap, note)
         )
-    # a wave laid at the anchor's angle starts on its own sonic first node
-    first = pieces[0]
-    if isinstance(first, PMPiece) and relative_gap(first.wave.node_state(0), final) > _MATCH_TOL:
-        raise ValueError("flow is not periodic at the seam")
+    # A wave laid at the anchor's angle starts on its sonic first node, whose
+    # velocity is |N -+ c| <= MATCH_TOL c <= sqrt(2) MATCH_TOL max(|u|, |v|)
+    # off the marched state's: the seam jumps by at most (1 + sqrt(2)) MATCH_TOL.
     return FlowField(gas=gas, anchor_theta=desc.anchor_theta, pieces=tuple(pieces))
 
 

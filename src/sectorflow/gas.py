@@ -112,6 +112,22 @@ def relative_gap(a, b):
     return max(abs(x - y) / max(abs(x), abs(y), 1.0) for x, y in zip(a, b))
 
 
+# The tolerances of the builder and the audit, in one table; the audit's first.
+WEAK_TOL = 1e-10  # scaled weak residual
+ENTROPY_TOL = 1e-10  # scaled entropy production, from below
+SMOOTH_TOL = 1e-6  # scaled smooth residual
+STRUCTURE_TOL = 1e-6  # wave classification and sector turning
+# The largest jump the builder lays by accident (a wave start's |N -+ c| / c,
+# a shock side's or the seam's relative_gap), under WEAK_TOL and ENTROPY_TOL:
+# on two_sector anchored near its wave's sonic angle the weak residual is
+# about 0.84 and the entropy production -0.66 times the start's N gap / c.
+MATCH_TOL = WEAK_TOL / 10
+NO_JUMP_TOL = 1e-9  # two states within this relative_gap are not a jump
+# A jump's stored sides may differ from the flow's limits by this
+# relative_gap; above MATCH_TOL, so that what builds passes.
+RECORD_TOL = 1e-8
+
+
 class ConservedState(namedtuple("ConservedState", "rho mom_x mom_y energy")):
     """Conserved variables (rho, rho u, rho v, total energy per volume)."""
 

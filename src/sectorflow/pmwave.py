@@ -7,7 +7,8 @@ The wave is governed by the reduced two-equation system in (rho, L),
 
 with c = c(rho) on the isentrope through the starting state. N never
 appears as an unknown: it is slaved to +-c(rho), which keeps the sonic
-and isentropic invariants exact at every sample by construction.
+and isentropic invariants exact at every sample by construction. So the
+start must be sonic to |N -+ c| <= gas.MATCH_TOL c, a jump the audit admits.
 
 One private rhs, _sonic_rhs, evaluates this system for the RK4 loop and
 pm_state_derivative. It raises ValueError when the density is not
@@ -31,7 +32,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from math import atan2, ceil, cos, hypot, inf, pi, sin, sqrt
 
-from .gas import PrimitiveState, require_in_phase_space
+from .gas import MATCH_TOL, PrimitiveState, require_in_phase_space
 from .polar import from_polar, to_polar
 from .shock import brentq
 
@@ -46,7 +47,7 @@ __all__ = [
     "pm_state_derivative",
 ]
 
-SONIC_TOL = 1e-6
+_END_CROSSING_TOL = 1e-9  # an L zero within this (1 + span) of the end is the end
 
 
 class WaveKind(enum.Enum):
@@ -148,14 +149,14 @@ def pm_wave_arrays(wave, thetas):
 
 
 def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas):
-    """Checks on a wave's start (sonic) and span.
+    """Checks on a wave's start (sonic to MATCH_TOL c) and span.
 
     Returns (L0, c0, span): the start's tangential velocity and sound
     speed, and the span.
     """
     N0, L0 = to_polar(u, v, theta_start)
     c0 = sqrt(gas.gamma * p / rho)
-    if abs(N0 - orient.sign * c0) > SONIC_TOL * c0:
+    if abs(N0 - orient.sign * c0) > MATCH_TOL * c0:
         raise ValueError("starting state is not sonic for this orientation")
 
     span = theta_end - theta_start
@@ -231,7 +232,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
             crossing = brentq(
                 lambda t: wave.reduced_at(t)[1], thetas[i], thetas[i + 1], xtol=1e-15
             )
-            if abs(crossing - theta_end) > 1e-9 * (1.0 + span):
+            if abs(crossing - theta_end) > _END_CROSSING_TOL * (1.0 + span):
                 raise ValueError("tangential velocity changes sign inside the wave")
             break
 
@@ -261,7 +262,7 @@ def fan_end(rho, u, v, p, theta_start, theta_end, orient, gas):
         raise ValueError("wave reaches vacuum before its end angle")
     if phi0 * phi < 0.0:
         crossing = theta_start + phi0 / (sign * k)
-        if abs(crossing - theta_end) > 1e-9 * (1.0 + span):
+        if abs(crossing - theta_end) > _END_CROSSING_TOL * (1.0 + span):
             raise ValueError("tangential velocity changes sign inside the wave")
     R = hypot(L0, c0 / k)
     c = k * R * cos(phi)

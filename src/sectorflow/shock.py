@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import acos, asin, atan, atan2, cos, pi, sin, sqrt, tan
 
-from .gas import normal_flux, physical_fluxes, relative_gap, require_in_phase_space
+from .gas import NO_JUMP_TOL, normal_flux, physical_fluxes, relative_gap, require_in_phase_space
 from .polar import PolarState, from_polar, to_polar
 
 __all__ = [
@@ -206,15 +206,15 @@ Classification = namedtuple("Classification", "kind shock reason", defaults=(Non
 def classify_discontinuity(left, right, theta, gas):
     """Decide what kind of jump, if any, the two states form at theta.
 
-    States within relative distance 1e-9 are not a jump. A normal velocity
-    counts as zero within 1e-9 max(|V|, c) of the left state. A contact
-    needs both at zero and pressures equal within 1e-12 max(1, p_left). A
-    shock needs all four jump conditions, one N sign on both sides and a
-    pressure rise through the gas path; anything else is inadmissible with
-    the first violated condition named. The shock's admissibility margins
-    are check_admissibility's, run by the caller on the returned shock.
+    States within relative distance NO_JUMP_TOL are not a jump. A normal
+    velocity counts as zero within 1e-9 max(|V|, c) of the left state. A
+    contact needs both at zero and pressures equal within 1e-12 max(1, p_left).
+    A shock needs all four jump conditions, one N sign on both sides and a
+    pressure rise through the gas path; anything else is inadmissible with the
+    first violated condition named. The shock's admissibility margins are
+    check_admissibility's, run by the caller on the returned shock.
     """
-    if relative_gap(left, right) <= 1e-9:
+    if relative_gap(left, right) <= NO_JUMP_TOL:
         return Classification(DiscontinuityKind.NOT_A_JUMP)
 
     n_zero = 1e-9 * max(left.speed, left.sound_speed(gas))

@@ -44,6 +44,7 @@ from .flowfield import (
     sector_decompose,
     shock_separation_floor,
 )
+from .gas import ENTROPY_TOL, NO_JUMP_TOL, RECORD_TOL, SMOOTH_TOL, STRUCTURE_TOL, WEAK_TOL
 from .gas import ray_fluxes, relative_gap
 from .pmwave import WaveKind, classify_pm, pm_wave_arrays, pm_wave_state
 from .polar import TWO_PI, wrap_signed
@@ -52,21 +53,17 @@ from .shock import (
     lax_neighborhood_bound,
 )
 
-_WEAK_TOL = 1e-10
-_ENTROPY_TOL = 1e-10
-_SMOOTH_TOL = 1e-6
-_STRUCTURE_TOL = 1e-6
 _QUAD_POINTS = 8  # Gauss-Legendre nodes per panel in scaled_residuals
 _SMOOTH_SAMPLES = 720  # smooth_residual's samples per turn
 _SMOOTH_STEP = 1e-5  # smooth_residual's difference step
 
 _MAX_PANEL = 0.25
+_SAME_BREAK = 1e-13  # breakpoints closer than this are one panel edge
+_INSIDE = 1e-12  # how far inside an interval a piece must reach to be in it
 # A jump's one-sided limits are read _JUMP_EPS past it; every jump a build
-# lays sits between constants, so they are exactly the neighbours' states.
+# lays sits between constants, so they are exactly the neighbours' states,
+# and the jump's stored sides must match them within RECORD_TOL.
 _JUMP_EPS = 1e-10
-# Largest relative gap of a jump's stored sides to those limits: the
-# builder's own flowfield._START_MATCH_TOL, so whatever builds passes.
-_RECORD_TOL = 1e-8
 
 
 def evaluate_many(flow, thetas):
@@ -100,8 +97,8 @@ def _breakpoints(flow):
 
 def _panels(breaks, t1, t2, subdiv):
     """Panel ends (lo, hi) over [t1, t2], split at every breakpoint inside."""
-    inner = breaks[(breaks > t1 + 1e-13) & (breaks < t2 - 1e-13)]
-    inner = inner[np.diff(inner, prepend=-np.inf) > 1e-13]
+    inner = breaks[(breaks > t1 + _SAME_BREAK) & (breaks < t2 - _SAME_BREAK)]
+    inner = inner[np.diff(inner, prepend=-np.inf) > _SAME_BREAK]
     edges = np.concatenate(([t1], inner, [t2]))
     a, b = edges[:-1], edges[1:]
     n = np.maximum(1, np.ceil((b - a) / _MAX_PANEL).astype(int)) * max(1, subdiv)
@@ -209,11 +206,11 @@ def _pieces_in(flow, a, b):
         for p in flow.pieces:
             if isinstance(p, (ShockSolution, ContactPoint)):
                 t = p.theta + shift
-                if a + 1e-12 < t < b - 1e-12:
+                if a + _INSIDE < t < b - _INSIDE:
                     out.append((t, p, shift))
             else:
                 s, e = p.theta_start + shift, p.theta_end + shift
-                if e > a + 1e-12 and s < b - 1e-12:
+                if e > a + _INSIDE and s < b - _INSIDE:
                     out.append((max(s, a), p, shift))
     out.sort(key=lambda q: q[0])
     return out
@@ -237,7 +234,7 @@ def _constant_width(flow, piece):
         other = last if piece is first else first
         if (
             isinstance(other, ConstantPiece)
-            and relative_gap(piece.state, other.state) <= 1e-9
+            and relative_gap(piece.state, other.state) <= NO_JUMP_TOL
         ):
             width += other.theta_end - other.theta_start
     return width
@@ -257,7 +254,7 @@ def _judge(flow, point):
         detail = found.reason or "the flow's limits classify as %s" % found.kind.value
     elif found.shock is not None:
         detail = check_admissibility(found.shock, flow.gas).first_failure() or ""
-    if not detail and max(relative_gap(point.left, left), relative_gap(point.right, right)) > _RECORD_TOL:
+    if not detail and max(relative_gap(point.left, left), relative_gap(point.right, right)) > RECORD_TOL:
         detail = "stored sides disagree with the flow's limits"
     return theta, kind, not detail, detail
 
@@ -328,7 +325,7 @@ def validate_structure(flow):
                 seen_wave = False
             elif isinstance(p, PMPiece):
                 try:
-                    kind = classify_pm(p.wave, sec.theta_bar - shift, tol=_STRUCTURE_TOL)
+                    kind = classify_pm(p.wave, sec.theta_bar - shift, tol=STRUCTURE_TOL)
                 except ValueError as e:
                     ok2 = False
                     detail2 = str(e)
@@ -355,7 +352,7 @@ def validate_structure(flow):
         if feats and admitted and isinstance(feats[0][0], PMPiece):
             p, shift = feats[0]
             try:
-                kind = classify_pm(p.wave, sec.theta_bar - shift, tol=_STRUCTURE_TOL)
+                kind = classify_pm(p.wave, sec.theta_bar - shift, tol=STRUCTURE_TOL)
             except ValueError:
                 kind = None
             admitted = kind is WaveKind.EXPANSION
@@ -393,7 +390,7 @@ def validate_structure(flow):
         expect = (sec.theta_end - sec.theta_start) - pi
         gap = abs(T - expect)
         worst6 = max(worst6, gap)
-        if gap > _STRUCTURE_TOL:
+        if gap > STRUCTURE_TOL:
             ok6 = False
     checks.append(("sector turning", ok6, worst6))
 
@@ -419,9 +416,9 @@ class AuditReport(
     @property
     def ok(self):
         return (
-            all(x <= _WEAK_TOL for x in self.weak_residual_max)
+            all(x <= WEAK_TOL for x in self.weak_residual_max)
             and not self.entropy_violations
-            and all(x <= _SMOOTH_TOL for x in self.smooth_residual_max)
+            and all(x <= SMOOTH_TOL for x in self.smooth_residual_max)
             and all(ok for _, _, ok, _ in self.admissibility)
             and self.structure.ok
             and self.sector_count <= 3
@@ -463,7 +460,7 @@ def full_audit(flow):
     violations = [
         (interval, prod)
         for interval, prod in zip(intervals, production.tolist())
-        if not prod >= -_ENTROPY_TOL
+        if not prod >= -ENTROPY_TOL
     ]
 
     structure = validate_structure(flow)

@@ -19,7 +19,10 @@ checked against the record of its parent without the package. Its configs:
     (k = -10 .. 10);
   * two_sector with its first wave declared to start delta c / |L| past
     that sonic angle, for 15 deltas from 1e-9 to 1e-4, with and without
-    the solver block.
+    the solver block;
+  * two_sector scaled by k = 0.05 and 20 (speeds and contact L times k,
+    pressures, pressure bounds and e_min times k^2, speed_max times k),
+    anchored at the same sonic angle plus j 1e-10 (j = -7 .. 7).
 
 A change that re-records an entry lists it and the reason in CHANGES.md.
 """
@@ -40,6 +43,8 @@ RANDOM_COUNT = 60
 # two_sector's backward wave starts where N = -c in the anchor constant
 SONIC_ANGLE = 0.3890611498540748
 COMMANDS = ("build", "verify")
+# a scale leaves every angle of two_sector, its sonic angle included, as it is
+ANCHOR_SCALES = (0.05, 20.0)
 
 _SCALES = (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0)
 _KINDS = ("shock", "contact", "wave")
@@ -195,6 +200,37 @@ def anchor_family():
     return out
 
 
+def _scaled_two_sector(k):
+    """two_sector with its speeds scaled by k: the same flow, k times as fast."""
+    doc = _shipped()["two_sector"]
+    bounds, anchor = doc["gas"]["bounds"], doc["anchor"]
+    for key in ("p_min", "p_max", "e_min"):
+        bounds[key] *= k * k
+    bounds["speed_max"] *= k
+    anchor["u"] *= k
+    anchor["v"] *= k
+    anchor["p"] *= k * k
+    for piece in doc["pieces"]:
+        if piece["kind"] == "contact":
+            piece["L"] *= k
+    return doc
+
+
+def scaled_anchor_family():
+    """Scaled two_sector anchored at the sonic angle plus j 1e-10, j = -7 .. 7."""
+    out = []
+    for k in ANCHOR_SCALES:
+        for j in range(-7, 8):
+            doc = _scaled_two_sector(k)
+            doc["anchor"]["theta"] = SONIC_ANGLE + j * 1e-10
+            out.append((
+                "scaled%g-anchor%+03d" % (k, j),
+                "two_sector x%g: anchor.theta sonic %+de-10" % (k, j),
+                _text(doc),
+            ))
+    return out
+
+
 def off_sonic_family():
     """two_sector's first wave declared to start delta c / |L| past the sonic angle."""
     base = _shipped()["two_sector"]
@@ -216,7 +252,7 @@ def off_sonic_family():
 
 
 def mutants():
-    return random_mutants() + anchor_family() + off_sonic_family()
+    return random_mutants() + anchor_family() + off_sonic_family() + scaled_anchor_family()
 
 
 def argv_for(command):

@@ -243,6 +243,12 @@ def test_every_generated_mutant_is_recorded():
     assert MUTATIONS_DOC["seed"] == MUTATE.SEED
 
 
+def test_no_recorded_mutant_builds_and_then_fails_its_audit():
+    """The record's invariant: if `build` exits 0 on a config, `verify` exits 0 on it."""
+    exits = {c["name"]: {r["argv"][0]: r["exit"] for r in c["runs"]} for c in MUTATIONS_DOC["cases"]}
+    assert [n for n, e in exits.items() if e["build"] == 0 and e["verify"] != 0] == []
+
+
 @pytest.mark.parametrize("case", MUTATIONS_DOC["cases"], ids=lambda c: c["name"])
 def test_mutant_replays_byte_identical(case):
     what, text = MUTANTS[case["name"]]

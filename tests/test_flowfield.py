@@ -686,8 +686,7 @@ def _edited_two_sector(edit, anchor_theta=None):
             "piece 5: wave needs a nonempty interval",
             "piece 5: wave needs a nonempty interval",
         ),
-        # a declared start a relative 1e-7 off sonic, inside pmwave's own
-        # 1e-6 but past the march's 1e-8
+        # a declared start a c-relative 1e-7 off sonic, past MATCH_TOL
         (
             _put(0, theta_start=OFF_SONIC_START),
             "piece 0: starting state is not sonic for this orientation",
@@ -725,15 +724,20 @@ def test_a_wave_laid_at_the_anchor_angle_meets_the_seam_on_its_first_node():
     flow = build_flow(cfg.gas, cfg.description)
     assert isinstance(flow.pieces[0], PMPiece)
     assert flow.pieces[0].theta_start == TWO_SECTOR_SONIC_START
-    # 2.5e-9 rad past it, with the start declared there: the wave's sonic
-    # first node is a relative 3.4e-9 from the state marched around, inside
-    # the march's 1e-8 but not the seam's 1e-9
+    # 2.5e-9 rad past it, with the start declared there: the anchor is off
+    # sonic by a c-relative 3.1e-9, so the march stops at the wave's start
+    # instead of laying that jump at the seam
     theta = TWO_SECTOR_SONIC_START + 2.5e-9
     cfg = _edited_two_sector(_put(0, theta_start=theta), anchor_theta=theta)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(flowfield.MarchError) as info:
+        build_flow(cfg.gas, cfg.description._replace(shooting=None))
+    assert str(info.value) == "piece 0: starting state is not sonic for this orientation"
+    with pytest.raises(flowfield.ClosureError) as info:
         build_flow(cfg.gas, cfg.description)
-    assert type(info.value) is ValueError
-    assert str(info.value) == "flow is not periodic at the seam"
+    assert str(info.value) == NO_SIGN_CHANGE % (
+        "; undefined at 65 of 65 scan points: 65x"
+        " piece 0: starting state is not sonic for this orientation"
+    )
 
 
 def test_march_error_reason_leaves_out_the_measured_values(gas14):
