@@ -378,24 +378,28 @@ def _emit(text, out):
         _write_atomic(out, text)
 
 
-def _csv_text(gas, theta, rho, u, v, p):
-    """Header plus one row per angle, from lists of states at those angles.
+def _csv_text(gas, theta, states):
+    """Header plus one row per angle, from the state at each angle.
 
     N and L are the values of polar.to_polar, and phi is the direction of
     the velocity rebuilt from them, in (-pi, pi]; cells are Python float
-    reprs, so they round-trip exactly.
+    reprs, so they round-trip exactly. A row whose state is the previous
+    row's object reuses its rho, u, v, p, c and s cells.
     """
     gamma = gas.gamma
-    lines = [CSV_COLUMNS]
-    for t, r, x, y, q in zip(theta, rho, u, v, p):
+    lines, last = [CSV_COLUMNS], None
+    for t, state in zip(theta, states):
+        if state is not last:
+            last = state
+            r, x, y, q = state
+            c = sqrt(gamma * q / r)
+            head, c_cell, s_cell = ",".join(map(repr, state)), repr(c), repr(q / r ** gamma)
         st, ct = sin(t), cos(t)
         N, L = x * st - y * ct, x * ct + y * st
-        c = sqrt(gamma * q / r)
         phi = atan2(-N * ct + L * st, N * st + L * ct)
         if phi == -pi:
             phi = pi
-        cells = (t, r, x, y, q, N, L, c, N / c, q / r ** gamma, phi)
-        lines.append(",".join(map(repr, cells)))
+        lines.append("%r,%s,%r,%r,%s,%r,%s,%r" % (t, head, N, L, c_cell, N / c, s_cell, phi))
     return "\n".join(lines) + "\n"
 
 
@@ -403,7 +407,7 @@ def export_csv(flow, samples=DEFAULT_SAMPLES):
     """Right-continuous ring sampling; one row per sample plus the header."""
     _bind_flowfield()
     theta = [flow.anchor_theta + TWO_PI * k / samples for k in range(samples)]
-    return _csv_text(flow.gas, theta, *zip(*(evaluate(flow, t) for t in theta)))
+    return _csv_text(flow.gas, theta, [evaluate(flow, t) for t in theta])
 
 
 def _null_non_finite(x):
@@ -746,8 +750,7 @@ def _cmd_pm_trace(ns):
         )
     except ValueError as exc:
         raise BuildError("construction failure: %s" % exc)
-    states = zip(*(s for _, s in wave.samples))
-    _emit(_csv_text(gas, wave.thetas, *states), ns.out)
+    _emit(_csv_text(gas, wave.thetas, [s for _, s in wave.samples]), ns.out)
     return 0
 
 

@@ -406,6 +406,11 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                         a = cur_start
                     else:
                         a = _next_angle_with_normal(u, v, sign * c_cur, cur_start)
+                        if not ev.theta_end > a:
+                            raise MarchError(
+                                "wave's sonic start %.6g lies past its end angle %.6g"
+                                % (a, ev.theta_end), "wave's sonic start lies past its end angle"
+                            )
                 if not ev.theta_end > a:
                     raise ValueError("wave needs a nonempty interval")
                 if ev.theta_end >= horizon - _ANGLE_MARGIN:
@@ -679,16 +684,19 @@ def bv_decompose(flow, samples=720):
 
     base, g1 = flow.anchor_theta, flow.gas.gamma - 1.0
     ts = [base + TWO_PI * k / samples for k in range(samples + 1)]
-    part = []
+    part, last = [], None  # last: the state of the previous row, while no jump passed
     saltus, passed = (0.0,) * 4, 0  # the jumps at or below t, summed in order
     for t in ts:
         while passed < len(jumps) and jumps[passed][0] <= t:
             saltus = tuple(x + d for x, d in zip(saltus, jumps[passed][1]))
-            passed += 1
-        rho, u, v, p = evaluate(flow, t)
-        s0, s1, s2, s3 = saltus
-        E = p / g1 + 0.5 * rho * (u * u + v * v)
-        part.append((rho - s0, rho * u - s1, rho * v - s2, E - s3))
+            passed, last = passed + 1, None
+        state = evaluate(flow, t)
+        if state is not last:
+            last = state
+            (rho, u, v, p), (s0, s1, s2, s3) = state, saltus
+            E = p / g1 + 0.5 * rho * (u * u + v * v)
+            row = (rho - s0, rho * u - s1, rho * v - s2, E - s3)
+        part.append(row)
     step = []
     for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(part, part[1:]):
         d0, d1, d2, d3 = b0 - a0, b1 - a1, b2 - a2, b3 - a3

@@ -54,6 +54,7 @@ from .shock import (
 )
 
 _QUAD_POINTS = 8  # Gauss-Legendre nodes per panel in scaled_residuals
+_QUAD_RULE = np.polynomial.legendre.leggauss(_QUAD_POINTS)  # (nodes, weights) on [-1, 1]
 _SMOOTH_SAMPLES = 720  # smooth_residual's samples per turn
 _SMOOTH_STEP = 1e-5  # smooth_residual's difference step
 
@@ -107,7 +108,7 @@ def _panels(breaks, t1, t2, subdiv):
     return a + (b - a) * k / n, a + (b - a) * (k + 1) / n
 
 
-def _residuals(flow, intervals, quad_points, subdiv):
+def _residuals(flow, intervals, rule, subdiv):
     """Raw weak and entropy residuals of many intervals from one evaluation.
 
     Returns (weak, weak_scale, production, production_scale): weak holds
@@ -116,7 +117,7 @@ def _residuals(flow, intervals, quad_points, subdiv):
     each scale the largest magnitude among the terms its residual combines,
     floored at 1.
     """
-    x, w = np.polynomial.legendre.leggauss(quad_points)
+    x, w = rule
     breaks = _breakpoints(flow)
     panels = [_panels(breaks, t1, t2, subdiv) for t1, t2 in intervals]
     lo = np.concatenate([a for a, _ in panels])
@@ -129,7 +130,7 @@ def _residuals(flow, intervals, quad_points, subdiv):
     G, H = ray_fluxes(*evaluate_many(flow, thetas), thetas, flow.gas.gamma)
 
     m, n = len(nodes), len(intervals)
-    counts = np.array([len(a) for a, _ in panels]) * quad_points
+    counts = np.array([len(a) for a, _ in panels]) * len(x)
     owner = np.repeat(np.arange(n), counts)
     g1, g2 = G[:, m : m + n], G[:, m + n :]
     residual = g2 - g1 - [np.bincount(owner, weights * h, n) for h in H[:, :m]]
@@ -148,7 +149,7 @@ def scaled_residuals(flow, intervals):
     tolerance serves flows of any size; weak residuals are magnitudes.
     """
     weak, weak_scale, production, production_scale = _residuals(
-        flow, intervals, _QUAD_POINTS, 1
+        flow, intervals, _QUAD_RULE, 1
     )
     return np.abs(weak) / weak_scale[:, None], production / production_scale
 

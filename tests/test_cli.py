@@ -1,5 +1,6 @@
 """Config parsing, exit codes, and artifact contracts for the CLI."""
 
+import functools
 import json
 import math
 import os
@@ -20,9 +21,9 @@ from sectorflow.cli import (
     main,
     parse_config,
 )
-from sectorflow.flowfield import build_flow
+from sectorflow.flowfield import build_flow, evaluate
 from sectorflow.verify import evaluate_many
-from sectorflow.gas import make_gas
+from sectorflow.gas import PrimitiveState, make_gas
 from sectorflow.polar import TWO_PI
 from sectorflow.shock import deflection_angle
 
@@ -542,6 +543,74 @@ def test_pm_trace_csv_cells_match_the_array_formulas(capsys):
     text = capsys.readouterr().out
     states = np.array([[float(x) for x in row.split(",")[:5]] for row in text.splitlines()[1:]])
     _assert_cells_within_2ulp(text, _array_csv_columns(1.12, *states.T))
+
+
+def _per_row_csv_text(gas, theta, rho, u, v, p):
+    """The CSV ring as written before runs of one state shared their cells: every cell of every row."""
+    gamma = gas.gamma
+    lines = [cli_module.CSV_COLUMNS]
+    for t, r, x, y, q in zip(theta, rho, u, v, p):
+        st, ct = math.sin(t), math.cos(t)
+        N, L = x * st - y * ct, x * ct + y * st
+        c = math.sqrt(gamma * q / r)
+        phi = math.atan2(-N * ct + L * st, N * st + L * ct)
+        if phi == -math.pi:
+            phi = math.pi
+        cells = (t, r, x, y, q, N, L, c, N / c, q / r ** gamma, phi)
+        lines.append(",".join(map(repr, cells)))
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_flow(name, steps=None):
+    """A shipped config's flow, its waves marched in `steps` steps when given."""
+    doc = json.loads((CONFIGS / ("%s.json" % name)).read_text())
+    for piece in doc["pieces"]:
+        if piece["kind"] == "wave" and steps is not None:
+            piece["steps"] = steps
+    cfg = parse_config(json.dumps(doc))
+    return build_flow(cfg.gas, cfg.description)
+
+
+@pytest.mark.parametrize("samples", [9, 360, 720, 1440])
+@pytest.mark.parametrize(
+    "name, steps",
+    [("two_sector", 16), ("two_sector", 64), ("three_sector_g112", None), ("uniform", None)],
+)
+def test_csv_ring_is_bitwise_the_per_row_writer(name, steps, samples):
+    flow = _shipped_flow(name, steps)
+    theta = [flow.anchor_theta + TWO_PI * k / samples for k in range(samples)]
+    states = [evaluate(flow, t) for t in theta]
+    want = _per_row_csv_text(flow.gas, theta, *zip(*states))
+    assert export_csv(flow, samples) == want
+    assert cli_module._csv_text(flow.gas, theta, states) == want
+
+
+def test_csv_rows_of_equal_but_distinct_states_keep_their_own_cells():
+    gas = parse_config(MINIMAL).gas
+    states = [PrimitiveState(1.0, 0.0, 2.0, 1.0), PrimitiveState(1.0, -0.0, 2.0, 1.0)]
+    assert states[0] == states[1] and states[0] is not states[1]
+    theta = [0.25, 0.5]
+    text = cli_module._csv_text(gas, theta, states)
+    assert text == _per_row_csv_text(gas, theta, *zip(*states))
+    assert [row.split(",")[2] for row in text.splitlines()[1:]] == ["0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("name, steps, runs", [("two_sector", 37, 54), ("uniform", None, 1)])
+def test_csv_ring_derives_each_run_of_one_state_once(monkeypatch, name, steps, runs):
+    flow = _shipped_flow(name, steps)
+    theta = [flow.anchor_theta + TWO_PI * k / 900 for k in range(900)]
+    states = [evaluate(flow, t) for t in theta]
+    assert 1 + sum(b is not a for a, b in zip(states, states[1:])) == runs
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(cli_module, "sqrt", counted)
+    export_csv(flow, 900)
+    assert len(calls) == runs
 
 
 def test_svg_is_selfcontained_xml(tmp_path):

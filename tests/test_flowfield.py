@@ -740,6 +740,21 @@ def test_a_wave_laid_at_the_anchor_angle_meets_the_seam_on_its_first_node():
     )
 
 
+def test_a_solved_wave_start_past_its_end_names_the_sonic_angle():
+    # anchored 1e-10 rad past the backward wave's sonic angle, the next N = -c
+    # crossing of the anchor constant is on the L < 0 branch, past theta_end
+    cfg = _edited_two_sector(lambda pieces: None, anchor_theta=TWO_SECTOR_SONIC_START + 1e-10)
+    unshot, shot = _failures(cfg.gas, cfg.description)
+    assert unshot == "piece 0: wave's sonic start 2.18616 lies past its end angle 0.5"
+    assert shot == NO_SIGN_CHANGE % (
+        "; undefined at 65 of 65 scan points: 65x"
+        " piece 0: wave's sonic start lies past its end angle"
+    )
+    # a declared start past the end keeps the interval message
+    cfg = _edited_two_sector(_put(0, theta_start=0.6))
+    assert _failures(cfg.gas, cfg.description)[0] == "piece 0: wave needs a nonempty interval"
+
+
 def test_march_error_reason_leaves_out_the_measured_values(gas14):
     desc = two_sector_description()
     events = list(desc.events)
@@ -1023,6 +1038,50 @@ def test_bv_decompose_matches_the_numpy_reference(name, samples):
     for (_, x), (_, y) in zip(got.lipschitz_part, part):
         assert all(map(close, x, y)), (x, y)
     assert close(got.tv_lipschitz, tv_lip) and close(got.lipschitz_constant, lip)
+
+
+def _per_row_bv_decompose(flow, samples):
+    """bv_decompose as it was before runs of one state shared their part: every row derived."""
+    jumps = sorted(
+        ((flow.local_angle(p.theta), flowfield._conserved_jump(flow, p)) for p in flow.jump_points),
+        key=lambda q: q[0],
+    )
+    base, g1 = flow.anchor_theta, flow.gas.gamma - 1.0
+    ts = [base + TWO_PI * k / samples for k in range(samples + 1)]
+    part = []
+    saltus, passed = (0.0,) * 4, 0
+    for t in ts:
+        while passed < len(jumps) and jumps[passed][0] <= t:
+            saltus = tuple(x + d for x, d in zip(saltus, jumps[passed][1]))
+            passed += 1
+        rho, u, v, p = evaluate(flow, t)
+        s0, s1, s2, s3 = saltus
+        E = p / g1 + 0.5 * rho * (u * u + v * v)
+        part.append((rho - s0, rho * u - s1, rho * v - s2, E - s3))
+    step = []
+    for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(part, part[1:]):
+        d0, d1, d2, d3 = b0 - a0, b1 - a1, b2 - a2, b3 - a3
+        step.append(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
+    return flowfield.SBVDecomposition(
+        jump_part=tuple(jumps),
+        lipschitz_part=tuple(zip(ts, part)),
+        total_variation=sum(math.sqrt(sum(d * d for d in dU)) for _, dU in jumps),
+        tv_lipschitz=sum(step),
+        lipschitz_constant=max(h / (t1 - t0) for h, t0, t1 in zip(step, ts, ts[1:])),
+    )
+
+
+@pytest.mark.parametrize("samples", [9, 360, 720, 1440])
+@pytest.mark.parametrize(
+    "name, steps",
+    [("two_sector", 16), ("two_sector", 64), ("three_sector_g112", None), ("uniform", None)],
+)
+def test_bv_decompose_is_bitwise_the_per_row_split(name, steps, samples):
+    cfg = _scaled_two_sector(steps) if name == "two_sector" else parse_config(
+        (CONFIGS / ("%s.json" % name)).read_text()
+    )
+    flow = build_flow(cfg.gas, cfg.description)
+    assert repr(bv_decompose(flow, samples)) == repr(_per_row_bv_decompose(flow, samples))
 
 
 def test_pointwise_split_reconstructs_the_flow(two_sector):

@@ -63,7 +63,7 @@ def test_thermo_relations(gas):
     )
     assert s.total_energy(gas) == pytest.approx(3.0 / 0.4 + 0.5 * 2.0 * 5.0)
     # the entropy surrogate s = p / rho^gamma, as the CSV export's s column gives it
-    row = _csv_text(gas, [0.0], [s.rho], [s.u], [s.v], [s.p]).splitlines()[1]
+    row = _csv_text(gas, [0.0], [s]).splitlines()[1]
     assert float(row.split(",")[9]) == pytest.approx(3.0 / 2.0 ** 1.4)
 
 

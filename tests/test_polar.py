@@ -23,7 +23,7 @@ def csv_phi(u, v, theta):
 
     The export rebuilds the velocity from its frame values N and L.
     """
-    row = _csv_text(GAS, [theta], [1.0], [u], [v], [1.0]).splitlines()[1]
+    row = _csv_text(GAS, [theta], [(1.0, u, v, 1.0)]).splitlines()[1]
     return float(row.split(",")[-1])
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,7 +58,8 @@ def uniform(gas14):
 def interval_residuals(flow, theta1, theta2, quad_points=8, subdiv=1):
     """Raw weak residual (4-tuple) and entropy production of one interval, on any turn."""
     t1 = flow.local_angle(theta1)
-    weak, _, production, _ = _residuals(flow, [(t1, t1 + (theta2 - theta1))], quad_points, subdiv)
+    rule = np.polynomial.legendre.leggauss(quad_points)
+    weak, _, production, _ = _residuals(flow, [(t1, t1 + (theta2 - theta1))], rule, subdiv)
     return tuple(weak[0].tolist()), float(production[0])
 
 
