@@ -44,6 +44,7 @@ _EXPORTS = {
     "flowfield": (
         "ClosureError",
         "ConstantPiece",
+        "ShockPoint",
         "ContactPoint",
         "PMPiece",
         "FlowField",

@@ -41,7 +41,6 @@ from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_si
 from .pmwave import fan_end, integrate_pm, pm_wave_state
 from .shock import (
     Orientation,
-    ShockSolution,
     brentq,
     downstream_normal_mach,
     shock_from_strength,
@@ -54,6 +53,7 @@ __all__ = [
     "ClosureError",
     "MarchError",
     "ConstantPiece",
+    "ShockPoint",
     "ContactPoint",
     "PMPiece",
     "FlowField",
@@ -84,6 +84,7 @@ _ANGLE_MARGIN = 1e-12
 # is used.
 _EXACT_MAX_STEP = 1.0 / 32.0
 _SCAN_RECHECK = 1e-6
+_JUMP_EPS = 1e-10  # how far from a jump _jump_limits reads its sides
 
 
 class ClosureError(Exception):
@@ -116,7 +117,8 @@ class ConstantPiece(namedtuple("ConstantPiece", "theta_start theta_end state")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-ContactPoint = namedtuple("ContactPoint", "theta left right")
+ShockPoint = namedtuple("ShockPoint", "theta orientation")
+ContactPoint = namedtuple("ContactPoint", "theta")
 
 
 class PMPiece(namedtuple("PMPiece", "wave")):
@@ -135,10 +137,12 @@ class FlowField(namedtuple("FlowField", "gas anchor_theta pieces")):
     """Immutable piecewise flow covering one full turn from the anchor.
 
     pieces holds interval pieces (ConstantPiece, PMPiece) interleaved with
-    the point pieces (ShockSolution, ContactPoint) sitting at their shared
+    the point pieces (ShockPoint, ContactPoint) sitting at their shared
     boundaries, ordered by angle over [anchor_theta, anchor_theta + 2 pi].
-    Every point piece has theta and its primitive left and right states.
-    The cached views below live in the instance dict (no __slots__).
+    A point piece holds its angle (and a shock its orientation) only; its
+    sides are the flow's limits there (_jump_limits), so each state is
+    stored once, in the interval pieces. The cached views below live in
+    the instance dict (no __slots__).
     """
 
     @cached_property
@@ -154,12 +158,12 @@ class FlowField(namedtuple("FlowField", "gas anchor_theta pieces")):
     @cached_property
     def jump_points(self):
         return tuple(
-            p for p in self.pieces if isinstance(p, (ShockSolution, ContactPoint))
+            p for p in self.pieces if isinstance(p, (ShockPoint, ContactPoint))
         )
 
     @cached_property
     def shock_points(self):
-        return tuple(p for p in self.pieces if isinstance(p, ShockSolution))
+        return tuple(p for p in self.pieces if isinstance(p, ShockPoint))
 
     @cached_property
     def contact_points(self):
@@ -177,6 +181,11 @@ def evaluate(flow, theta):
     if isinstance(piece, ConstantPiece):
         return piece.state
     return pm_wave_state(piece.wave, min(t, piece.theta_end))
+
+
+def _jump_limits(flow, theta):
+    """The flow's (left, right) limits at a jump: evaluate _JUMP_EPS below and above it."""
+    return evaluate(flow, theta - _JUMP_EPS), evaluate(flow, theta + _JUMP_EPS)
 
 
 def _flow_angle_of(state):
@@ -355,18 +364,24 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                 if back:
                     rp, rm = strength_ratios(z, g)
                     rho_f, p_f = rho * rm / rp, p / (1.0 + z)
-                _, _, front, behind = shock_sides(
-                    theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
-                )
-                left, right = (behind, front) if back else (front, behind)
+                if keep:
+                    # a kept shock goes through shock_from_strength, the name
+                    # bench/workloads.py counts kept shocks by; its sides are
+                    # the floats shock_sides gives every other march
+                    upstream = PolarState(theta_s, 0.0, L_cur, rho_f, p_f)
+                    sol = shock_from_strength(upstream, z, ev.orientation, gas)
+                    left, right = sol.left_state().to_primitive(), sol.right_state().to_primitive()
+                else:
+                    _, _, front, behind = shock_sides(
+                        theta_s, L_cur, rho_f, p_f, z, ev.orientation, gas
+                    )
+                    left, right = (behind, front) if back else (front, behind)
                 if relative_gap(left, state) > MATCH_TOL:
                     raise ValueError("shock does not match the marching state")
 
                 hold(theta_s)
                 if keep:
-                    # the record; its primitive sides are left and right, the same floats
-                    upstream = PolarState(theta=theta_s, N=0.0, L=L_cur, rho=rho_f, p=p_f)
-                    pieces.append(shock_from_strength(upstream, z, ev.orientation, gas))
+                    pieces.append(ShockPoint(theta_s, ev.orientation))
                 state = right
                 cur_start = theta_s
 
@@ -389,7 +404,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                 require_in_phase_space(*new, gas, "post-contact state")
                 hold(theta_c)
                 if keep:
-                    pieces.append(ContactPoint(theta_c, pieces[-1].state, PrimitiveState(*new)))
+                    pieces.append(ContactPoint(theta_c))
                 state = new
                 cur_start = theta_c
 
@@ -669,18 +684,18 @@ class SBVDecomposition(
     __slots__ = ()
 
 
-def _conserved_jump(flow, point):
-    ul = primitive_to_conserved(point.left, flow.gas)
-    ur = primitive_to_conserved(point.right, flow.gas)
+def _conserved_jump(gas, left, right):
+    ul, ur = primitive_to_conserved(left, gas), primitive_to_conserved(right, gas)
     return tuple(r - l for l, r in zip(ul, ur))
 
 
 def bv_decompose(flow, samples=720):
-    """Cumulative-jump decomposition U = U_L + U_S sampled on the circle."""
-    jumps = sorted(
-        ((flow.local_angle(p.theta), _conserved_jump(flow, p)) for p in flow.jump_points),
-        key=lambda q: q[0],
-    )
+    """Cumulative-jump decomposition U = U_L + U_S sampled on the circle, jumps from limits."""
+    jumps = [
+        (flow.local_angle(p.theta), _conserved_jump(flow.gas, *_jump_limits(flow, p.theta)))
+        for p in flow.jump_points
+    ]
+    jumps.sort(key=lambda q: q[0])
 
     base, g1 = flow.anchor_theta, flow.gas.gamma - 1.0
     ts = [base + TWO_PI * k / samples for k in range(samples + 1)]

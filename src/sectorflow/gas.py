@@ -123,9 +123,6 @@ STRUCTURE_TOL = 1e-6  # wave classification and sector turning
 # about 0.84 and the entropy production -0.66 times the start's N gap / c.
 MATCH_TOL = WEAK_TOL / 10
 NO_JUMP_TOL = 1e-9  # two states within this relative_gap are not a jump
-# A jump's stored sides may differ from the flow's limits by this
-# relative_gap; above MATCH_TOL, so that what builds passes.
-RECORD_TOL = 1e-8
 
 
 class ConservedState(namedtuple("ConservedState", "rho mom_x mom_y energy")):

@@ -70,11 +70,12 @@ class ShockSolution(
     """A resolved shock: both polar states, strength and mass flux.
 
     upstream is the front side, downstream the back side (PolarStates).
-    mass_flux is the signed rho*N, equal on the two sides. A built flow's
-    shock pieces are these; left and right, their primitive sides, are
-    converted once and are not fields, so a _replace copy converts its own.
-    The instance dict (no __slots__) holds them.
+    mass_flux is the signed rho*N, equal on the two sides. The audit's
+    classifier builds these from a jump's two limits; a built flow keeps
+    no shock solution, only each shock's angle and orientation.
     """
+
+    __slots__ = ()
 
     def left_state(self):
         """State on the lower-theta side of the jump."""
@@ -87,16 +88,6 @@ class ShockSolution(
         if self.orientation is Orientation.FORWARD:
             return self.upstream
         return self.downstream
-
-    @cached_property
-    def left(self):
-        """Primitive state on the lower-theta side of the jump."""
-        return self.left_state().to_primitive()
-
-    @cached_property
-    def right(self):
-        """Primitive state on the higher-theta side of the jump."""
-        return self.right_state().to_primitive()
 
 
 def strength_ratios(z, gamma):

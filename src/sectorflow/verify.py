@@ -23,10 +23,12 @@ call; each interval's sums are reductions over that single node array.
 
 validate_structure checks shock neighborhoods, one compression per stretch,
 the inflow region's shape, opposite-shock separation, shock admissibility
-and each sector's turning, and it judges each jump once, from evaluate's
-limits on its two sides: classify_discontinuity gives the kind,
-check_admissibility the margins of the shock they form, and the stored
-sides must match them. full_audit reads its sectors and jump rows there.
+and each sector's turning. A flow stores a jump as its angle and kind
+only, so every check reads the jump's sides as evaluate's limits there,
+taken once per jump: classify_discontinuity gives the kind they form,
+check_admissibility the margins of the shock, and the jump norm and the
+deflection follow from the same two states. full_audit reads its sectors
+and jump rows there.
 """
 
 from collections import namedtuple
@@ -38,18 +40,20 @@ from .flowfield import (
     ConstantPiece,
     ContactPoint,
     PMPiece,
+    ShockPoint,
     _conserved_jump,
     _flow_angle_of,
-    evaluate,
+    _jump_limits,
+    evaluate,  # not called: bench/workloads.py counts calls at this name
     sector_decompose,
     shock_separation_floor,
 )
-from .gas import ENTROPY_TOL, NO_JUMP_TOL, RECORD_TOL, SMOOTH_TOL, STRUCTURE_TOL, WEAK_TOL
+from .gas import ENTROPY_TOL, NO_JUMP_TOL, SMOOTH_TOL, STRUCTURE_TOL, WEAK_TOL
 from .gas import ray_fluxes, relative_gap
 from .pmwave import WaveKind, classify_pm, pm_wave_arrays, pm_wave_state
 from .polar import TWO_PI, wrap_signed
 from .shock import (
-    DiscontinuityKind, Orientation, ShockSolution, check_admissibility, classify_discontinuity,
+    DiscontinuityKind, Orientation, check_admissibility, classify_discontinuity,
     lax_neighborhood_bound,
 )
 
@@ -61,10 +65,6 @@ _SMOOTH_STEP = 1e-5  # smooth_residual's difference step
 _MAX_PANEL = 0.25
 _SAME_BREAK = 1e-13  # breakpoints closer than this are one panel edge
 _INSIDE = 1e-12  # how far inside an interval a piece must reach to be in it
-# A jump's one-sided limits are read _JUMP_EPS past it; every jump a build
-# lays sits between constants, so they are exactly the neighbours' states,
-# and the jump's stored sides must match them within RECORD_TOL.
-_JUMP_EPS = 1e-10
 
 
 def evaluate_many(flow, thetas):
@@ -205,7 +205,7 @@ def _pieces_in(flow, a, b):
     out = []
     for shift in (0.0, TWO_PI):
         for p in flow.pieces:
-            if isinstance(p, (ShockSolution, ContactPoint)):
+            if isinstance(p, (ShockPoint, ContactPoint)):
                 t = p.theta + shift
                 if a + _INSIDE < t < b - _INSIDE:
                     out.append((t, p, shift))
@@ -217,8 +217,8 @@ def _pieces_in(flow, a, b):
     return out
 
 
-def _jump_norm(flow, point):
-    return sqrt(sum(d * d for d in _conserved_jump(flow, point)))
+def _jump_norm(gas, left, right):
+    return sqrt(sum(d * d for d in _conserved_jump(gas, left, right)))
 
 
 def _constant_width(flow, piece):
@@ -241,11 +241,10 @@ def _constant_width(flow, piece):
     return width
 
 
-def _judge(flow, point):
-    """The (theta, kind, ok, detail) row of one stored jump, from evaluate's limits."""
+def _judge(gas, point, left, right):
+    """The (theta, kind, ok, detail) row of one jump, from the flow's limits beside it."""
     theta = point.theta
-    left, right = evaluate(flow, theta - _JUMP_EPS), evaluate(flow, theta + _JUMP_EPS)
-    found = classify_discontinuity(left, right, theta, flow.gas)
+    found = classify_discontinuity(left, right, theta, gas)
     if isinstance(point, ContactPoint):
         kind, expect = "contact", DiscontinuityKind.CONTACT
     else:
@@ -254,22 +253,22 @@ def _judge(flow, point):
     if found.kind is not expect:
         detail = found.reason or "the flow's limits classify as %s" % found.kind.value
     elif found.shock is not None:
-        detail = check_admissibility(found.shock, flow.gas).first_failure() or ""
-    if not detail and max(relative_gap(point.left, left), relative_gap(point.right, right)) > RECORD_TOL:
-        detail = "stored sides disagree with the flow's limits"
+        detail = check_admissibility(found.shock, gas).first_failure() or ""
     return theta, kind, not detail, detail
 
 
-def _piece_turning(flow, a, b):
+def _piece_turning(flow, a, b, limits):
     """Signed flow-angle change accumulated from a to b along theta.
 
-    Constants contribute nothing, jumps their deflection, smooth waves the
-    flow-angle difference between their clipped endpoints.
+    Constants contribute nothing, jumps the deflection between their
+    (left, right) limits, smooth waves the flow-angle difference between
+    their clipped endpoints.
     """
     total = 0.0
     for _, p, shift in _pieces_in(flow, a, b):
-        if isinstance(p, (ShockSolution, ContactPoint)):
-            total += wrap_signed(_flow_angle_of(p.right) - _flow_angle_of(p.left))
+        if isinstance(p, (ShockPoint, ContactPoint)):
+            left, right = limits[p]
+            total += wrap_signed(_flow_angle_of(right) - _flow_angle_of(left))
         elif isinstance(p, PMPiece):
             w = p.wave
             lo = max(w.theta_start, a - shift)
@@ -284,24 +283,18 @@ def validate_structure(flow):
     """Report-valued checks of the structural theorems on a built flow."""
     gas = flow.gas
     checks = []
+    # each jump's (left, right) limits, read once for every check below
+    limits = {p: _jump_limits(flow, p.theta) for p in flow.jump_points}
 
     # (1) constant neighborhoods around every shock, width >= delta_L * J
     delta_L = lax_neighborhood_bound(gas)
-    worst = None
-    ok1 = True
-    pieces = flow.pieces
-    for k, sp in enumerate(pieces):
-        if not isinstance(sp, ShockSolution):
-            continue
-        need = delta_L * _jump_norm(flow, sp)
-        wl = _constant_width(flow, pieces[k - 1])
-        wr = _constant_width(flow, pieces[(k + 1) % len(pieces)])
-        margin = min(wl, wr) - need
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < 0.0:
-            ok1 = False
-    checks.append(("shock neighborhoods", ok1, worst if worst is not None else 0.0))
+    width = [_constant_width(flow, p) for p in flow.pieces]
+    margins = [
+        min(width[k - 1], width[(k + 1) % len(width)]) - delta_L * _jump_norm(gas, *limits[p])
+        for k, p in enumerate(flow.pieces)
+        if isinstance(p, ShockPoint)
+    ]
+    checks.append(("shock neighborhoods", not any(m < 0.0 for m in margins), min(margins, default=0.0)))
 
     sectors = tuple(sector_decompose(flow))
 
@@ -322,7 +315,7 @@ def validate_structure(flow):
         a, b = region(sec, positive=False)
         seen_wave = False
         for _, p, shift in _pieces_in(flow, a, b):
-            if isinstance(p, ShockSolution):
+            if isinstance(p, ShockPoint):
                 seen_wave = False
             elif isinstance(p, PMPiece):
                 try:
@@ -347,7 +340,7 @@ def validate_structure(flow):
         feats = [
             (p, shift)
             for _, p, shift in _pieces_in(flow, a, b)
-            if isinstance(p, (ShockSolution, PMPiece))
+            if isinstance(p, (ShockPoint, PMPiece))
         ]
         admitted = len(feats) <= 1
         if feats and admitted and isinstance(feats[0][0], PMPiece):
@@ -379,7 +372,7 @@ def validate_structure(flow):
     checks.append(("opposite shock separation", ok4, sep_margin if sep_margin is not None else float("inf")))
 
     # (5) every jump judged once; the shocks' rows make this check
-    jumps = tuple(_judge(flow, p) for p in flow.shock_points + flow.contact_points)
+    jumps = tuple(_judge(gas, p, *limits[p]) for p in flow.shock_points + flow.contact_points)
     bad = [(t, detail) for t, kind, ok, detail in jumps if kind == "shock" and not ok]
     checks.append(("shock admissibility", not bad, "shock at %.6g fails: %s" % bad[-1] if bad else ""))
 
@@ -387,7 +380,7 @@ def validate_structure(flow):
     ok6 = True
     worst6 = 0.0
     for sec in sectors:
-        T = _piece_turning(flow, sec.theta_start, sec.theta_end)
+        T = _piece_turning(flow, sec.theta_start, sec.theta_end, limits)
         expect = (sec.theta_end - sec.theta_start) - pi
         gap = abs(T - expect)
         worst6 = max(worst6, gap)

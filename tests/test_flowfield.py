@@ -24,7 +24,7 @@ from sectorflow.gas import (
 )
 from sectorflow.polar import TWO_PI, PolarState, from_polar, to_polar, wrap_signed
 from sectorflow.pmwave import fan_end, integrate_pm
-from sectorflow.shock import Orientation, ShockSolution, lax_neighborhood_bound
+from sectorflow.shock import Orientation, lax_neighborhood_bound
 from sectorflow.flowfield import (
     ClosureError,
     ConstantPiece,
@@ -35,6 +35,7 @@ from sectorflow.flowfield import (
     PMEvent,
     PMPiece,
     ShockEvent,
+    ShockPoint,
     Shooting,
     build_flow,
     bv_decompose,
@@ -154,6 +155,18 @@ def uniform_flow(gas, rho=1.0, speed=2.0, phi=1.1, p=1.0):
 
 def conserved_at(flow, theta):
     return primitive_to_conserved(evaluate(flow, theta), flow.gas)
+
+
+def _limits(flow, point):
+    """A jump's (left, right) sides: the flow's limits, which is all a flow keeps of them."""
+    return flowfield._jump_limits(flow, point.theta)
+
+
+def _strength(flow, shock):
+    """A shock's strength z = (p_back - p_front) / p_front, from the flow's limits."""
+    left, right = _limits(flow, shock)
+    front, back = (right, left) if shock.orientation is Orientation.FORWARD else (left, right)
+    return (back.p - front.p) / front.p
 
 
 def assert_L_vanishes_at_theta_bar(flow, sectors):
@@ -318,6 +331,21 @@ def test_two_sector_build_marches_few_rk4_waves(monkeypatch):
     assert 0 < len(calls) <= 16
 
 
+@pytest.mark.parametrize("name", ["two_sector", "three_sector_g112"])
+def test_the_closing_march_lays_the_scan_marchs_floats(name):
+    """Kept shocks go through shock_from_strength, scanned ones through shock_sides: same bits."""
+    cfg = parse_config((CONFIGS / (name + ".json")).read_text())
+    desc = flowfield._with_param(cfg.description, SHIPPED_ROOTS[name][0])
+    pieces, _ = flowfield._march(cfg.gas, desc, keep=True)
+    # the state after each event, from an unkept march of the events up to it
+    after = [
+        flowfield._march(cfg.gas, desc._replace(events=desc.events[: k + 1]))[1]
+        for k in range(len(desc.events))
+    ]
+    kept = [p.state for p in pieces if isinstance(p, ConstantPiece)]
+    assert [repr(tuple(s)) for s in kept] == [repr(tuple(s)) for s in (desc.anchor_state, *after)]
+
+
 def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
     """Phase checks and polar-to-primitive conversions of one build, then of its audit."""
     counts = Counter()
@@ -343,15 +371,17 @@ def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
     cfg = _scaled_two_sector()
     flow = build_flow(cfg.gas, cfg.description)
     assert counts["_march"] == 71
-    # every march resolves its 3 shocks on floats; only the closing one
-    # builds shock objects, whose sides are converted when first read
-    assert counts["shock_sides"] == 213
+    # every march resolves its 3 shocks once: the 70 scan and root-finder
+    # marches on floats, the closing one through shock_from_strength, whose
+    # two sides it converts and keeps no record of
+    assert counts["shock_sides"] == 210
     assert counts["shock_from_strength"] == 3
-    assert counts["to_primitive"] == 0
-    # every phase check: the anchor, two per resolved shock and two more
-    # per shock object, one per contact, the ends of 130 closed-form waves
-    # and the start and 3 nodes of 12 RK4 ones
-    assert counts["inside_box"] == 753
+    assert counts["to_primitive"] == 6
+    # every phase check: the anchor (1), two per resolved shock (2 x 213 =
+    # 426), one per contact (2 x 71 = 142), the ends of 130 closed-form waves
+    # (130) and the start and 3 nodes of 12 RK4 ones (48); 753 before, when
+    # each of the 3 kept shocks was resolved a second time for its record
+    assert counts["inside_box"] == 747
     # every state passes the float box test, so none is checked as a state object
     assert counts["in_phase_space"] == 0
 
@@ -360,7 +390,7 @@ def test_two_sector_build_converts_and_checks_each_shock_side_once(monkeypatch):
     export_csv(flow, cfg.samples)
     export_svg(flow)
     analyze_to_document(flow, cfg.samples)
-    assert counts["to_primitive"] == 6  # two per kept shock
+    assert counts["to_primitive"] == 0  # the audit reads a jump's sides from evaluate
 
 
 SHIPPED_ROOTS = {
@@ -803,7 +833,7 @@ def test_two_sector_shot_parameter(two_sector):
 
 def test_two_sector_shock_inventory(two_sector):
     got = [
-        (p.orientation, p.theta, p.z)
+        (p.orientation, p.theta, _strength(two_sector, p))
         for p in two_sector.shock_points
     ]
     assert len(got) == 3
@@ -879,7 +909,7 @@ def test_two_sector_periodicity(two_sector):
 
 def test_two_sector_contact_invariants(two_sector):
     for cp in two_sector.contact_points:
-        left, right = cp.left, cp.right
+        left, right = _limits(two_sector, cp)
         assert right.p == pytest.approx(left.p, rel=1e-14)
         Nl, _ = to_polar(left.u, left.v, cp.theta)
         Nr, _ = to_polar(right.u, right.v, cp.theta)
@@ -888,7 +918,7 @@ def test_two_sector_contact_invariants(two_sector):
 
 def test_evaluate_right_continuous_at_jumps(two_sector):
     for sp in two_sector.shock_points:
-        right = sp.right
+        right = _limits(two_sector, sp)[1]
         at = evaluate(two_sector, sp.theta)
         assert at.rho == pytest.approx(right.rho, rel=1e-12)
         assert at.p == pytest.approx(right.p, rel=1e-12)
@@ -919,6 +949,23 @@ def test_evaluate_many_matches_evaluate(name):
         (s.rho, s.u, s.v, s.p) for s in (evaluate(flow, t) for t in thetas.tolist())
     ]).T
     assert (np.abs(got - want) <= 1e-15 * np.maximum(np.abs(got), np.abs(want))).all()
+
+
+@pytest.mark.parametrize("name", ["two_sector", "three_sector_g112", "uniform"])
+def test_a_jump_stores_its_angle_and_kind_only(name):
+    """No state is stored at a jump: its sides are the neighbouring pieces' states."""
+    cfg = parse_config((CONFIGS / ("%s.json" % name)).read_text())
+    flow = build_flow(cfg.gas, cfg.description)
+    points = [p for p in flow.pieces if not isinstance(p, (ConstantPiece, PMPiece))]
+    assert points == list(flow.jump_points)
+    assert len(points) == {"two_sector": 5, "three_sector_g112": 6, "uniform": 0}[name]
+    for p in points:
+        if isinstance(p, ShockPoint):
+            assert p._fields == ("theta", "orientation")
+            assert type(p.orientation) is Orientation
+        else:
+            assert type(p) is ContactPoint and p._fields == ("theta",)
+        assert type(p.theta) is float
 
 
 def test_constant_pieces_rotate_exactly(two_sector):
@@ -973,7 +1020,7 @@ def test_bv_jump_part_sums_the_jumps(two_sector):
     bv = bv_decompose(two_sector)
     total = 0.0
     for point in two_sector.jump_points:
-        left, right = point.left, point.right
+        left, right = _limits(two_sector, point)
         ul = primitive_to_conserved(left, two_sector.gas)
         ur = primitive_to_conserved(right, two_sector.gas)
         total += math.sqrt(sum((b - a) ** 2 for a, b in zip(ul, ur)))
@@ -985,7 +1032,7 @@ def test_lipschitz_part_continuous_across_jumps(two_sector):
     eps = 1e-9
     for point in two_sector.jump_points:
         theta = two_sector.local_angle(point.theta)
-        left, right = point.left, point.right
+        left, right = _limits(two_sector, point)
         ul = primitive_to_conserved(left, two_sector.gas)
         ur = primitive_to_conserved(right, two_sector.gas)
         below = conserved_at(two_sector, theta - eps)
@@ -999,7 +1046,10 @@ def test_lipschitz_part_continuous_across_jumps(two_sector):
 def _numpy_bv_decompose(flow, samples):
     """bv_decompose as it was on numpy arrays, kept as the float version's reference."""
     jumps = sorted(
-        ((flow.local_angle(p.theta), flowfield._conserved_jump(flow, p)) for p in flow.jump_points),
+        (
+            (flow.local_angle(p.theta), flowfield._conserved_jump(flow.gas, *_limits(flow, p)))
+            for p in flow.jump_points
+        ),
         key=lambda q: q[0],
     )
     ts = flow.anchor_theta + TWO_PI * np.arange(samples + 1) / samples
@@ -1043,7 +1093,10 @@ def test_bv_decompose_matches_the_numpy_reference(name, samples):
 def _per_row_bv_decompose(flow, samples):
     """bv_decompose as it was before runs of one state shared their part: every row derived."""
     jumps = sorted(
-        ((flow.local_angle(p.theta), flowfield._conserved_jump(flow, p)) for p in flow.jump_points),
+        (
+            (flow.local_angle(p.theta), flowfield._conserved_jump(flow.gas, *_limits(flow, p)))
+            for p in flow.jump_points
+        ),
         key=lambda q: q[0],
     )
     base, g1 = flow.anchor_theta, flow.gas.gamma - 1.0
@@ -1088,7 +1141,7 @@ def test_pointwise_split_reconstructs_the_flow(two_sector):
     bv = bv_decompose(two_sector, samples=360)
     jumps = []
     for point in two_sector.jump_points:
-        left, right = point.left, point.right
+        left, right = _limits(two_sector, point)
         ul = primitive_to_conserved(left, two_sector.gas)
         ur = primitive_to_conserved(right, two_sector.gas)
         jumps.append(
@@ -1109,13 +1162,13 @@ def test_pointwise_split_reconstructs_the_flow(two_sector):
 
 
 def test_three_sector_builds_with_shot_strength(three_sector):
-    zb = three_sector.shock_points[1].z
+    zb = _strength(three_sector, three_sector.shock_points[1])
     assert zb == pytest.approx(THREE_SECTOR_SHOT_ZB, rel=1e-6)
 
 
 def test_three_sector_inventory(three_sector):
     got = [
-        (p.orientation, p.theta, p.z)
+        (p.orientation, p.theta, _strength(three_sector, p))
         for p in three_sector.shock_points
     ]
     for (orient, theta, z), (eo, et, ez) in zip(got, THREE_SECTOR_SHOCKS):
@@ -1180,7 +1233,7 @@ def test_declared_angle_shocks_reproduce_the_built_strengths(name):
     assert len(rebuilt.shock_points) == len(flow.shock_points)
     for a, b in zip(flow.shock_points, rebuilt.shock_points):
         assert b.orientation is a.orientation
-        assert b.z == pytest.approx(a.z, rel=1e-12)
+        assert _strength(rebuilt, b) == pytest.approx(_strength(flow, a), rel=1e-12)
 
 
 def test_three_sector_needs_small_gamma(gas112):
@@ -1205,9 +1258,8 @@ def _with_pieces(flow, pieces):
 
 
 def _with_contacts(flow, thetas):
-    """flow with trivial contacts (its state at 0 on both sides) at the given angles."""
-    state = evaluate(flow, 0.0)
-    fakes = tuple(ContactPoint(theta=t, left=state, right=state) for t in thetas)
+    """flow with contact markers added at the given angles; its states stay as they are."""
+    fakes = tuple(ContactPoint(theta=t) for t in thetas)
     return _with_pieces(flow, flow.pieces + fakes)
 
 
@@ -1253,16 +1305,24 @@ def misplaced_wave_mutant(flow, gas):
     return _splice_backward_wave(flow, gas, 1.4)
 
 
+def _flipped(orientation):
+    return Orientation.BACKWARD if orientation is Orientation.FORWARD else Orientation.FORWARD
+
+
 def swapped_shock_mutant(flow):
-    k = _piece_index(flow, lambda p: isinstance(p, ShockSolution))
-    sol = flow.pieces[k]
-    swapped = sol._replace(
-        upstream=sol.downstream,
-        downstream=sol.upstream,
-        mass_flux=-sol.mass_flux,
-    )
+    """flow whose first shock marker claims the other orientation; the states stay."""
+    k = _piece_index(flow, lambda p: isinstance(p, ShockPoint))
     pieces = list(flow.pieces)
-    pieces[k] = swapped
+    pieces[k] = pieces[k]._replace(orientation=_flipped(pieces[k].orientation))
+    return _with_pieces(flow, pieces)
+
+
+def swapped_sides_mutant(flow):
+    """flow whose first shock carries the reversed jump: the constants beside it trade states."""
+    k = _piece_index(flow, lambda p: isinstance(p, ShockPoint))
+    pieces = list(flow.pieces)
+    before, after = pieces[k - 1], pieces[k + 1]
+    pieces[k - 1], pieces[k + 1] = before._replace(state=after.state), after._replace(state=before.state)
     return _with_pieces(flow, pieces)
 
 
@@ -1293,11 +1353,27 @@ def test_expansion_in_inflow_region_fails_classification(two_sector, gas14):
 
 
 def test_swapped_shock_fails_admissibility(two_sector):
+    # the first shock is backward; its limits still classify as one
     mutant = swapped_shock_mutant(two_sector)
+    assert mutant.shock_points[0].orientation is Orientation.FORWARD
     rep = validate_structure(mutant)
     passed, detail = rep.named("shock admissibility")
     assert not passed
-    assert "fails" in detail
+    assert detail == "shock at %.6g fails: the flow's limits classify as backward_shock" % (
+        two_sector.shock_points[0].theta
+    )
+
+
+def test_swapped_shock_sides_fail_the_audit(two_sector):
+    mutant = swapped_sides_mutant(two_sector)
+    shock = two_sector.shock_points[0]
+    theta = shock.theta
+    assert _limits(mutant, shock) == _limits(two_sector, shock)[::-1]
+    rep = full_audit(mutant)
+    assert rep.verdict == "fail"
+    assert [row for row in rep.admissibility if row[0] == theta] == [
+        (theta, "shock", False, "entropy decreases across the jump")
+    ]
 
 
 # ------------------------------------------------------ structure branches
@@ -1310,7 +1386,7 @@ def test_swapped_shock_fails_admissibility(two_sector):
 
 def _shock_index(flow, orientation):
     return _piece_index(
-        flow, lambda p: isinstance(p, ShockSolution) and p.orientation is orientation
+        flow, lambda p: isinstance(p, ShockPoint) and p.orientation is orientation
     )
 
 
@@ -1378,12 +1454,13 @@ def test_normal_shock_at_the_turn_is_an_admitted_inflow_shape(two_sector):
     laid, _ = flowfield._march(
         two_sector.gas, FlowDescription(const.theta_start, const.state, (event,)), keep=True
     )
-    sol = laid[1]
-    assert abs(sol.upstream.L) <= 1e-6
+    ahead, marker, behind = laid
+    assert marker == ShockPoint(theta, Orientation.BACKWARD)
+    assert abs(to_polar(ahead.state.u, ahead.state.v, theta)[1]) <= 1e-6
     pieces = (
         ConstantPiece(const.theta_start, theta, const.state),
-        sol,
-        ConstantPiece(theta, after.theta_end, sol.right),
+        marker,
+        ConstantPiece(theta, after.theta_end, behind.state),
     )
     mutant = _with_pieces(
         two_sector, two_sector.pieces[: k - 1] + pieces + two_sector.pieces[k + 2 :]
@@ -1395,7 +1472,9 @@ def test_narrow_constant_beside_a_shock_fails_its_neighborhood(two_sector):
     # the constant ahead of the forward shock split half its need before it
     k = _shock_index(two_sector, Orientation.FORWARD)
     const, sp = two_sector.pieces[k - 1], two_sector.pieces[k]
-    need = lax_neighborhood_bound(two_sector.gas) * verify._jump_norm(two_sector, sp)
+    need = lax_neighborhood_bound(two_sector.gas) * verify._jump_norm(
+        two_sector.gas, *_limits(two_sector, sp)
+    )
     split = sp.theta - need / 2
     pieces = list(two_sector.pieces)
     pieces[k - 1 : k] = [

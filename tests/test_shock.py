@@ -113,25 +113,21 @@ def test_shock_side_phase_messages(gas, orient):
     assert str(exc.value) == "upstream state leaves phase space: speed above ceiling"
 
 
-def test_replaced_solution_converts_its_own_sides(gas):
+def test_replaced_solution_reads_its_own_sides(gas):
     sol = shock_from_strength(_upstream(), 0.8, Orientation.FORWARD, gas)
-    assert (sol.left, sol.right) == (
-        sol.downstream.to_primitive(),
-        sol.upstream.to_primitive(),
-    )
-    # the swapped-shock mutant of the audit tests
+    assert (sol.left_state(), sol.right_state()) == (sol.downstream, sol.upstream)
     swapped = sol._replace(
         upstream=sol.downstream, downstream=sol.upstream, mass_flux=-sol.mass_flux
     )
-    assert swapped.left == sol.upstream.to_primitive() != sol.left
-    assert swapped.right == sol.downstream.to_primitive() != sol.right
-    # the cached sides are not fields: equality, hashing and replace ignore them
+    assert swapped.left_state() == sol.upstream != sol.left_state()
+    assert swapped.right_state() == sol.downstream != sol.right_state()
+    # a solution holds its fields only: no cached sides, no instance dict
     assert list(sol._fields) == [
         "theta", "orientation", "upstream", "downstream", "z", "mass_flux",
     ]
     copy = sol._replace()
     assert copy == sol and hash(copy) == hash(sol)
-    assert "left" not in vars(copy)
+    assert not hasattr(copy, "__dict__")
 
 
 strengths = st.floats(1e-4, 50.0, allow_nan=False, allow_infinity=False)
@@ -316,7 +312,8 @@ def test_classify_gives_the_kind_and_leaves_the_margins_to_check_admissibility(g
     wide = make_gas(1.4, gas.bounds._replace(p_max=1e3, speed_max=100.0))
     z = 2.0 * gas.z_max
     sol = shock_from_strength(_upstream(), z, Orientation.BACKWARD, wide)
-    out = classify_discontinuity(sol.left, sol.right, 1.0, gas)
+    left, right = sol.left_state().to_primitive(), sol.right_state().to_primitive()
+    out = classify_discontinuity(left, right, 1.0, gas)
     assert out.kind is DiscontinuityKind.BACKWARD_SHOCK and out.reason is None
     assert out.shock.z == pytest.approx(z, rel=1e-12)
     assert check_admissibility(out.shock, gas).first_failure() == "strength window"
