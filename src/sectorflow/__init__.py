@@ -46,7 +46,6 @@ _EXPORTS = {
         "ConstantPiece",
         "ShockPoint",
         "ContactPoint",
-        "PMPiece",
         "FlowField",
         "ShockEvent",
         "ContactEvent",

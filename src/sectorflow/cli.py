@@ -40,8 +40,7 @@ CSV_COLUMNS = "theta,rho,u,v,p,N,L,c,mach_n,s,phi"
 # that the solver commands start without the flow builder
 _FLOWFIELD_NAMES = (
     "ClosureError", "ConstantPiece", "ContactEvent", "FlowDescription", "PMEvent",
-    "PMPiece", "ShockEvent", "Shooting", "bv_decompose", "build_flow", "evaluate",
-    "sector_decompose",
+    "ShockEvent", "Shooting", "bv_decompose", "build_flow", "evaluate", "sector_decompose",
 )
 
 
@@ -479,7 +478,7 @@ def export_svg(flow):
     ]
 
     for piece in flow.interval_pieces:
-        if not isinstance(piece, PMPiece):
+        if isinstance(piece, ConstantPiece):
             continue
         a, b = piece.theta_start, piece.theta_end
         large = 1 if (b - a) > pi else 0
@@ -570,8 +569,8 @@ def analyze_to_document(flow, samples=DEFAULT_SAMPLES):
 
 
 def _summarize(flow):
-    waves = sum(1 for p in flow.interval_pieces if isinstance(p, PMPiece))
     consts = sum(1 for p in flow.interval_pieces if isinstance(p, ConstantPiece))
+    waves = len(flow.interval_pieces) - consts
     sectors = sector_decompose(flow)
     return (
         "built flow: %d constant pieces, %d waves, %d shocks, %d contacts, "
@@ -735,7 +734,6 @@ def _cmd_pm_trace(ns):
     orient = Orientation.FORWARD if ns.orientation == "forward" else Orientation.BACKWARD
     # sonic entry: speed M c along the x axis, angle placed so N = +-c
     theta0 = asin(1.0 / ns.mach) * (1.0 if orient is Orientation.FORWARD else -1.0)
-    theta0 %= TWO_PI
     start = PrimitiveState(rho=ns.rho, u=ns.mach * c, v=0.0, p=ns.p)
     span = _flag_angle(ns.span, "--span")
     if not span > 0.0:

@@ -38,7 +38,7 @@ from .gas import (
     require_in_phase_space,
 )
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
-from .pmwave import fan_end, integrate_pm, pm_wave_state
+from .pmwave import PMWave, fan_end, integrate_pm, pm_wave_state
 from .shock import (
     Orientation,
     brentq,
@@ -55,7 +55,6 @@ __all__ = [
     "ConstantPiece",
     "ShockPoint",
     "ContactPoint",
-    "PMPiece",
     "FlowField",
     "ShockEvent",
     "ContactEvent",
@@ -102,8 +101,8 @@ class MarchError(ValueError):
 # --------------------------------------------------------------- pieces
 
 
-# Records are immutable named tuples (see gas); the pieces' states are
-# PrimitiveStates and a PMPiece's wave a PMWave.
+# Records are immutable named tuples (see gas); a constant piece's state is
+# a PrimitiveState, and a wave piece is the PMWave itself.
 
 
 class ConstantPiece(namedtuple("ConstantPiece", "theta_start theta_end state")):
@@ -121,22 +120,10 @@ ShockPoint = namedtuple("ShockPoint", "theta orientation")
 ContactPoint = namedtuple("ContactPoint", "theta")
 
 
-class PMPiece(namedtuple("PMPiece", "wave")):
-    __slots__ = ()
-
-    @property
-    def theta_start(self):
-        return self.wave.theta_start
-
-    @property
-    def theta_end(self):
-        return self.wave.theta_end
-
-
 class FlowField(namedtuple("FlowField", "gas anchor_theta pieces")):
     """Immutable piecewise flow covering one full turn from the anchor.
 
-    pieces holds interval pieces (ConstantPiece, PMPiece) interleaved with
+    pieces holds interval pieces (ConstantPiece, PMWave) interleaved with
     the point pieces (ShockPoint, ContactPoint) sitting at their shared
     boundaries, ordered by angle over [anchor_theta, anchor_theta + 2 pi].
     A point piece holds its angle (and a shock its orientation) only; its
@@ -148,7 +135,7 @@ class FlowField(namedtuple("FlowField", "gas anchor_theta pieces")):
     @cached_property
     def interval_pieces(self):
         return tuple(
-            p for p in self.pieces if isinstance(p, (ConstantPiece, PMPiece))
+            p for p in self.pieces if isinstance(p, (ConstantPiece, PMWave))
         )
 
     @cached_property
@@ -180,7 +167,7 @@ def evaluate(flow, theta):
     piece = flow.interval_pieces[max(bisect_right(flow._starts, t) - 1, 0)]
     if isinstance(piece, ConstantPiece):
         return piece.state
-    return pm_wave_state(piece.wave, min(t, piece.theta_end))
+    return pm_wave_state(piece, min(t, piece.theta_end))
 
 
 def _jump_limits(flow, theta):
@@ -435,7 +422,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                 if a > cur_start + _ANGLE_MARGIN:
                     hold(a)
                 if keep:
-                    pieces.append(PMPiece(wave))
+                    pieces.append(wave)
                 state = end
                 cur_start = ev.theta_end
 
@@ -713,9 +700,13 @@ def bv_decompose(flow, samples=720):
             row = (rho - s0, rho * u - s1, rho * v - s2, E - s3)
         part.append(row)
     step = []
-    for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(part, part[1:]):
-        d0, d1, d2, d3 = b0 - a0, b1 - a1, b2 - a2, b3 - a3
-        step.append(sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
+    for row0, row1 in zip(part, part[1:]):
+        if row0 is row1:  # one state on both rows: exactly no step
+            step.append(0.0)
+        else:
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = row0, row1
+            d0, d1, d2, d3 = b0 - a0, b1 - a1, b2 - a2, b3 - a3
+            step.append(sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
 
     return SBVDecomposition(
         jump_part=tuple(jumps),

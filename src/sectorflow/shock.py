@@ -64,15 +64,13 @@ class Orientation(enum.Enum):
         return 1.0 if self is Orientation.FORWARD else -1.0
 
 
-class ShockSolution(
-    namedtuple("ShockSolution", "theta orientation upstream downstream z mass_flux")
-):
-    """A resolved shock: both polar states, strength and mass flux.
+class ShockSolution(namedtuple("ShockSolution", "orientation upstream downstream z")):
+    """A resolved shock: its orientation, both polar states and its strength.
 
-    upstream is the front side, downstream the back side (PolarStates).
-    mass_flux is the signed rho*N, equal on the two sides. The audit's
-    classifier builds these from a jump's two limits; a built flow keeps
-    no shock solution, only each shock's angle and orientation.
+    upstream is the front side, downstream the back side (PolarStates); the
+    shock's angle is theirs, and its signed mass flux the front's rho * N.
+    The audit's classifier builds these from a jump's two limits; a built
+    flow keeps no shock solution, only each shock's angle and orientation.
     """
 
     __slots__ = ()
@@ -160,12 +158,10 @@ def shock_from_strength(upstream, z, orient, gas):
     theta, L, rho = upstream.theta, upstream.L, upstream.rho
     n_front, n_back, _, back = shock_sides(theta, L, rho, upstream.p, z, orient, gas)
     return ShockSolution(
-        theta=theta,
         orientation=orient,
         upstream=PolarState(theta=theta, N=n_front, L=L, rho=rho, p=upstream.p),
         downstream=PolarState(theta=theta, N=n_back, L=L, rho=back[0], p=back[3]),
         z=z,
-        mass_flux=rho * n_front,
     )
 
 
@@ -246,12 +242,10 @@ def classify_discontinuity(left, right, theta, gas):
             DiscontinuityKind.INADMISSIBLE, reason="entropy decreases across the jump"
         )
     sol = ShockSolution(
-        theta=theta,
         orientation=orient,
         upstream=PolarState(theta=theta, N=n_front, L=l_front, rho=front.rho, p=front.p),
         downstream=PolarState(theta=theta, N=n_back, L=l_front, rho=back.rho, p=back.p),
         z=z,
-        mass_flux=front.rho * n_front,
     )
     return Classification(kind, shock=sol)
 
@@ -300,6 +294,7 @@ def check_admissibility(sol, gas):
     floor = normal_floor(gas)
     s_f = up.p / up.rho ** gas.gamma
     s_b = dn.p / dn.rho ** gas.gamma
+    mass_flux = up.rho * up.N
     # mass_flux * (entropy jump in theta) must be <= 0; the jump taken
     # right minus left regardless of orientation
     if sol.orientation is Orientation.FORWARD:
@@ -309,7 +304,7 @@ def check_admissibility(sol, gas):
     checks = (
         ("compressive", dn.rho > up.rho, 1.0 / up.rho - 1.0 / dn.rho),
         ("entropy rises", s_b > s_f, s_b - s_f),
-        ("entropy flux sign", sol.mass_flux * ds_theta <= 0.0, -sol.mass_flux * ds_theta),
+        ("entropy flux sign", mass_flux * ds_theta <= 0.0, -mass_flux * ds_theta),
         ("lax upstream", abs(up.N) > c_f, abs(up.N) - c_f),
         ("lax downstream", 0.0 < abs(dn.N) < c_b, c_b - abs(dn.N)),
         ("normal velocity floor upstream", abs(up.N) >= floor, abs(up.N) - floor),

@@ -39,7 +39,6 @@ import numpy as np
 from .flowfield import (
     ConstantPiece,
     ContactPoint,
-    PMPiece,
     ShockPoint,
     _conserved_jump,
     _flow_angle_of,
@@ -50,7 +49,7 @@ from .flowfield import (
 )
 from .gas import ENTROPY_TOL, NO_JUMP_TOL, SMOOTH_TOL, STRUCTURE_TOL, WEAK_TOL
 from .gas import ray_fluxes, relative_gap
-from .pmwave import WaveKind, classify_pm, pm_wave_arrays, pm_wave_state
+from .pmwave import PMWave, WaveKind, classify_pm, pm_wave_arrays, pm_wave_state
 from .polar import TWO_PI, wrap_signed
 from .shock import (
     DiscontinuityKind, Orientation, check_admissibility, classify_discontinuity,
@@ -79,9 +78,9 @@ def evaluate_many(flow, thetas):
     table = [p.state if isinstance(p, ConstantPiece) else (np.nan,) * 4 for p in pieces]
     out = np.array(table)[idx].T.copy()
     for k, p in enumerate(pieces):
-        if isinstance(p, PMPiece):
+        if isinstance(p, PMWave):
             on = idx == k
-            out[:, on] = pm_wave_arrays(p.wave, np.minimum(t[on], p.theta_end))
+            out[:, on] = pm_wave_arrays(p, np.minimum(t[on], p.theta_end))
     return tuple(out)
 
 
@@ -90,8 +89,8 @@ def _breakpoints(flow):
     pts = []
     for p in flow.interval_pieces:
         pts += (p.theta_start, p.theta_end)
-        if isinstance(p, PMPiece):
-            pts += p.wave.thetas
+        if isinstance(p, PMWave):
+            pts += p.thetas
     pts = np.array(pts)
     return np.sort(np.concatenate((pts - TWO_PI, pts, pts + TWO_PI)))
 
@@ -269,12 +268,9 @@ def _piece_turning(flow, a, b, limits):
         if isinstance(p, (ShockPoint, ContactPoint)):
             left, right = limits[p]
             total += wrap_signed(_flow_angle_of(right) - _flow_angle_of(left))
-        elif isinstance(p, PMPiece):
-            w = p.wave
-            lo = max(w.theta_start, a - shift)
-            hi = min(w.theta_end, b - shift)
-            s_lo = pm_wave_state(w, lo)
-            s_hi = pm_wave_state(w, hi)
+        elif isinstance(p, PMWave):
+            s_lo = pm_wave_state(p, max(p.theta_start, a - shift))
+            s_hi = pm_wave_state(p, min(p.theta_end, b - shift))
             total += wrap_signed(_flow_angle_of(s_hi) - _flow_angle_of(s_lo))
     return total
 
@@ -317,9 +313,9 @@ def validate_structure(flow):
         for _, p, shift in _pieces_in(flow, a, b):
             if isinstance(p, ShockPoint):
                 seen_wave = False
-            elif isinstance(p, PMPiece):
+            elif isinstance(p, PMWave):
                 try:
-                    kind = classify_pm(p.wave, sec.theta_bar - shift, tol=STRUCTURE_TOL)
+                    kind = classify_pm(p, sec.theta_bar - shift, tol=STRUCTURE_TOL)
                 except ValueError as e:
                     ok2 = False
                     detail2 = str(e)
@@ -340,13 +336,13 @@ def validate_structure(flow):
         feats = [
             (p, shift)
             for _, p, shift in _pieces_in(flow, a, b)
-            if isinstance(p, (ShockPoint, PMPiece))
+            if isinstance(p, (ShockPoint, PMWave))
         ]
         admitted = len(feats) <= 1
-        if feats and admitted and isinstance(feats[0][0], PMPiece):
+        if feats and admitted and isinstance(feats[0][0], PMWave):
             p, shift = feats[0]
             try:
-                kind = classify_pm(p.wave, sec.theta_bar - shift, tol=STRUCTURE_TOL)
+                kind = classify_pm(p, sec.theta_bar - shift, tol=STRUCTURE_TOL)
             except ValueError:
                 kind = None
             admitted = kind is WaveKind.EXPANSION
@@ -359,17 +355,9 @@ def validate_structure(flow):
     floor = shock_separation_floor(gas)
     fwd = [p.theta for p in flow.shock_points if p.orientation is Orientation.FORWARD]
     bwd = [p.theta for p in flow.shock_points if p.orientation is Orientation.BACKWARD]
-    sep_margin = None
-    ok4 = True
-    for tf in fwd:
-        for tb in bwd:
-            d = abs(wrap_signed(tf - tb))
-            m = d - floor
-            if sep_margin is None or m < sep_margin:
-                sep_margin = m
-            if m < 0.0:
-                ok4 = False
-    checks.append(("opposite shock separation", ok4, sep_margin if sep_margin is not None else float("inf")))
+    margins = [abs(wrap_signed(tf - tb)) - floor for tf in fwd for tb in bwd]
+    ok4 = not any(m < 0.0 for m in margins)
+    checks.append(("opposite shock separation", ok4, min(margins, default=float("inf"))))
 
     # (5) every jump judged once; the shocks' rows make this check
     jumps = tuple(_judge(gas, p, *limits[p]) for p in flow.shock_points + flow.contact_points)
@@ -394,18 +382,26 @@ def validate_structure(flow):
 class AuditReport(
     namedtuple(
         "AuditReport",
-        "weak_residual_max entropy_min entropy_violations smooth_residual_max"
-        " admissibility structure sector_count",
+        "weak_residual_max entropy_min entropy_violations smooth_residual_max structure",
     )
 ):
     """Aggregated verification results for one flow.
 
     Residual maxima are scale-normalized (per interval, per component), so
     the tolerances mean the same thing for flows of any magnitude.
-    structure is the StructureReport.
+    structure is the StructureReport; the jump rows and the sector count
+    are read from it.
     """
 
     __slots__ = ()
+
+    @property
+    def admissibility(self):
+        return self.structure.jumps
+
+    @property
+    def sector_count(self):
+        return len(self.structure.sectors)
 
     @property
     def ok(self):
@@ -463,7 +459,5 @@ def full_audit(flow):
         entropy_min=float(production.min()),
         entropy_violations=tuple(violations),
         smooth_residual_max=smooth,
-        admissibility=structure.jumps,
         structure=structure,
-        sector_count=len(structure.sectors),
     )

@@ -18,7 +18,6 @@ from sectorflow.cli import main, parse_config
 from sectorflow.flowfield import (
     ClosureError,
     ConstantPiece,
-    PMPiece,
     build_flow,
     bv_decompose,
     evaluate,
@@ -32,7 +31,7 @@ from sectorflow.gas import (
     primitive_to_conserved,
 )
 from sectorflow.polar import TWO_PI, PolarState, from_polar, to_polar
-from sectorflow.pmwave import integrate_pm, pm_state_derivative, pm_wave_state
+from sectorflow.pmwave import PMWave, integrate_pm, pm_state_derivative, pm_wave_state
 from sectorflow.roe import (
     eigensystem,
     genuine_nonlinearity,
@@ -156,7 +155,7 @@ def test_criterion_2_shock_algebra_sweep(report):
         rt = sol.right_state().to_primitive()
         res = rh_residual(lf, rt, theta, gas)
         fscale = max(
-            abs(sol.mass_flux),
+            abs(sol.upstream.rho * sol.upstream.N),
             rho * (abs(L) + abs(sol.upstream.N)) ** 2,
             p,
             1e-30,
@@ -402,7 +401,7 @@ def test_criterion_6_weak_form(report, shipped_two_sector):
 
     orders = []
     for piece in pieces:
-        if not isinstance(piece, PMPiece):
+        if not isinstance(piece, PMWave):
             continue
         lo, hi = piece.theta_start - 0.05, piece.theta_end + 0.05
         r1, r2, r4 = (

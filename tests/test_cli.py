@@ -466,6 +466,21 @@ def test_pm_trace_is_sonic_isentropic_and_turning(capsys):
     assert all(b > a for a, b in zip(phis, phis[1:]))
 
 
+@pytest.mark.parametrize("mach", ["2e4", "5e4"])
+def test_backward_pm_trace_starts_sonic_at_high_mach(capsys, mach):
+    # the start angle is -asin(1/M) itself: wrapped by 2 pi, its rounding
+    # moved N by about M 4e-16 c, past the wave's sonic start test
+    argv = ["pm-trace", "--gamma", "1.4", "--mach", mach, "--orientation", "backward",
+            "--span", "1e-6", "--steps", "1"]
+    assert main(argv) == 0
+    sys.path.insert(0, str(CONFIGS.parent / "bench"))
+    try:
+        import checks
+    finally:
+        sys.path.remove(str(CONFIGS.parent / "bench"))
+    checks.check_pm_trace(capsys.readouterr().out, 1.4)
+
+
 # -------------------------------------------------------------- artifacts
 
 

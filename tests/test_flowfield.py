@@ -23,7 +23,7 @@ from sectorflow.gas import (
     relative_gap,
 )
 from sectorflow.polar import TWO_PI, PolarState, from_polar, to_polar, wrap_signed
-from sectorflow.pmwave import fan_end, integrate_pm
+from sectorflow.pmwave import PMWave, fan_end, integrate_pm
 from sectorflow.shock import Orientation, lax_neighborhood_bound
 from sectorflow.flowfield import (
     ClosureError,
@@ -33,7 +33,6 @@ from sectorflow.flowfield import (
     FlowDescription,
     FlowField,
     PMEvent,
-    PMPiece,
     ShockEvent,
     ShockPoint,
     Shooting,
@@ -752,7 +751,7 @@ def test_a_wave_laid_at_the_anchor_angle_meets_the_seam_on_its_first_node():
     # anchored on the backward wave's sonic angle, the flow starts with the wave
     cfg = _edited_two_sector(lambda pieces: None, anchor_theta=TWO_SECTOR_SONIC_START)
     flow = build_flow(cfg.gas, cfg.description)
-    assert isinstance(flow.pieces[0], PMPiece)
+    assert isinstance(flow.pieces[0], PMWave)
     assert flow.pieces[0].theta_start == TWO_SECTOR_SONIC_START
     # 2.5e-9 rad past it, with the start declared there: the anchor is off
     # sonic by a c-relative 3.1e-9, so the march stops at the wave's start
@@ -823,9 +822,9 @@ def test_library_march_failures_keep_their_messages(gas14, event_index, event, s
 
 def test_two_sector_shot_parameter(two_sector):
     wave_b = next(
-        p.wave
+        p
         for p in two_sector.interval_pieces
-        if isinstance(p, PMPiece) and p.wave.orientation is Orientation.BACKWARD
+        if isinstance(p, PMWave) and p.orientation is Orientation.BACKWARD
     )
     assert wave_b.theta_end == pytest.approx(TWO_SECTOR_SHOT_END, abs=5e-10)
     assert wave_b.theta_start == pytest.approx(TWO_SECTOR_WAVE_B[0], abs=5e-9)
@@ -848,9 +847,9 @@ def test_two_sector_contacts_and_forward_wave(two_sector):
         list(TWO_SECTOR_CONTACTS), abs=1e-8
     )
     wave_f = next(
-        p.wave
+        p
         for p in two_sector.interval_pieces
-        if isinstance(p, PMPiece) and p.wave.orientation is Orientation.FORWARD
+        if isinstance(p, PMWave) and p.orientation is Orientation.FORWARD
     )
     assert (wave_f.theta_start, wave_f.theta_end) == pytest.approx(
         TWO_SECTOR_WAVE_F, abs=1e-9
@@ -938,8 +937,8 @@ def test_evaluate_many_matches_evaluate(name):
     base = [p.theta for p in flow.jump_points]
     for piece in flow.interval_pieces:
         base += [piece.theta_start, piece.theta_end]
-        if isinstance(piece, PMPiece):
-            base += list(piece.wave.thetas) + [piece.wave.theta_end]
+        if isinstance(piece, PMWave):
+            base += list(piece.thetas) + [piece.theta_end]
     base += [flow.anchor_theta + TWO_PI - 1e-12, flow.anchor_theta - 1e-17, -0.3, -4.0]
     thetas = np.array(base + [t + TWO_PI for t in base] + [t - TWO_PI for t in base])
     assert (thetas < 0.0).sum() >= len(base)
@@ -956,7 +955,7 @@ def test_a_jump_stores_its_angle_and_kind_only(name):
     """No state is stored at a jump: its sides are the neighbouring pieces' states."""
     cfg = parse_config((CONFIGS / ("%s.json" % name)).read_text())
     flow = build_flow(cfg.gas, cfg.description)
-    points = [p for p in flow.pieces if not isinstance(p, (ConstantPiece, PMPiece))]
+    points = [p for p in flow.pieces if not isinstance(p, (ConstantPiece, PMWave))]
     assert points == list(flow.jump_points)
     assert len(points) == {"two_sector": 5, "three_sector_g112": 6, "uniform": 0}[name]
     for p in points:
@@ -992,10 +991,9 @@ def test_wave_samples_obey_tangential_ode(two_sector):
     # differences of the evaluated flow
     h = 1e-6
     for piece in two_sector.interval_pieces:
-        if not isinstance(piece, PMPiece):
+        if not isinstance(piece, PMWave):
             continue
-        w = piece.wave
-        lo, hi = w.theta_start, w.theta_end
+        lo, hi = piece.theta_start, piece.theta_end
         for k in range(1, 8):
             t = lo + (hi - lo) * k / 8
             sm = evaluate(two_sector, t)
@@ -1291,7 +1289,7 @@ def _splice_backward_wave(flow, gas, L_seed):
     pieces = list(flow.pieces)
     pieces[k : k + 1] = [
         ConstantPiece(const.theta_start, lo, s),
-        PMPiece(wave2),
+        wave2,
         ConstantPiece(hi, const.theta_end, s),
     ]
     return _with_pieces(flow, pieces)
@@ -1409,7 +1407,7 @@ def _waves_for_shock(flow, gas, orientation, ends, dL=0.0):
         if end is None:
             end = L_zero_angle(gas, start, a, orientation)
         wave = integrate_pm(start, a, end, orientation, gas)
-        pieces.append(PMPiece(wave._replace(Ls=tuple(L - dL for L in wave.Ls))))
+        pieces.append(wave._replace(Ls=tuple(L - dL for L in wave.Ls)))
         start, a = wave.end_state(), wave.theta_end
     pieces.append(ConstantPiece(a, after.theta_end, start))
     return _with_pieces(flow, flow.pieces[: k - 1] + tuple(pieces) + flow.pieces[k + 2 :])

@@ -5,8 +5,13 @@ the frozen dataclass it replaced, rejects assignment to a field, and builds
 its _replace copies through the same checks as its constructor.
 """
 
+import importlib
+import pkgutil
+from math import sqrt
+
 import pytest
 
+import sectorflow
 from sectorflow import cli, flowfield, gas, pmwave, polar, roe, shock, verify
 from sectorflow.polar import TWO_PI
 
@@ -15,16 +20,14 @@ FORWARD = shock.Orientation.FORWARD
 BOUNDS = gas.PhaseBounds(
     rho_min=0.1, rho_max=10.0, p_min=0.2, p_max=20.0, speed_max=5.0, e_min=0.01
 )
-GAS = gas.GasModel(gamma=1.4, bounds=BOUNDS, c_min=0.1, z_max=99.0)
+GAS = gas.GasModel(gamma=1.4, bounds=BOUNDS)
 STATE = gas.PrimitiveState(rho=1.0, u=0.5, v=-0.25, p=2.0)
 POLAR = polar.PolarState(theta=0.3, N=1.5, L=0.5, rho=1.0, p=1.0)
 SOLUTION = shock.ShockSolution(
-    theta=0.3,
     orientation=FORWARD,
     upstream=POLAR,
     downstream=POLAR._replace(N=0.9, rho=1.6, p=1.5),
     z=0.5,
-    mass_flux=1.5,
 )
 WAVE = pmwave.PMWave(
     orientation=FORWARD,
@@ -65,7 +68,7 @@ RECORDS = [
     GAS,
     STATE,
     gas.ConservedState(rho=1.0, mom_x=0.5, mom_y=-0.25, energy=5.2),
-    gas.PhaseReport(ok=False, violations=("density below floor",)),
+    gas.PhaseReport(violations=("density below floor",)),
     POLAR,
     SOLUTION,
     shock.Classification(
@@ -76,7 +79,6 @@ RECORDS = [
     PIECE,
     flowfield.ShockPoint(theta=0.3, orientation=FORWARD),
     flowfield.ContactPoint(theta=0.5),
-    flowfield.PMPiece(wave=WAVE),
     FLOW,
     SHOCK_EVENT,
     flowfield.ContactEvent(rho=2.0, L=0.3),
@@ -98,9 +100,7 @@ RECORDS = [
         entropy_min=0.0,
         entropy_violations=(),
         smooth_residual_max=(1e-8,) * 4,
-        admissibility=((0.3, "forward_shock", True, ""),),
         structure=STRUCTURE,
-        sector_count=1,
     ),
     roe.RoeAverage(theta=0.3, u_bar=0.5, v_bar=-0.25, h_bar=3.0, c_bar=1.1, N_bar=0.2),
     roe.EigenSystem(
@@ -108,23 +108,23 @@ RECORDS = [
     ),
 ]
 
-# the field order each record had as a frozen dataclass (the jump markers,
-# which replaced the stored jump records, never were one)
+# the field order each record had as a frozen dataclass, less the fields
+# the others determine (the jump markers, which replaced the stored jump
+# records, never were one)
 FIELDS = {
     "PhaseBounds": ("rho_min", "rho_max", "p_min", "p_max", "speed_max", "e_min"),
-    "GasModel": ("gamma", "bounds", "c_min", "z_max"),
+    "GasModel": ("gamma", "bounds"),
     "PrimitiveState": ("rho", "u", "v", "p"),
     "ConservedState": ("rho", "mom_x", "mom_y", "energy"),
-    "PhaseReport": ("ok", "violations"),
+    "PhaseReport": ("violations",),
     "PolarState": ("theta", "N", "L", "rho", "p"),
-    "ShockSolution": ("theta", "orientation", "upstream", "downstream", "z", "mass_flux"),
+    "ShockSolution": ("orientation", "upstream", "downstream", "z"),
     "Classification": ("kind", "shock", "reason"),
     "AdmissibilityReport": ("checks",),
     "FlowConfig": ("gas", "description", "samples", "formats"),
     "ConstantPiece": ("theta_start", "theta_end", "state"),
     "ShockPoint": ("theta", "orientation"),
     "ContactPoint": ("theta",),
-    "PMPiece": ("wave",),
     "FlowField": ("gas", "anchor_theta", "pieces"),
     "ShockEvent": ("orientation", "theta", "z", "balance", "L_sign"),
     "ContactEvent": ("rho", "L"),
@@ -142,19 +142,32 @@ FIELDS = {
     "StructureReport": ("checks", "sectors", "jumps"),
     "AuditReport": (
         "weak_residual_max", "entropy_min", "entropy_violations", "smooth_residual_max",
-        "admissibility", "structure", "sector_count",
+        "structure",
     ),
     "RoeAverage": ("theta", "u_bar", "v_bar", "h_bar", "c_bar", "N_bar"),
     "EigenSystem": ("eigenvalues", "right", "left"),
 }
 
-# records with cached views, which live in an instance dict
-WITH_DICT = ("FlowField",)
+# records with cached views or derived values, which live in an instance dict
+WITH_DICT = ("FlowField", "GasModel")
+
+
+def _package_records():
+    """Names of the classes with _fields that the package's modules define."""
+    classes = set()
+    for info in pkgutil.iter_modules(sectorflow.__path__):
+        module = importlib.import_module("sectorflow." + info.name)
+        classes.update(
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and hasattr(obj, "_fields")
+            and obj.__module__ == module.__name__
+        )
+    return sorted(cls.__name__ for cls in classes)
 
 
 def test_every_record_class_is_sampled_once():
     names = [type(r).__name__ for r in RECORDS]
-    assert sorted(names) == sorted(FIELDS)
+    assert sorted(names) == sorted(FIELDS) == _package_records()
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -194,11 +207,12 @@ def test_record_defaults(record, defaults):
     "record, change, message",
     [
         (BOUNDS, {"p_max": 0.1}, "pressure bounds must satisfy 0 < p_min <= p_max"),
+        (GAS, {"gamma": 1.0}, "gamma must exceed 1"),
         (STATE, {"rho": 0.0}, "nonpositive density"),
         (PIECE, {"theta_end": 0.0}, "constant piece needs a nonempty interval"),
         (SHOCK_EVENT, {"theta": 0.3}, "shock event needs exactly one of theta, z, balance"),
     ],
-    ids=["PhaseBounds", "PrimitiveState", "ConstantPiece", "ShockEvent"],
+    ids=["PhaseBounds", "GasModel", "PrimitiveState", "ConstantPiece", "ShockEvent"],
 )
 def test_replace_runs_the_constructor_check(record, change, message):
     fields = {**record._asdict(), **change}
@@ -222,3 +236,15 @@ def test_cached_values_are_not_fields():
     assert not set(vars(flow)) & set(flow._fields)
     assert flow == FLOW and hash(flow) == hash(FLOW) and repr(flow) == repr(FLOW)
     assert vars(flow._replace()) == {}
+
+
+def test_a_replaced_gas_derives_its_own_bounds():
+    box = BOUNDS._replace(p_max=5.0, rho_max=20.0)
+    wide = gas.make_gas(1.4, BOUNDS)._replace(bounds=box)
+    assert wide.c_min == sqrt(1.4 * box.p_min / box.rho_max)
+    assert wide.z_max == (box.p_max - box.p_min) / box.p_min
+    # computed on first read, into the instance dict; a copy starts empty
+    fresh = wide._replace()
+    assert vars(fresh) == {}
+    assert (fresh.c_min, fresh.z_max) == (wide.c_min, wide.z_max)
+    assert set(vars(fresh)) == {"c_min", "z_max"}

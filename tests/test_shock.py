@@ -58,10 +58,11 @@ def test_forward_shock_closed_form(gas):
     assert sol.downstream.N == pytest.approx(ORACLE_N_BACK, rel=1e-14)
     # tangential velocity and angle carried through unchanged
     assert sol.downstream.L == sol.upstream.L == 1.2
-    assert sol.mass_flux == pytest.approx(ORACLE_N_FRONT, rel=1e-14)
-    assert sol.downstream.rho * sol.downstream.N == pytest.approx(
-        sol.mass_flux, rel=1e-14
-    )
+    assert sol.downstream.theta == sol.upstream.theta == 1.0
+    # the mass flux rho * N, the same on both sides
+    mass_flux = sol.upstream.rho * sol.upstream.N
+    assert mass_flux == pytest.approx(ORACLE_N_FRONT, rel=1e-14)
+    assert sol.downstream.rho * sol.downstream.N == pytest.approx(mass_flux, rel=1e-14)
 
 
 def test_backward_shock_mirrors_forward(gas):
@@ -116,15 +117,11 @@ def test_shock_side_phase_messages(gas, orient):
 def test_replaced_solution_reads_its_own_sides(gas):
     sol = shock_from_strength(_upstream(), 0.8, Orientation.FORWARD, gas)
     assert (sol.left_state(), sol.right_state()) == (sol.downstream, sol.upstream)
-    swapped = sol._replace(
-        upstream=sol.downstream, downstream=sol.upstream, mass_flux=-sol.mass_flux
-    )
+    swapped = sol._replace(upstream=sol.downstream, downstream=sol.upstream)
     assert swapped.left_state() == sol.upstream != sol.left_state()
     assert swapped.right_state() == sol.downstream != sol.right_state()
     # a solution holds its fields only: no cached sides, no instance dict
-    assert list(sol._fields) == [
-        "theta", "orientation", "upstream", "downstream", "z", "mass_flux",
-    ]
+    assert list(sol._fields) == ["orientation", "upstream", "downstream", "z"]
     copy = sol._replace()
     assert copy == sol and hash(copy) == hash(sol)
     assert not hasattr(copy, "__dict__")
@@ -153,7 +150,7 @@ def test_constructed_shock_satisfies_jump_conditions(z, rho, p, L, theta, forwar
     res = rh_residual(
         sol.left_state().to_primitive(), sol.right_state().to_primitive(), theta, big
     )
-    scale = max(1.0, abs(sol.mass_flux), sol.downstream.p)
+    scale = max(1.0, abs(sol.upstream.rho * sol.upstream.N), sol.downstream.p)
     assert max(abs(r) for r in res) <= 1e-9 * scale
     # Hugoniot vanishes on the connected pair
     H = _hugoniot(
@@ -244,7 +241,9 @@ def test_classify_recovers_forward_shock(gas):
     )
     assert out.kind is DiscontinuityKind.FORWARD_SHOCK
     assert out.shock.z == pytest.approx(0.8, rel=1e-12)
-    assert out.shock.mass_flux == pytest.approx(sol.mass_flux, rel=1e-12)
+    assert out.shock.upstream.rho * out.shock.upstream.N == pytest.approx(
+        sol.upstream.rho * sol.upstream.N, rel=1e-12
+    )
 
 
 def test_classify_recovers_backward_shock(gas):
@@ -335,12 +334,10 @@ def test_admissibility_margins_and_floor(gas):
 def test_admissibility_catches_swapped_sides(gas):
     sol = shock_from_strength(_upstream(), 0.8, Orientation.FORWARD, gas)
     fake = type(sol)(
-        theta=sol.theta,
         orientation=sol.orientation,
         upstream=sol.downstream,
         downstream=sol.upstream,
         z=-sol.z / (1.0 + sol.z),
-        mass_flux=sol.mass_flux,
     )
     rep = check_admissibility(fake, gas)
     assert not rep.ok
