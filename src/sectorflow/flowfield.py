@@ -49,27 +49,6 @@ from .shock import (
     strength_ratios,
 )
 
-__all__ = [
-    "ClosureError",
-    "MarchError",
-    "ConstantPiece",
-    "ShockPoint",
-    "ContactPoint",
-    "FlowField",
-    "ShockEvent",
-    "ContactEvent",
-    "PMEvent",
-    "Shooting",
-    "FlowDescription",
-    "Sector",
-    "SBVDecomposition",
-    "build_flow",
-    "evaluate",
-    "sector_decompose",
-    "bv_decompose",
-    "shock_separation_floor",
-]
-
 # Tolerances of the march and of closure shooting (its accidental jumps are
 # gas.MATCH_TOL's). Within _ANGLE_MARGIN an event reaches the seam, a wave
 # start the march's angle, and the next angle with a given N the current one.
@@ -83,7 +62,7 @@ _ANGLE_MARGIN = 1e-12
 # is used.
 _EXACT_MAX_STEP = 1.0 / 32.0
 _SCAN_RECHECK = 1e-6
-_JUMP_EPS = 1e-10  # how far from a jump _jump_limits reads its sides
+_JUMP_EPS = 1e-10  # how far from a jump jump_limits reads its sides
 
 
 class ClosureError(Exception):
@@ -127,7 +106,7 @@ class FlowField(namedtuple("FlowField", "gas anchor_theta pieces")):
     the point pieces (ShockPoint, ContactPoint) sitting at their shared
     boundaries, ordered by angle over [anchor_theta, anchor_theta + 2 pi].
     A point piece holds its angle (and a shock its orientation) only; its
-    sides are the flow's limits there (_jump_limits), so each state is
+    sides are the flow's limits there (jump_limits), so each state is
     stored once, in the interval pieces. The cached views below live in
     the instance dict (no __slots__).
     """
@@ -170,12 +149,12 @@ def evaluate(flow, theta):
     return pm_wave_state(piece, min(t, piece.theta_end))
 
 
-def _jump_limits(flow, theta):
+def jump_limits(flow, theta):
     """The flow's (left, right) limits at a jump: evaluate _JUMP_EPS below and above it."""
     return evaluate(flow, theta - _JUMP_EPS), evaluate(flow, theta + _JUMP_EPS)
 
 
-def _flow_angle_of(state):
+def flow_angle_of(state):
     return atan2(state.v, state.u)
 
 
@@ -379,11 +358,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                 _, L_left = to_polar(u, v, theta_c)
                 if abs(ev.L) <= 0.0 or not ev.rho > 0.0:
                     raise ValueError("contact needs positive density and moving gas")
-                jump = max(
-                    abs(ev.rho - rho) / max(1.0, rho, ev.rho),
-                    abs(ev.L - L_left) / max(1.0, abs(L_left), abs(ev.L)),
-                )
-                if jump <= NO_JUMP_TOL:
+                if relative_gap((rho, L_left), (ev.rho, ev.L)) <= NO_JUMP_TOL:
                     raise ValueError(
                         "a trivial contact must jump in density or tangential velocity"
                     )
@@ -440,7 +415,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
 
 
 def _angle_mismatch(desc, final):
-    return wrap_signed(atan2(final[2], final[1]) - _flow_angle_of(desc.anchor_state))
+    return wrap_signed(atan2(final[2], final[1]) - flow_angle_of(desc.anchor_state))
 
 
 def _with_param(desc, value):
@@ -604,7 +579,7 @@ def sector_decompose(flow):
         if len(flow.interval_pieces) > 1 or not isinstance(first, ConstantPiece):
             raise ValueError("flow without contacts must be a single constant")
         # the two zeros of N, where theta is the flow angle phi or phi + pi
-        phi, base = _flow_angle_of(first.state), flow.anchor_theta
+        phi, base = flow_angle_of(first.state), flow.anchor_theta
         boundaries = sorted(base + wrap_angle(x - base) for x in (phi, phi + pi))
 
     if len(boundaries) > 3:
@@ -671,7 +646,7 @@ class SBVDecomposition(
     __slots__ = ()
 
 
-def _conserved_jump(gas, left, right):
+def conserved_jump(gas, left, right):
     ul, ur = primitive_to_conserved(left, gas), primitive_to_conserved(right, gas)
     return tuple(r - l for l, r in zip(ul, ur))
 
@@ -679,7 +654,7 @@ def _conserved_jump(gas, left, right):
 def bv_decompose(flow, samples=720):
     """Cumulative-jump decomposition U = U_L + U_S sampled on the circle, jumps from limits."""
     jumps = [
-        (flow.local_angle(p.theta), _conserved_jump(flow.gas, *_jump_limits(flow, p.theta)))
+        (flow.local_angle(p.theta), conserved_jump(flow.gas, *jump_limits(flow, p.theta)))
         for p in flow.jump_points
     ]
     jumps.sort(key=lambda q: q[0])

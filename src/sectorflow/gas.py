@@ -10,24 +10,6 @@ from collections import namedtuple
 from functools import cached_property
 from math import sqrt
 
-__all__ = [
-    "PhaseBounds",
-    "GasModel",
-    "PrimitiveState",
-    "relative_gap",
-    "ConservedState",
-    "PhaseReport",
-    "make_gas",
-    "primitive_to_conserved",
-    "conserved_to_primitive",
-    "physical_fluxes",
-    "normal_flux",
-    "ray_fluxes",
-    "inside_box",
-    "in_phase_space",
-    "require_in_phase_space",
-]
-
 
 # The records here and in the other modules are immutable named tuples. A
 # record that checks its fields does so in __new__, and its _make (through

@@ -36,17 +36,6 @@ from .gas import MATCH_TOL, PrimitiveState, require_in_phase_space
 from .polar import from_polar, to_polar
 from .shock import brentq
 
-__all__ = [
-    "WaveKind",
-    "PMWave",
-    "integrate_pm",
-    "fan_end",
-    "classify_pm",
-    "pm_wave_state",
-    "pm_wave_arrays",
-    "pm_state_derivative",
-]
-
 _END_CROSSING_TOL = 1e-9  # an L zero within this (1 + span) of the end is the end
 
 
@@ -94,8 +83,6 @@ class PMWave(
     def reduced_at(self, theta):
         """Hermite-interpolated (rho, L) at an interior angle."""
         ts = self.thetas
-        if len(ts) == 1:
-            return self.rhos[0], self.Ls[0]
         if not (ts[0] - 1e-12 <= theta <= ts[-1] + 1e-12):
             raise ValueError("angle outside the wave interval")
         i = min(max(bisect_right(ts, theta) - 1, 0), len(ts) - 2)
@@ -160,8 +147,8 @@ def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas):
         raise ValueError("starting state is not sonic for this orientation")
 
     span = theta_end - theta_start
-    if span < 0.0:
-        raise ValueError("wave end angle precedes its start")
+    if not span > 0.0:
+        raise ValueError("wave needs a nonempty interval")
     return L0, c0, span
 
 
@@ -169,8 +156,8 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
     """Integrate a sonic wave from a starting state to a target angle.
 
     start must be sonic at theta_start for the orientation, inside phase
-    space, and have a finite positive p / rho^gamma. steps defaults to 64
-    per radian of span. An interior sign change of L is an error, since a
+    space, and have a finite positive p / rho^gamma. steps, at least 1,
+    defaults to 64 per radian of span. An interior sign change of L is an error, since a
     wave of one kind cannot continue through the tangential-velocity zero,
     and so is a wave that reaches vacuum before its end angle.
     """
@@ -188,11 +175,11 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
     def rhs(rho, L):
         return _sonic_rhs(rho, L, sign, s_ref, gamma)
 
-    if span == 0.0:
-        steps = 0  # the wave is its start sample
-    elif steps is None:
+    if steps is None:
         steps = max(4, ceil(64.0 * span))
-    h = span / steps if span else 0.0
+    elif not steps >= 1:
+        raise ValueError("wave needs at least one step")
+    h = span / steps
 
     thetas, rhos, Ls = [theta_start], [start.rho], [L0]
     d = rhs(start.rho, L0)

@@ -17,15 +17,6 @@ from .gas import PrimitiveState
 
 TWO_PI = 2.0 * pi
 
-__all__ = [
-    "TWO_PI",
-    "wrap_angle",
-    "wrap_signed",
-    "to_polar",
-    "from_polar",
-    "PolarState",
-]
-
 
 def wrap_angle(theta):
     """Reduce an angle to the canonical circle [0, 2*pi)."""

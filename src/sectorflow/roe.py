@@ -13,16 +13,6 @@ import numpy as np
 
 from .gas import primitive_to_conserved, conserved_to_primitive
 
-__all__ = [
-    "RoeAverage",
-    "EigenSystem",
-    "jacobian",
-    "roe_average",
-    "roe_matrix",
-    "eigensystem",
-    "genuine_nonlinearity",
-]
-
 
 def _frame_matrix(u, v, h, theta, gamma):
     """The 4x4 closed form shared by the exact and the averaged Jacobian."""

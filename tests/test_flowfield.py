@@ -158,7 +158,7 @@ def conserved_at(flow, theta):
 
 def _limits(flow, point):
     """A jump's (left, right) sides: the flow's limits, which is all a flow keeps of them."""
-    return flowfield._jump_limits(flow, point.theta)
+    return flowfield.jump_limits(flow, point.theta)
 
 
 def _strength(flow, shock):
@@ -1045,7 +1045,7 @@ def _numpy_bv_decompose(flow, samples):
     """bv_decompose as it was on numpy arrays, kept as the float version's reference."""
     jumps = sorted(
         (
-            (flow.local_angle(p.theta), flowfield._conserved_jump(flow.gas, *_limits(flow, p)))
+            (flow.local_angle(p.theta), flowfield.conserved_jump(flow.gas, *_limits(flow, p)))
             for p in flow.jump_points
         ),
         key=lambda q: q[0],
@@ -1092,7 +1092,7 @@ def _per_row_bv_decompose(flow, samples):
     """bv_decompose as it was before runs of one state shared their part: every row derived."""
     jumps = sorted(
         (
-            (flow.local_angle(p.theta), flowfield._conserved_jump(flow.gas, *_limits(flow, p)))
+            (flow.local_angle(p.theta), flowfield.conserved_jump(flow.gas, *_limits(flow, p)))
             for p in flow.jump_points
         ),
         key=lambda q: q[0],

@@ -171,6 +171,20 @@ def test_wave_ending_at_the_l_zero(gas):
         integrate_pm(start, theta0, end + 0.01, Orientation.FORWARD, gas)
 
 
+def test_wave_ending_just_past_the_l_zero(gas):
+    # an L zero within the end tolerance of the end angle is the end, even
+    # when the last RK4 step has crossed it
+    theta0 = 1.0
+    start = _sonic_start(gas, 0.3, theta0)
+    zero = L_zero_angle(gas, start, theta0, Orientation.FORWARD)
+    w = integrate_pm(start, theta0, zero + 1e-10, Orientation.FORWARD, gas)
+    assert w.Ls[-2] > 0.0 > w.Ls[-1]
+    _fan_end(start, theta0, zero + 1e-10, Orientation.FORWARD, gas)
+    for march in (integrate_pm, _fan_end):
+        with pytest.raises(ValueError, match="changes sign"):
+            march(start, theta0, zero + 1e-6, Orientation.FORWARD, gas)
+
+
 def _end(gas, start, theta0, span, orient, stop):
     return L_zero_angle(gas, start, theta0, orient) if stop else theta0 + span
 
@@ -237,10 +251,9 @@ def test_fan_end_is_the_limit_of_rk4(gas, L0, orient):
 
     def gaps(steps):
         w = integrate_pm(start, theta0, theta0 + span, orient, gas, steps=steps)
-        nodes = [
-            relative_gap(w.node_state(i), _fan_end(start, theta0, t, orient, gas))
-            for i, t in enumerate(w.thetas)
-        ]
+        # fan_end needs a nonempty span, so node 0 is compared with the start
+        ends = [start] + [_fan_end(start, theta0, t, orient, gas) for t in w.thetas[1:]]
+        nodes = [relative_gap(w.node_state(i), end) for i, end in enumerate(ends)]
         mids = [
             relative_gap(pm_wave_state(w, t), _fan_end(start, theta0, t, orient, gas))
             for t in (0.5 * (a + b) for a, b in zip(w.thetas, w.thetas[1:]))
@@ -259,7 +272,7 @@ def test_fan_end_is_the_limit_of_rk4(gas, L0, orient):
         (0.3, 2.5, None, "changes sign"),  # L reaches zero at about 1.25
         (0.3, 1.0 + 6.0, None, "vacuum"),
         (1.5, 0.6, (0.9, 1.05), "leaves phase space"),
-        (0.4, 0.5, None, "precedes"),
+        (0.4, 0.5, None, "nonempty interval"),
     ],
 )
 def test_fan_end_fails_where_integrate_pm_does(gas, L0, theta_end, bounds, match):
@@ -309,11 +322,15 @@ def test_start_without_a_finite_isentrope_constant_rejected(rho):
 
 
 def test_zero_length_wave(gas):
+    # integrate_pm and fan_end refuse an empty interval, as the flow march and pm-trace do
     start = _sonic_start(gas, 0.4, 0.9)
-    w = integrate_pm(start, 0.9, 0.9, Orientation.FORWARD, gas)
-    assert len(w.thetas) == 1
-    end = w.end_state()
-    assert end.rho == pytest.approx(1.0) and end.p == pytest.approx(1.0)
+    for march in (integrate_pm, _fan_end):
+        with pytest.raises(ValueError, match="wave needs a nonempty interval"):
+            march(start, 0.9, 0.9, Orientation.FORWARD, gas)
+    # nor is a wave of one sample made by asking for no steps
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="wave needs at least one step"):
+            integrate_pm(start, 0.9, 1.2, Orientation.FORWARD, gas, steps=steps)
 
 
 @settings(max_examples=60, deadline=None)

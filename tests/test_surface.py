@@ -5,10 +5,15 @@ a second way of doing a job the commands already do, or no job at all.
 The scan parses src/sectorflow with ast. A module-level def or class is
 used when a name or attribute of that spelling is read anywhere in the
 package outside its own body; a method or property, when an attribute of
-that spelling is read. Imports and the export lists are not reads.
+that spelling is read. Imports and the export list are not reads.
 
 Dunders and argparse's error hook are exempt. Every other exception is in
 ALLOWED, with the acceptance criterion or benchmark layer that calls it.
+
+The package's one list of public names is sectorflow.__all__, built from
+__init__'s table of each module's exports; no other module assigns
+__all__. Inside the package a leading underscore marks a module's own
+name, so no module imports another's underscored name.
 
 numpy is imported by the audit (verify), the Roe algebra (roe) and the two
 array routines the audit calls; the builder, the exporters and analyze run
@@ -16,8 +21,11 @@ on plain floats through evaluate, so a cold build never loads it.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
+
+import sectorflow
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sectorflow"
 
@@ -36,6 +44,11 @@ ALLOWED = {
     ),
 }
 EXEMPT = {"cli._Parser.error"}  # argparse calls it on a bad flag
+
+
+def _modules():
+    """Module name -> parsed source, for every module of the package."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 
 
 def _reads(node):
@@ -109,3 +122,32 @@ def numpy_imports():
 
 def test_numpy_is_imported_only_where_arrays_are_used():
     assert numpy_imports() == NUMPY_IMPORTS
+
+
+def test_only_the_package_assigns_all():
+    assigning = {
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    }
+    assert assigning == {"__init__"}
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = sorted(
+        "%s: from %s%s import %s" % (module, "." * node.level, node.module or "", alias.name)
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("sectorflow"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == []
+
+
+def test_each_export_is_defined_in_the_module_its_table_names():
+    for module, names in sectorflow._EXPORTS.items():
+        home = importlib.import_module("sectorflow." + module)
+        for name in names:
+            assert getattr(home, name).__module__ == home.__name__, name

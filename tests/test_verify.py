@@ -293,7 +293,7 @@ def test_audit_report_scales_with_flow_magnitude(three_sector):
 def test_full_audit_decomposes_once_and_checks_each_shock_once(two_sector, monkeypatch):
     from sectorflow import flowfield, verify
 
-    calls = {"sector_decompose": 0, "check_admissibility": 0, "_jump_limits": 0}
+    calls = {"sector_decompose": 0, "check_admissibility": 0, "jump_limits": 0}
     for module in (flowfield, verify):
         for name in calls:
             if hasattr(module, name):
@@ -307,7 +307,7 @@ def test_full_audit_decomposes_once_and_checks_each_shock_once(two_sector, monke
     n = len(two_sector.shock_points)
     # each jump's two limits are read once, for every check that needs them
     assert calls == {
-        "sector_decompose": 1, "check_admissibility": n, "_jump_limits": len(two_sector.jump_points)
+        "sector_decompose": 1, "check_admissibility": n, "jump_limits": len(two_sector.jump_points)
     }
     assert report.sector_count == 2 and len(report.admissibility) == n + 2
 
