@@ -388,11 +388,9 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                                 "wave's sonic start %.6g lies past its end angle %.6g"
                                 % (a, ev.theta_end), "wave's sonic start lies past its end angle"
                             )
-                if not ev.theta_end > a:
-                    raise ValueError("wave needs a nonempty interval")
                 if ev.theta_end >= horizon - _ANGLE_MARGIN:
                     raise ValueError("wave end passes the closure seam")
-                # the wave march checks that the state is sonic at a, as above
+                # the wave march checks the span and that the state is sonic at a
                 wave, end = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
                 if a > cur_start + _ANGLE_MARGIN:
                     hold(a)

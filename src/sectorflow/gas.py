@@ -100,7 +100,7 @@ class PrimitiveState(namedtuple("PrimitiveState", "rho u v p")):
 
 def relative_gap(a, b):
     """Max over paired components of |a - b| / max(|a|, |b|, 1), on two states or (rho, u, v, p) tuples."""
-    return max(abs(x - y) / max(abs(x), abs(y), 1.0) for x, y in zip(a, b))
+    return max([abs(x - y) / max(abs(x), abs(y), 1.0) for x, y in zip(a, b)])
 
 
 # The tolerances of the builder and the audit, in one table; the audit's first.

@@ -10,9 +10,11 @@ appears as an unknown: it is slaved to +-c(rho), which keeps the sonic
 and isentropic invariants exact at every sample by construction. So the
 start must be sonic to |N -+ c| <= gas.MATCH_TOL c, a jump the audit admits.
 
-One private rhs, _sonic_rhs, evaluates this system for the RK4 loop and
-pm_state_derivative. It raises ValueError when the density is not
-positive: a fan marched that far has reached vacuum before its end angle.
+One private rhs evaluates this system for the RK4 loop and
+pm_state_derivative: _sonic_rhs(sign, s_ref, gamma) folds a wave's
+constants once and returns rhs(rho, L). It raises ValueError when the
+density is not positive: a fan marched that far has reached vacuum
+before its end angle.
 
 Integration is fixed-step RK4 with cubic Hermite dense output (the rhs is
 cheap, so sample derivatives are stored alongside the samples).
@@ -44,16 +46,24 @@ class WaveKind(enum.Enum):
     COMPRESSION = "compression"
 
 
-def _sound_speed_isentrope(rho, s_ref, gamma):
-    return sqrt(gamma * s_ref * rho ** (gamma - 1.0))
+def _sonic_rhs(sign, s_ref, gamma):
+    """rhs(rho, L): (d rho / d theta, d L / d theta) on the isentrope p = s_ref rho^gamma.
 
+    A wave's constants are folded once. Each is a subexpression that
+    sign * 2.0 * rho * L / ((gamma + 1.0) * c), -sign * c with
+    c = sqrt(gamma * s_ref * rho ** (gamma - 1.0)) evaluates first, so
+    every value is the same float.
+    """
+    gamma_s, gm1, gp1 = gamma * s_ref, gamma - 1.0, gamma + 1.0
+    two_sign, minus_sign = sign * 2.0, -sign
 
-def _sonic_rhs(rho, L, sign, s_ref, gamma):
-    """(d rho / d theta, d L / d theta) on the isentrope p = s_ref rho^gamma."""
-    if not rho > 0.0:
-        raise ValueError("wave reaches vacuum before its end angle")
-    c = _sound_speed_isentrope(rho, s_ref, gamma)
-    return sign * 2.0 * rho * L / ((gamma + 1.0) * c), -sign * c
+    def rhs(rho, L):
+        if not rho > 0.0:
+            raise ValueError("wave reaches vacuum before its end angle")
+        c = sqrt(gamma_s * rho ** gm1)
+        return two_sign * rho * L / (gp1 * c), minus_sign * c
+
+    return rhs
 
 
 class PMWave(
@@ -107,7 +117,7 @@ def _hermite(ts, i, theta, series):
 
 
 def _sonic_state(wave, theta, rho, L):
-    c = _sound_speed_isentrope(rho, wave.s_ref, wave.gamma)
+    c = sqrt(wave.gamma * wave.s_ref * rho ** (wave.gamma - 1.0))
     u, v = from_polar(wave.orientation.sign * c, L, theta)
     return PrimitiveState(rho=rho, u=u, v=v, p=wave.s_ref * rho ** wave.gamma)
 
@@ -136,19 +146,20 @@ def pm_wave_arrays(wave, thetas):
 
 
 def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas):
-    """Checks on a wave's start (sonic to MATCH_TOL c) and span.
+    """Checks on a wave's span and its start (sonic to MATCH_TOL c).
 
     Returns (L0, c0, span): the start's tangential velocity and sound
-    speed, and the span.
+    speed, and the span. The one span check of every wave, the flow
+    march's too.
     """
+    span = theta_end - theta_start
+    if not span > 0.0:
+        raise ValueError("wave needs a nonempty interval")
+
     N0, L0 = to_polar(u, v, theta_start)
     c0 = sqrt(gas.gamma * p / rho)
     if abs(N0 - orient.sign * c0) > MATCH_TOL * c0:
         raise ValueError("starting state is not sonic for this orientation")
-
-    span = theta_end - theta_start
-    if not span > 0.0:
-        raise ValueError("wave needs a nonempty interval")
     return L0, c0, span
 
 
@@ -170,35 +181,31 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
         s_ref = inf
     if not 0.0 < s_ref < inf:
         raise ValueError("starting state has no finite positive p / rho^gamma")
-    sign = orient.sign
-
-    def rhs(rho, L):
-        return _sonic_rhs(rho, L, sign, s_ref, gamma)
+    rhs = _sonic_rhs(orient.sign, s_ref, gamma)
 
     if steps is None:
         steps = max(4, ceil(64.0 * span))
     elif not steps >= 1:
         raise ValueError("wave needs at least one step")
     h = span / steps
+    half_h, sixth_h = 0.5 * h, h / 6.0
 
-    thetas, rhos, Ls = [theta_start], [start.rho], [L0]
-    d = rhs(start.rho, L0)
-    drhos, dLs = [d[0]], [d[1]]
+    rho, L = start.rho, L0
+    r1, l1 = rhs(rho, L)
+    thetas, rhos, Ls, drhos, dLs = [theta_start], [rho], [L], [r1], [l1]
     for k in range(steps):
-        # k1 is the slope stored at the node
-        rho, L = rhos[-1], Ls[-1]
-        k1 = drhos[-1], dLs[-1]
-        k2 = rhs(rho + 0.5 * h * k1[0], L + 0.5 * h * k1[1])
-        k3 = rhs(rho + 0.5 * h * k2[0], L + 0.5 * h * k2[1])
-        k4 = rhs(rho + h * k3[0], L + h * k3[1])
-        rho += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        L += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        # (r1, l1) is the slope stored at the node
+        r2, l2 = rhs(rho + half_h * r1, L + half_h * l1)
+        r3, l3 = rhs(rho + half_h * r2, L + half_h * l2)
+        r4, l4 = rhs(rho + h * r3, L + h * l3)
+        rho += sixth_h * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        L += sixth_h * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         thetas.append(theta_start + (k + 1) * h)
         rhos.append(rho)
         Ls.append(L)
-        d = rhs(rho, L)
-        drhos.append(d[0])
-        dLs.append(d[1])
+        r1, l1 = rhs(rho, L)
+        drhos.append(r1)
+        dLs.append(l1)
 
     wave = PMWave(
         orientation=orient,
@@ -289,7 +296,7 @@ def pm_state_derivative(wave, theta, gas):
     rho, L = wave.reduced_at(theta)
     gamma = wave.gamma
     sign = wave.orientation.sign
-    drho, dL = _sonic_rhs(rho, L, sign, wave.s_ref, gamma)
+    drho, dL = _sonic_rhs(sign, wave.s_ref, gamma)(rho, L)
     c = -sign * dL
     N = sign * c
     dc = 0.5 * (gamma - 1.0) * c / rho * drho

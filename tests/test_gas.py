@@ -14,6 +14,7 @@ from sectorflow.gas import (
     make_gas,
     physical_fluxes,
     primitive_to_conserved,
+    relative_gap,
     require_in_phase_space,
 )
 
@@ -50,6 +51,35 @@ def test_state_rejects_nonphysical():
         PrimitiveState(rho=0.0, u=1.0, v=0.0, p=1.0)
     with pytest.raises(ValueError, match="pressure"):
         PrimitiveState(rho=1.0, u=1.0, v=0.0, p=-0.5)
+
+
+def _generator_relative_gap(a, b):
+    """relative_gap with max driving a generator: the reference for its list form."""
+    return max(abs(x - y) / max(abs(x), abs(y), 1.0) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (PrimitiveState(1.0, 2.0, -3.0, 4.0), PrimitiveState(1.0, 2.0000001, -3.0, 4.5)),
+        ((1.0, 2.0), (1.5, -2.0)),
+        ((math.nan, 1.0), (1.0, 2.0)),  # a NaN first is the max
+        ((1.0, math.nan), (2.0, 1.0)),  # a NaN later is passed over
+        ((math.inf, 1.0), (1.0, 1.0)),
+        ((1.0, -math.inf), (3.0, 1.0)),
+        ((-0.0, 0.0), (0.0, -0.0)),
+    ],
+)
+def test_relative_gap_is_the_generator_form(a, b):
+    assert repr(relative_gap(a, b)) == repr(_generator_relative_gap(a, b))
+
+
+def test_relative_gap_of_nothing_raises():
+    with pytest.raises(ValueError) as want:
+        _generator_relative_gap((), ())
+    with pytest.raises(ValueError) as got:
+        relative_gap((), ())
+    assert str(got.value) == str(want.value)
 
 
 def test_thermo_relations(gas):

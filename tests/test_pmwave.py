@@ -1,12 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sectorflow.gas import PhaseBounds, PrimitiveState, make_gas, relative_gap
+from sectorflow import flowfield, pmwave
+from sectorflow.cli import parse_config
+from sectorflow.gas import (
+    PhaseBounds,
+    PrimitiveState,
+    make_gas,
+    relative_gap,
+    require_in_phase_space,
+)
 from sectorflow.polar import from_polar, to_polar
 from sectorflow.pmwave import (
+    PMWave,
     WaveKind,
     _sonic_rhs,
     classify_pm,
@@ -16,7 +26,9 @@ from sectorflow.pmwave import (
     pm_wave_state,
 )
 from sectorflow.roe import jacobian
-from sectorflow.shock import Orientation
+from sectorflow.shock import Orientation, brentq
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Frozen terminal values for the forward wave started sonic at
 # rho = 1, p = 1, L = 0.9 (gamma 1.4) and run until L = 0. The wave
@@ -48,10 +60,10 @@ def _fan_end(start, theta_start, theta_end, orient, gas):
 
 def test_rhs_values(gas):
     c = math.sqrt(1.4)
-    drho, dL = _sonic_rhs(1.0, 0.9, Orientation.FORWARD.sign, 1.0, gas.gamma)
+    drho, dL = _sonic_rhs(Orientation.FORWARD.sign, 1.0, gas.gamma)(1.0, 0.9)
     assert dL == pytest.approx(-c, rel=1e-15)
     assert drho == pytest.approx(2.0 * 0.9 / (2.4 * c), rel=1e-15)
-    drb, dLb = _sonic_rhs(1.0, 0.9, Orientation.BACKWARD.sign, 1.0, gas.gamma)
+    drb, dLb = _sonic_rhs(Orientation.BACKWARD.sign, 1.0, gas.gamma)(1.0, 0.9)
     assert dLb == pytest.approx(c, rel=1e-15)
     assert drb == pytest.approx(-drho, rel=1e-15)
 
@@ -105,6 +117,104 @@ def test_rk4_order_by_step_halving(gas):
     order23 = math.log2(e2 / e3)
     assert order12 >= 3.9
     assert order23 >= 3.9
+
+
+def _unfolded_integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
+    """integrate_pm with its rhs unfolded and its RK4 slopes in tuples: the bitwise reference."""
+    L0, _, span = pmwave._wave_start(*start, theta_start, theta_end, orient, gas)
+    require_in_phase_space(*start, gas, "starting state")
+    gamma = gas.gamma
+    s_ref = start.p / start.rho ** gamma
+    sign = orient.sign
+
+    def rhs(rho, L):
+        if not rho > 0.0:
+            raise ValueError("wave reaches vacuum before its end angle")
+        c = math.sqrt(gamma * s_ref * rho ** (gamma - 1.0))
+        return sign * 2.0 * rho * L / ((gamma + 1.0) * c), -sign * c
+
+    if steps is None:
+        steps = max(4, math.ceil(64.0 * span))
+    h = span / steps
+    thetas, rhos, Ls = [theta_start], [start.rho], [L0]
+    d = rhs(start.rho, L0)
+    drhos, dLs = [d[0]], [d[1]]
+    for k in range(steps):
+        rho, L = rhos[-1], Ls[-1]
+        k1 = drhos[-1], dLs[-1]
+        k2 = rhs(rho + 0.5 * h * k1[0], L + 0.5 * h * k1[1])
+        k3 = rhs(rho + 0.5 * h * k2[0], L + 0.5 * h * k2[1])
+        k4 = rhs(rho + h * k3[0], L + h * k3[1])
+        rho += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        L += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        thetas.append(theta_start + (k + 1) * h)
+        rhos.append(rho)
+        Ls.append(L)
+        d = rhs(rho, L)
+        drhos.append(d[0])
+        dLs.append(d[1])
+    wave = PMWave(orient, theta_start, theta_end, tuple(thetas), tuple(rhos), tuple(Ls),
+                  tuple(drhos), tuple(dLs), s_ref, gamma)
+    for i in range(len(thetas) - 1):
+        if (Ls[i] == 0.0 and i > 0) or Ls[i] * Ls[i + 1] < 0.0:
+            crossing = brentq(
+                lambda t: wave.reduced_at(t)[1], thetas[i], thetas[i + 1], xtol=1e-15
+            )
+            if abs(crossing - theta_end) > pmwave._END_CROSSING_TOL * (1.0 + span):
+                raise ValueError("tangential velocity changes sign inside the wave")
+            break
+    n = len(thetas)
+    for i in (0, n // 2, n - 1):
+        require_in_phase_space(*wave.node_state(i), gas, "wave")
+    return wave
+
+
+def _shipped_wave_calls():
+    """Positional arguments of the two integrate_pm calls in the march that lays two_sector."""
+    cfg = parse_config((CONFIGS / "two_sector.json").read_text())
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return integrate_pm(*args, **kwargs)
+
+    flowfield.integrate_pm = record
+    try:
+        flowfield.build_flow(cfg.gas, cfg.description)
+    finally:
+        flowfield.integrate_pm = integrate_pm
+    return calls[-2:]
+
+
+def _outcome(march, *args, **kwargs):
+    try:
+        return tuple(repr(field) for field in march(*args, **kwargs))
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 16, 40, 64, 100, None])
+def test_folded_rk4_is_bitwise_the_unfolded_loop(gas, steps):
+    """Every PMWave field, and every failure message, as the unfolded rhs and loop give them."""
+    shipped = _shipped_wave_calls()
+    assert [args[3] for args in shipped] == [Orientation.BACKWARD, Orientation.FORWARD]
+    marches = [
+        (_sonic_start(gas, 0.7, 0.8), 0.8, 1.3, Orientation.FORWARD, gas),
+        (_sonic_start(gas, -0.6, 0.8, orient=Orientation.BACKWARD), 0.8, 1.25,
+         Orientation.BACKWARD, gas),
+        *shipped,
+    ]
+    for args in marches:
+        want = _outcome(_unfolded_integrate_pm, *args, steps=steps)
+        assert isinstance(want, tuple)
+        assert _outcome(integrate_pm, *args, steps=steps) == want
+    # the failures: L reaches zero at about 1.25, and vacuum past it
+    for theta_end, match in ((2.5, "changes sign"), (7.0, "vacuum")):
+        for L0, orient in ((0.3, Orientation.FORWARD), (-0.3, Orientation.BACKWARD)):
+            args = (_sonic_start(gas, L0, 1.0, orient=orient), 1.0, theta_end, orient, gas)
+            want = _outcome(_unfolded_integrate_pm, *args, steps=steps)
+            assert match in want
+            assert _outcome(integrate_pm, *args, steps=steps) == want
 
 
 def test_default_step_density(gas):
@@ -209,7 +319,7 @@ def test_stored_slopes_are_the_rhs(gas, L0, span, orient, stop):
         s_ref = prim.p / prim.rho ** gas.gamma
         # relative, but absolute for d rho at the L zero
         near_zero = 1e-14 if abs(L) < 1e-8 else 0.0
-        rhs = _sonic_rhs(prim.rho, L, orient.sign, s_ref, gas.gamma)
+        rhs = _sonic_rhs(orient.sign, s_ref, gas.gamma)(prim.rho, L)
         for got, want in zip((w.drhos[i], w.dLs[i]), rhs):
             assert got == pytest.approx(want, rel=1e-14, abs=near_zero)
 
