@@ -80,13 +80,15 @@ def _mapping(value, path):
     return value
 
 
-def _check_keys(doc, path, required, optional=()):
-    for key in doc:
+def _object(doc, path, required, optional=()):
+    """doc, an object with every required key and no key but those and the optional."""
+    for key in _mapping(doc, path):
         if key not in required and key not in optional:
             raise ConfigError(_join(path, key), "unknown key")
     for key in required:
         if key not in doc:
             raise ConfigError(_join(path, key), "missing required key")
+    return doc
 
 
 def _join(path, key):
@@ -157,15 +159,13 @@ def _orientation(value, path):
 
 
 def _parse_gas(doc, path):
-    doc = _mapping(doc, path)
-    _check_keys(doc, path, required=("gamma", "bounds"))
+    doc = _object(doc, path, required=("gamma", "bounds"))
     gamma = _number(doc["gamma"], _join(path, "gamma"))
     if not gamma > 1.0:
         raise ConfigError(_join(path, "gamma"), "must exceed 1")
     bpath = _join(path, "bounds")
-    b = _mapping(doc["bounds"], bpath)
     fields = ("rho_min", "rho_max", "p_min", "p_max", "speed_max", "e_min")
-    _check_keys(b, bpath, required=fields)
+    b = _object(doc["bounds"], bpath, required=fields)
     vals = {f: _positive(b[f], _join(bpath, f)) for f in fields}
     try:
         bounds = PhaseBounds(**vals)
@@ -175,8 +175,7 @@ def _parse_gas(doc, path):
 
 
 def _parse_anchor(doc, path):
-    doc = _mapping(doc, path)
-    _check_keys(doc, path, required=("theta", "rho", "u", "v", "p"))
+    doc = _object(doc, path, required=("theta", "rho", "u", "v", "p"))
     theta = _angle(doc["theta"], _join(path, "theta"))
     try:
         state = PrimitiveState(
@@ -191,10 +190,9 @@ def _parse_anchor(doc, path):
 
 
 def _parse_piece(doc, path):
-    doc = _mapping(doc, path)
-    kind = doc.get("kind")
+    kind = _mapping(doc, path).get("kind")
     if kind == "shock":
-        _check_keys(
+        _object(
             doc,
             path,
             required=("kind", "orientation"),
@@ -220,13 +218,13 @@ def _parse_piece(doc, path):
             L_sign=L_sign,
         )
     if kind == "contact":
-        _check_keys(doc, path, required=("kind", "rho", "L"))
+        _object(doc, path, required=("kind", "rho", "L"))
         return ContactEvent(
             rho=_positive(doc["rho"], _join(path, "rho")),
             L=_number(doc["L"], _join(path, "L")),
         )
     if kind == "wave":
-        _check_keys(
+        _object(
             doc,
             path,
             required=("kind", "orientation", "theta_end"),
@@ -252,11 +250,9 @@ _SHOOT_FIELDS = ("theta", "theta_end", "z")
 
 
 def _parse_solver(doc, path, events):
-    doc = _mapping(doc, path)
-    _check_keys(doc, path, required=("shoot",))
+    doc = _object(doc, path, required=("shoot",))
     spath = _join(path, "shoot")
-    s = _mapping(doc["shoot"], spath)
-    _check_keys(s, spath, required=("piece", "field", "bracket"))
+    s = _object(doc["shoot"], spath, required=("piece", "field", "bracket"))
     idx = _count(s["piece"], _join(spath, "piece"), 0)
     if idx >= len(events):
         raise ConfigError(_join(spath, "piece"), "no piece with index %d" % idx)
@@ -282,8 +278,7 @@ def _parse_solver(doc, path, events):
 
 
 def _parse_output(doc, path):
-    doc = _mapping(doc, path)
-    _check_keys(doc, path, required=(), optional=("samples", "formats"))
+    doc = _object(doc, path, required=(), optional=("samples", "formats"))
     samples = _count(doc.get("samples", DEFAULT_SAMPLES), _join(path, "samples"), 2, MAX_SAMPLES)
     formats = doc.get("formats", ["json"])
     if not isinstance(formats, list):
@@ -311,8 +306,7 @@ def parse_config(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("", "not valid JSON: %s" % exc)
-    doc = _mapping(doc, "")
-    _check_keys(
+    doc = _object(
         doc, "", required=("gas", "anchor", "pieces"), optional=("solver", "output")
     )
     gas = _parse_gas(doc["gas"], "gas")
@@ -451,6 +445,28 @@ def export_json(report):
     return json.dumps(audit_to_document(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+# ring radius of the figure; the head and each fan's arc write it as 330.00
+_SVG_R = 330.0
+_SVG_HEAD = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="-400 -400 800 800">
+<desc>Piecewise self-similar flow over the circle of directions</desc>
+<defs><marker id="ah" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="7" markerHeight="7" \
+orient="auto-start-reverse"><path d="M 0 0 L 10 5 L 0 10 z" fill="#1a6"/></marker></defs>
+<rect x="-400" y="-400" width="800" height="800" fill="#ffffff"/>
+<circle cx="0" cy="0" r="330.00" fill="none" stroke="#bbb" stroke-width="1"/>
+<circle cx="0" cy="0" r="3" fill="#333"/>"""
+_SVG_LEGEND = """\
+<line x1="-388" y1="-376" x2="-362" y2="-376" stroke="#c0392b" stroke-width="2.5"/>
+<text x="-354" y="-372" font-family="sans-serif" font-size="14" fill="#222">shock</text>
+<line x1="-388" y1="-354" x2="-362" y2="-354" stroke="#555" stroke-width="2.5" stroke-dasharray="7 5"/>
+<text x="-354" y="-350" font-family="sans-serif" font-size="14" fill="#222">contact</text>
+<rect x="-388" y="-337" width="26" height="10" fill="#cfe2ff"/>
+<text x="-354" y="-328" font-family="sans-serif" font-size="14" fill="#222">wave fan</text>
+<line x1="-388" y1="-310" x2="-362" y2="-310" stroke="#1a6" stroke-width="2.5" marker-end="url(#ah)"/>
+<text x="-354" y="-306" font-family="sans-serif" font-size="14" fill="#222">flow direction</text>
+</svg>"""
+
+
 def _svg_point(theta, r):
     return "%.2f,%.2f" % (r * cos(theta), -r * sin(theta))
 
@@ -463,42 +479,27 @@ def export_svg(flow):
     at its midpoint. Pure shapes and text, nothing external.
     """
     _bind_flowfield()
-    R = 330.0
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-        'viewBox="-400 -400 800 800">',
-        "<desc>Piecewise self-similar flow over the circle of directions</desc>",
-        '<defs><marker id="ah" viewBox="0 0 10 10" refX="9" refY="5" '
-        'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
-        '<path d="M 0 0 L 10 5 L 0 10 z" fill="#1a6"/></marker></defs>',
-        '<rect x="-400" y="-400" width="800" height="800" fill="#ffffff"/>',
-        '<circle cx="0" cy="0" r="%.2f" fill="none" stroke="#bbb" '
-        'stroke-width="1"/>' % R,
-        '<circle cx="0" cy="0" r="3" fill="#333"/>',
-    ]
-
+    R = _SVG_R
+    parts = [_SVG_HEAD]
     for piece in flow.interval_pieces:
         if isinstance(piece, ConstantPiece):
             continue
         a, b = piece.theta_start, piece.theta_end
         large = 1 if (b - a) > pi else 0
         parts.append(
-            '<path d="M 0,0 L %s A %.2f %.2f 0 %d 0 %s Z" fill="#cfe2ff" '
-            'stroke="none"/>' % (_svg_point(a, R), R, R, large, _svg_point(b, R))
+            '<path d="M 0,0 L %s A 330.00 330.00 0 %d 0 %s Z" fill="#cfe2ff" '
+            'stroke="none"/>' % (_svg_point(a, R), large, _svg_point(b, R))
         )
 
-    for sp in flow.shock_points:
-        parts.append(
-            '<line x1="0" y1="0" x2="%s" y2="%s" stroke="#c0392b" '
-            'stroke-width="2.5"/>'
-            % tuple(_svg_point(sp.theta, R).split(","))
-        )
-    for cp in flow.contact_points:
-        parts.append(
-            '<line x1="0" y1="0" x2="%s" y2="%s" stroke="#555" '
-            'stroke-width="1.5" stroke-dasharray="7 5"/>'
-            % tuple(_svg_point(cp.theta, R).split(","))
-        )
+    for markers, stroke in (
+        (flow.shock_points, 'stroke="#c0392b" stroke-width="2.5"'),
+        (flow.contact_points, 'stroke="#555" stroke-width="1.5" stroke-dasharray="7 5"'),
+    ):
+        for m in markers:
+            parts.append(
+                '<line x1="0" y1="0" x2="%.2f" y2="%.2f" %s/>'
+                % (R * cos(m.theta), -R * sin(m.theta), stroke)
+            )
 
     for piece in flow.interval_pieces:
         mid = 0.5 * (piece.theta_start + piece.theta_end)
@@ -511,34 +512,7 @@ def export_svg(flow):
             'stroke-width="2" marker-end="url(#ah)"/>'
             % (cxp - dx, cyp - dy, cxp + dx, cyp + dy)
         )
-
-    legend = (
-        ("#c0392b", "shock", "solid"),
-        ("#555", "contact", "dashed"),
-        ("#cfe2ff", "wave fan", "fill"),
-        ("#1a6", "flow direction", "arrow"),
-    )
-    y = -372
-    for color, label, style in legend:
-        if style == "fill":
-            parts.append(
-                '<rect x="-388" y="%d" width="26" height="10" fill="%s"/>'
-                % (y - 9, color)
-            )
-        else:
-            dash = ' stroke-dasharray="7 5"' if style == "dashed" else ""
-            marker = ' marker-end="url(#ah)"' if style == "arrow" else ""
-            parts.append(
-                '<line x1="-388" y1="%d" x2="-362" y2="%d" stroke="%s" '
-                'stroke-width="2.5"%s%s/>' % (y - 4, y - 4, color, dash, marker)
-            )
-        parts.append(
-            '<text x="-354" y="%d" font-family="sans-serif" font-size="14" '
-            'fill="#222">%s</text>' % (y, label)
-        )
-        y += 22
-
-    parts.append("</svg>")
+    parts.append(_SVG_LEGEND)
     return "\n".join(parts) + "\n"
 
 

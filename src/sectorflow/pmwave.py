@@ -163,6 +163,17 @@ def _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas):
     return L0, c0, span
 
 
+def _isentrope_constant(rho, p, gamma):
+    """p / rho^gamma of a wave's start; the one check that it is finite and positive."""
+    try:
+        s_ref = p / rho ** gamma
+    except ArithmeticError:  # rho^gamma overflows, or underflows to zero
+        s_ref = inf
+    if not 0.0 < s_ref < inf:
+        raise ValueError("starting state has no finite positive p / rho^gamma")
+    return s_ref
+
+
 def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
     """Integrate a sonic wave from a starting state to a target angle.
 
@@ -175,12 +186,7 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
     L0, _, span = _wave_start(*start, theta_start, theta_end, orient, gas)
     require_in_phase_space(*start, gas, "starting state")
     gamma = gas.gamma
-    try:
-        s_ref = start.p / start.rho ** gamma
-    except ArithmeticError:  # rho^gamma overflows, or underflows to zero
-        s_ref = inf
-    if not 0.0 < s_ref < inf:
-        raise ValueError("starting state has no finite positive p / rho^gamma")
+    s_ref = _isentrope_constant(start.rho, start.p, gamma)
     rhs = _sonic_rhs(orient.sign, s_ref, gamma)
 
     if steps is None:
@@ -240,14 +246,15 @@ def fan_end(rho, u, v, p, theta_start, theta_end, orient, gas):
     """End (rho, u, v, p) at theta_end of the wave integrate_pm marches, in closed form.
 
     Makes integrate_pm's checks but the start's phase check, which is the
-    caller's: a sonic start, no vacuum (|phi| reaching pi/2), no zero of L
-    before theta_end, and an end state inside phase space. |phi| is
-    monotone along the wave, and so are density, pressure, energy and
-    speed, so the wave stays inside the box if its two ends do. Plain
-    floats, no array code.
+    caller's: a sonic start, a finite positive p / rho^gamma, no vacuum
+    (|phi| reaching pi/2), no zero of L before theta_end, and an end state
+    inside phase space. |phi| is monotone along the wave, and so are
+    density, pressure, energy and speed, so the wave stays inside the box
+    if its two ends do. Plain floats, no array code.
     """
     L0, c0, span = _wave_start(rho, u, v, p, theta_start, theta_end, orient, gas)
     gamma = gas.gamma
+    _isentrope_constant(rho, p, gamma)
     sign = orient.sign
     k = sqrt((gamma - 1.0) / (gamma + 1.0))
     phi0 = atan2(L0, c0 / k)

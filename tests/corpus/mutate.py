@@ -260,23 +260,26 @@ def argv_for(command):
 
 
 def run_mutant(text, command):
-    """The corpus record of one command on the config text, run in a fresh directory."""
+    """One command on the config text, run in a fresh directory.
+
+    Returns the corpus helper run_argv's (exit code, stdout, stderr,
+    {written path: bytes}); record_of turns it into the record.
+    """
     sys.path.insert(0, str(ROOT / "tests"))
     try:
-        from test_corpus import record_of, run_argv
+        from test_corpus import run_argv
     finally:
         sys.path.remove(str(ROOT / "tests"))
-    argv = argv_for(command)
     with tempfile.TemporaryDirectory() as workdir:
         (Path(workdir) / "mutant.json").write_text(text, encoding="utf-8")
-        return record_of(argv, *run_argv(argv, workdir))
+        return run_argv(argv_for(command), workdir)
 
 
 def main():
     from hashlib import sha256
 
     sys.path.insert(0, str(ROOT / "tests"))
-    from test_corpus import environment
+    from test_corpus import environment, record_of
 
     cases = []
     for name, what, text in mutants():
@@ -285,7 +288,10 @@ def main():
                 "name": name,
                 "what": what,
                 "config": sha256(text.encode("utf-8")).hexdigest(),
-                "runs": [run_mutant(text, command) for command in COMMANDS],
+                "runs": [
+                    record_of(argv_for(command), *run_mutant(text, command))
+                    for command in COMMANDS
+                ],
             }
         )
     doc = dict(environment(), seed=SEED, cases=cases)

@@ -21,11 +21,19 @@ from sectorflow.cli import (
     main,
     parse_config,
 )
-from sectorflow.flowfield import build_flow, evaluate
+from sectorflow.flowfield import (
+    ConstantPiece,
+    ContactPoint,
+    FlowField,
+    ShockPoint,
+    build_flow,
+    evaluate,
+)
 from sectorflow.verify import evaluate_many
 from sectorflow.gas import PrimitiveState, make_gas
+from sectorflow.pmwave import PMWave
 from sectorflow.polar import TWO_PI
-from sectorflow.shock import deflection_angle
+from sectorflow.shock import Orientation, deflection_angle
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -642,6 +650,41 @@ def test_svg_is_selfcontained_xml(tmp_path):
     assert len(rays) == 5
     assert sum('stroke="#c0392b"' in r for r in rays) == 3
     assert sum("stroke-dasharray" in r for r in rays) == 2
+
+
+def test_svg_of_a_wave_wider_than_pi(gas):
+    """A fan past pi takes the large arc; the head and legend are written once."""
+    front = PrimitiveState(rho=1.0, u=2.0, v=0.5, p=1.0)
+    back = PrimitiveState(rho=1.5, u=1.0, v=0.5, p=2.0)
+    wave = PMWave(
+        orientation=Orientation.FORWARD, theta_start=1.0, theta_end=4.5, thetas=(1.0, 4.5),
+        rhos=(1.5, 1.5), Ls=(0.5, 0.5), drhos=(0.0, 0.0), dLs=(0.0, 0.0), s_ref=1.0, gamma=1.4,
+    )
+    flow = FlowField(gas=gas, anchor_theta=0.0, pieces=(
+        ConstantPiece(0.0, 0.5, front), ShockPoint(0.5, Orientation.FORWARD),
+        ConstantPiece(0.5, 1.0, back), wave, ConstantPiece(4.5, 5.0, back),
+        ContactPoint(5.0), ConstantPiece(5.0, TWO_PI, front),
+    ))
+    text = cli_module.export_svg(flow)
+    assert text.startswith("<svg ") and text.endswith("</svg>\n")
+    for once in ("<svg ", "<desc>", "<defs>", 'r="330.00"', "</svg>", ">shock<", ">wave fan<"):
+        assert text.count(once) == 1, once
+    root = ET.fromstring(text)
+    svg = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(svg + "text")) == 4
+
+    (fan,) = root.findall(svg + "path")
+    assert fan.get("d").split()[7:10] == ["0", "1", "0"]  # rotation, large-arc, sweep
+
+    rays = [el.attrib for el in root.findall(svg + "line") if el.get("x1") == "0"]
+    assert len(rays) == 2
+    for ray, theta, width, dash in zip(rays, (0.5, 5.0), ("2.5", "1.5"), (None, "7 5")):
+        assert (ray["x2"], ray["y2"]) == ("%.2f" % (330 * math.cos(theta)),
+                                          "%.2f" % (-330 * math.sin(theta)))
+        assert (ray["stroke-width"], ray.get("stroke-dasharray")) == (width, dash)
+    assert [ray["stroke"] for ray in rays] == ["#c0392b", "#555"]
+    arrows = [el for el in root.findall(svg + "line") if el.get("marker-end")]
+    assert len(arrows) == len(flow.interval_pieces) + 1  # and the legend's
 
 
 def test_export_writes_atomically(tmp_path):

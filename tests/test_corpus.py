@@ -11,7 +11,9 @@ re-derives the physics without importing sectorflow.
 
 tests/corpus/mutations.json holds the same record for `build` and `verify`
 on each config of the seeded mutation generator tests/corpus/mutate.py
-(which writes it); each is replayed here too.
+(which writes it); each is replayed here too, every run keeps main's
+exit-code contract, and each mutant that builds passes the benchmark's
+jump, closure and circle-integral checks on evaluate.
 """
 
 import contextlib
@@ -249,9 +251,53 @@ def test_no_recorded_mutant_builds_and_then_fails_its_audit():
     assert [n for n, e in exits.items() if e["build"] == 0 and e["verify"] != 0] == []
 
 
+def check_exit_contract(command, code, stdout, stderr):
+    """The exit-code contract of one run of main, whatever its input."""
+    assert type(code) is int and code in (0, 1, 2, 3), code
+    if code == 0:
+        assert stderr == ""
+    elif code == 1:
+        # only a failed audit: a flow that builds exits 0 from `build`
+        assert command == "verify" and json.loads(stdout)["verdict"] == "fail"
+    else:
+        prefixes = ("config error:",) if code == 3 else ("closure failure:", "construction failure:")
+        assert stdout == ""
+        assert stderr.startswith(prefixes) and stderr.count("\n") == 1, stderr
+        assert stderr.endswith("\n")
+
+
 @pytest.mark.parametrize("case", MUTATIONS_DOC["cases"], ids=lambda c: c["name"])
 def test_mutant_replays_byte_identical(case):
+    """Each run keeps the exit-code contract and matches its record."""
     what, text = MUTANTS[case["name"]]
     assert (case["what"], case["config"]) == (what, _sha(text)), "generator and record disagree"
-    runs = [MUTATE.run_mutant(text, command) for command in MUTATE.COMMANDS]
+    runs = []
+    for command in MUTATE.COMMANDS:
+        code, stdout, stderr, written = MUTATE.run_mutant(text, command)
+        check_exit_contract(command, code, stdout, stderr)
+        runs.append(record_of(MUTATE.argv_for(command), code, stdout, stderr, written))
     assert runs == case["runs"], what
+
+
+BUILT_MUTANTS = [
+    c["name"] for c in MUTATIONS_DOC["cases"]
+    if {r["argv"][0]: r["exit"] for r in c["runs"]}["build"] == 0
+]
+
+
+@pytest.mark.parametrize("name", BUILT_MUTANTS)
+def test_built_mutant_meets_the_benchmark_physics(name, checks):
+    """bench/checks.py's jump, closure and circle-integral checks, on evaluate."""
+    text = MUTANTS[name][1]
+    cfg = parse_config(text)
+    flow = build_flow(cfg.gas, cfg.description)
+    doc = json.loads(text)
+    gamma, a = doc["gas"]["gamma"], doc["anchor"]
+    anchor_theta = float(a["theta"]) % checks.TWO_PI
+    state_at = partial(evaluate, flow)
+    shocks = [sp.theta for sp in flow.shock_points]
+    contacts = [cp.theta for cp in flow.contact_points]
+    checks.check_jumps(state_at, gamma, shocks, contacts)
+    checks.check_closure(state_at, anchor_theta, (a["rho"], a["u"], a["v"], a["p"]))
+    ends = [t for p in flow.interval_pieces for t in (p.theta_start, p.theta_end)]
+    checks.check_circle_integral(state_at, gamma, anchor_theta, shocks + contacts + ends)

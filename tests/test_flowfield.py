@@ -315,6 +315,50 @@ def test_exact_scan_reports_the_rk4_failures(monkeypatch, steps):
     assert "x piece 3: constant state ... never reaches the required normal velocity" in got
 
 
+def test_both_wave_models_fail_at_the_same_scan_points(monkeypatch):
+    """A failing closed-form scan march stands for RK4's, so it is not marched again.
+
+    At every scan point of the corpus configs with a shooting block and of
+    two_sector at anchor speed x0.94, both marches succeed or both fail
+    with the same reason.
+    """
+    from test_corpus import corpus_inputs  # which imports this module
+
+    cfgs = {"two_sector x0.94": _scaled_two_sector(scale=0.94)}
+    for name, text in corpus_inputs().items():
+        if '"solver"' in text:
+            cfgs[name] = parse_config(text)
+
+    def outcome(cfg, x, march_wave):
+        try:
+            flowfield._march(cfg.gas, flowfield._with_param(cfg.description, x), march_wave)
+        except flowfield.MarchError as e:
+            return e.reason
+        return None
+
+    reasons = set()
+    for name, cfg in cfgs.items():
+        lo, hi = cfg.description.shooting.bracket
+        for k in range(65):
+            x = lo + (hi - lo) * k / 64
+            got = outcome(cfg, x, flowfield._exact_wave)
+            assert got == outcome(cfg, x, flowfield._rk4_wave), (name, x)
+            reasons.add(got)
+    assert {
+        "piece 0: wave's sonic start lies past its end angle",
+        "piece 0: starting state has no finite positive p / rho^gamma",
+    } <= reasons
+
+    # tiny_two_sector fails at every point, each marched once
+    calls = []
+    march = flowfield._march
+    monkeypatch.setattr(flowfield, "_march", lambda *a, **k: calls.append(a) or march(*a, **k))
+    cfg = cfgs["tiny_two_sector"]
+    with pytest.raises(ClosureError, match="undefined at 65 of 65 scan points"):
+        build_flow(cfg.gas, cfg.description)
+    assert len(calls) == 65
+
+
 def test_two_sector_build_marches_few_rk4_waves(monkeypatch):
     """RK4 runs only inside Brent and the closing march, counted at flowfield's name."""
     calls = []

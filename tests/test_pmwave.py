@@ -427,8 +427,10 @@ def test_start_without_a_finite_isentrope_constant_rejected(rho):
                     speed_max=1e300, e_min=1e-320),
     )
     start = _sonic_start(wide, 0.5, 0.0, rho0=rho, p0=rho)
-    with pytest.raises(ValueError, match="p / rho\\^gamma"):
-        integrate_pm(start, 0.0, 0.3, Orientation.FORWARD, wide)
+    for march in (integrate_pm, _fan_end):
+        with pytest.raises(ValueError) as info:
+            march(start, 0.0, 0.3, Orientation.FORWARD, wide)
+        assert str(info.value) == "starting state has no finite positive p / rho^gamma"
 
 
 def test_zero_length_wave(gas):
