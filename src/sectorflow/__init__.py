@@ -39,7 +39,7 @@ _EXPORTS = {
         "max_deflection_limit",
         "lax_neighborhood_bound",
     ),
-    "pmwave": ("PMWave", "WaveKind", "integrate_pm", "classify_pm"),
+    "pmwave": ("PMWave", "integrate_pm"),
     "roe": ("jacobian", "roe_average", "roe_matrix", "eigensystem", "genuine_nonlinearity"),
     "flowfield": (
         "ClosureError",

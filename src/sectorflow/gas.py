@@ -114,6 +114,9 @@ STRUCTURE_TOL = 1e-6  # wave classification and sector turning
 # about 0.84 and the entropy production -0.66 times the start's N gap / c.
 MATCH_TOL = WEAK_TOL / 10
 NO_JUMP_TOL = 1e-9  # two states within this relative_gap are not a jump
+ZERO_N_TOL = 1e-9  # a normal velocity under this share of max(|V|, c) is zero
+CONTACT_P_TOL = 1e-12  # a contact's pressure match, relative to max(1, p_left)
+FLUX_JUMP_TOL = 1e-8  # the largest flux jump a discontinuity may have, per row, over max(1, |flux|)
 
 
 class ConservedState(namedtuple("ConservedState", "rho mom_x mom_y energy")):

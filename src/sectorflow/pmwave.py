@@ -29,7 +29,6 @@ k^2 = (gamma-1)/(gamma+1) and R^2 = L0^2 + c0^2/k^2,
 floats.
 """
 
-import enum
 from bisect import bisect_right
 from collections import namedtuple
 from math import atan2, ceil, cos, hypot, inf, pi, sin, sqrt
@@ -39,11 +38,6 @@ from .polar import from_polar, to_polar
 from .shock import brentq
 
 _END_CROSSING_TOL = 1e-9  # an L zero within this (1 + span) of the end is the end
-
-
-class WaveKind(enum.Enum):
-    EXPANSION = "expansion"
-    COMPRESSION = "compression"
 
 
 def _sonic_rhs(sign, s_ref, gamma):
@@ -212,6 +206,8 @@ def integrate_pm(start, theta_start, theta_end, orient, gas, steps=None):
         r1, l1 = rhs(rho, L)
         drhos.append(r1)
         dLs.append(l1)
+    if len(set(thetas)) < len(thetas):  # h is under the float spacing of the angles
+        raise ValueError("wave's steps are narrower than its angles resolve")
 
     wave = PMWave(
         orientation=orient,
@@ -271,27 +267,6 @@ def fan_end(rho, u, v, p, theta_start, theta_end, orient, gas):
     end = (rho * ratio, *from_polar(sign * c, R * sin(phi), theta_end), p * ratio ** gamma)
     require_in_phase_space(*end, gas, "wave")
     return end
-
-
-def classify_pm(wave, theta_bar, tol=1e-9):
-    """Expansion or compression, judged by interval position and L sign.
-
-    Forward: expansion sits at or below the tangential zero with L >= 0,
-    compression at or above it with L <= 0. Backward waves mirror this.
-    A wave straddling theta_bar with both L signs present is rejected.
-    """
-    lo, hi = wave.theta_start, wave.theta_end
-    scale = max(1.0, max(abs(x) for x in wave.Ls))
-    has_pos = any(L > tol * scale for L in wave.Ls)
-    has_neg = any(L < -tol * scale for L in wave.Ls)
-    if has_pos and has_neg:
-        raise ValueError("wave straddles the tangential-velocity zero")
-    forward = wave.orientation.sign > 0
-    if not has_neg and (hi <= theta_bar + tol if forward else lo >= theta_bar - tol):
-        return WaveKind.EXPANSION
-    if not has_pos and (lo >= theta_bar - tol if forward else hi <= theta_bar + tol):
-        return WaveKind.COMPRESSION
-    raise ValueError("wave position and tangential sign are inconsistent")
 
 
 def pm_state_derivative(wave, theta, gas):

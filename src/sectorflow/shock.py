@@ -25,7 +25,8 @@ from collections import namedtuple
 from functools import cached_property
 from math import acos, asin, atan, atan2, cos, pi, sin, sqrt, tan
 
-from .gas import NO_JUMP_TOL, normal_flux, physical_fluxes, relative_gap, require_in_phase_space
+from .gas import CONTACT_P_TOL, FLUX_JUMP_TOL, NO_JUMP_TOL, ZERO_N_TOL
+from .gas import normal_flux, physical_fluxes, relative_gap, require_in_phase_space
 from .polar import PolarState, from_polar, to_polar
 
 
@@ -169,22 +170,23 @@ def classify_discontinuity(left, right, theta, gas):
     """Decide what kind of jump, if any, the two states form at theta.
 
     States within relative distance NO_JUMP_TOL are not a jump. A normal
-    velocity counts as zero within 1e-9 max(|V|, c) of the left state. A
-    contact needs both at zero and pressures equal within 1e-12 max(1, p_left).
-    A shock needs all four jump conditions, one N sign on both sides and a
-    pressure rise through the gas path; anything else is inadmissible with the
-    first violated condition named. The shock's admissibility margins are
-    check_admissibility's, run by the caller on the returned shock.
+    velocity counts as zero within ZERO_N_TOL max(|V|, c) of the left state.
+    A contact needs both at zero and pressures equal within CONTACT_P_TOL
+    max(1, p_left). A shock needs all four jump conditions, each flux jump
+    within FLUX_JUMP_TOL of its row's largest flux (at least 1), one N sign
+    on both sides and a pressure rise through the gas path; anything else is
+    inadmissible with the first violated condition named. The shock's margins
+    are check_admissibility's, run by the caller on the returned shock.
     """
     if relative_gap(left, right) <= NO_JUMP_TOL:
         return Classification(DiscontinuityKind.NOT_A_JUMP)
 
-    n_zero = 1e-9 * max(left.speed, left.sound_speed(gas))
+    n_zero = ZERO_N_TOL * max(left.speed, left.sound_speed(gas))
     Nl, Ll = to_polar(left.u, left.v, theta)
     Nr, Lr = to_polar(right.u, right.v, theta)
 
     if abs(Nl) <= n_zero and abs(Nr) <= n_zero:
-        if abs(right.p - left.p) <= 1e-12 * max(1.0, left.p):
+        if abs(right.p - left.p) <= CONTACT_P_TOL * max(1.0, left.p):
             return Classification(DiscontinuityKind.CONTACT)
         return Classification(
             DiscontinuityKind.INADMISSIBLE, reason="pressure jumps across a contact"
@@ -194,7 +196,7 @@ def classify_discontinuity(left, right, theta, gas):
     res = _flux_jump(fl, fr, theta)
     for i, name in enumerate(("mass", "x-momentum", "y-momentum", "energy")):
         scale = max(abs(fl[0][i]), abs(fr[0][i]), abs(fl[1][i]), abs(fr[1][i]), 1.0)
-        if abs(res[i]) > 1e-8 * scale:
+        if abs(res[i]) > FLUX_JUMP_TOL * scale:
             return Classification(
                 DiscontinuityKind.INADMISSIBLE,
                 reason="%s flux jumps across the discontinuity" % name,

@@ -28,7 +28,9 @@ only, so every check reads the jump's sides as evaluate's limits there,
 taken once per jump: classify_discontinuity gives the kind they form,
 check_admissibility the margins of the shock, and the jump norm and the
 deflection follow from the same two states. full_audit reads its sectors
-and jump rows there.
+and jump rows there. Outside evaluate_many the audit reads only a piece's
+angles, kind and orientation: a wave is expansion or compression by L at
+its two ends, since L' = -+c never vanishes on a sonic wave.
 """
 
 from collections import namedtuple
@@ -41,7 +43,7 @@ from .flowfield import (
     ContactPoint,
     ShockPoint,
     conserved_jump,
-    evaluate,  # not called: bench/workloads.py counts calls at this name
+    evaluate,
     flow_angle_of,
     jump_limits,
     sector_decompose,
@@ -49,8 +51,8 @@ from .flowfield import (
 )
 from .gas import ENTROPY_TOL, NO_JUMP_TOL, SMOOTH_TOL, STRUCTURE_TOL, WEAK_TOL
 from .gas import ray_fluxes, relative_gap
-from .pmwave import PMWave, WaveKind, classify_pm, pm_wave_arrays, pm_wave_state
-from .polar import TWO_PI, wrap_signed
+from .pmwave import PMWave, pm_wave_arrays, pm_wave_state
+from .polar import TWO_PI, to_polar, wrap_signed
 from .shock import (
     DiscontinuityKind, Orientation, check_admissibility, classify_discontinuity,
     lax_neighborhood_bound,
@@ -232,12 +234,38 @@ def _constant_width(flow, piece):
     first, last = flow.interval_pieces[0], flow.interval_pieces[-1]
     if piece is first or piece is last:
         other = last if piece is first else first
-        if (
-            isinstance(other, ConstantPiece)
-            and relative_gap(piece.state, other.state) <= NO_JUMP_TOL
-        ):
+        if isinstance(other, ConstantPiece) and relative_gap(
+            *(evaluate(flow, 0.5 * (p.theta_start + p.theta_end)) for p in (first, last))
+        ) <= NO_JUMP_TOL:
             width += other.theta_end - other.theta_start
     return width
+
+
+def _wave_kind(wave, theta_bar):
+    """A wave's kind beside its sector's tangential zero, or why it has none.
+
+    Returns ("expansion" or "compression", "") or (None, the reason).
+    Forward: expansion sits at or below theta_bar with L >= 0, compression
+    at or above it with L <= 0. Backward waves mirror this. A wave
+    straddling theta_bar with both L signs present is rejected. L is read
+    at the wave's two ends, from the (u, v) of the states evaluate gives
+    there: a sonic wave has L' = -+c != 0, and each RK4 step adds h/6 times
+    four slopes of that one sign, so L is monotone and its two ends hold
+    its largest value, its smallest and its scale.
+    """
+    lo, hi = wave.theta_start, wave.theta_end
+    ends = [to_polar(*pm_wave_state(wave, t)[1:3], t)[1] for t in (lo, hi)]
+    tol, scale = STRUCTURE_TOL, max(1.0, *map(abs, ends))
+    has_pos = max(ends) > tol * scale
+    has_neg = min(ends) < -tol * scale
+    if has_pos and has_neg:
+        return None, "wave straddles the tangential-velocity zero"
+    forward = wave.orientation is Orientation.FORWARD
+    if not has_neg and (hi <= theta_bar + tol if forward else lo >= theta_bar - tol):
+        return "expansion", ""
+    if not has_pos and (lo >= theta_bar - tol if forward else hi <= theta_bar + tol):
+        return "compression", ""
+    return None, "wave position and tangential sign are inconsistent"
 
 
 def _judge(gas, point, left, right):
@@ -293,63 +321,40 @@ def validate_structure(flow):
     checks.append(("shock neighborhoods", not any(m < 0.0 for m in margins), min(margins, default=0.0)))
 
     sectors = tuple(sector_decompose(flow))
-
-    # split each sector at theta_bar into its L>0 and L<0 parts
-    def region(sec, positive):
-        if sec.direction is Orientation.FORWARD:
-            return (sec.theta_start, sec.theta_bar) if positive else (
-                sec.theta_bar, sec.theta_end
-            )
-        return (sec.theta_bar, sec.theta_end) if positive else (
-            sec.theta_start, sec.theta_bar
-        )
-
+    # one pass over the sectors, each split at theta_bar into its L>0 and L<0 sides
     # (2) no two compression waves without a shock between (L<0 side)
-    ok2 = True
-    detail2 = ""
+    # (3) the L>0 side realizes one of the five admitted shapes: constant,
+    # one shock (normal at the turn or not), one expansion (to the turn or not)
+    detail2 = detail3 = ""
+    worst6 = 0.0
     for sec in sectors:
-        a, b = region(sec, positive=False)
+        inflow, outflow = (sec.theta_start, sec.theta_bar), (sec.theta_bar, sec.theta_end)
+        if sec.direction is Orientation.BACKWARD:
+            inflow, outflow = outflow, inflow
         seen_wave = False
-        for _, p, shift in _pieces_in(flow, a, b):
+        for _, p, shift in _pieces_in(flow, *outflow):
             if isinstance(p, ShockPoint):
                 seen_wave = False
             elif isinstance(p, PMWave):
-                try:
-                    kind = classify_pm(p, sec.theta_bar - shift, tol=STRUCTURE_TOL)
-                except ValueError as e:
-                    ok2 = False
-                    detail2 = str(e)
-                    continue
-                if kind is WaveKind.COMPRESSION:
+                kind, reason = _wave_kind(p, sec.theta_bar - shift)
+                if kind == "compression":
                     if seen_wave:
-                        ok2 = False
-                        detail2 = "two compression waves share a continuous stretch"
+                        reason = "two compression waves share a continuous stretch"
                     seen_wave = True
-    checks.append(("single compression per stretch", ok2, detail2))
+                detail2 = reason or detail2
 
-    # (3) the L>0 part realizes one of the five admitted shapes: constant,
-    # one shock (normal at the turn or not), one expansion (to the turn or not)
-    ok3 = True
-    detail3 = ""
-    for sec in sectors:
-        a, b = region(sec, positive=True)
-        feats = [
-            (p, shift)
-            for _, p, shift in _pieces_in(flow, a, b)
-            if isinstance(p, (ShockPoint, PMWave))
-        ]
-        admitted = len(feats) <= 1
-        if feats and admitted and isinstance(feats[0][0], PMWave):
-            p, shift = feats[0]
-            try:
-                kind = classify_pm(p, sec.theta_bar - shift, tol=STRUCTURE_TOL)
-            except ValueError:
-                kind = None
-            admitted = kind is WaveKind.EXPANSION
-        if not admitted:
-            ok3 = False
+        feats = [(p, s) for _, p, s in _pieces_in(flow, *inflow)
+                 if isinstance(p, (ShockPoint, PMWave))]
+        if feats[1:] or feats and isinstance(feats[0][0], PMWave) and (
+            _wave_kind(feats[0][0], sec.theta_bar - feats[0][1])[0] != "expansion"
+        ):
             detail3 = "inflow region fails the five-case classification"
-    checks.append(("inflow region shape", ok3, detail3))
+
+        T = _piece_turning(flow, sec.theta_start, sec.theta_end, limits)
+        expect = (sec.theta_end - sec.theta_start) - pi
+        worst6 = max(worst6, abs(T - expect))
+    checks.append(("single compression per stretch", not detail2, detail2))
+    checks.append(("inflow region shape", not detail3, detail3))
 
     # (4) forward/backward shock separation
     floor = shock_separation_floor(gas)
@@ -364,17 +369,8 @@ def validate_structure(flow):
     bad = [(t, detail) for t, kind, ok, detail in jumps if kind == "shock" and not ok]
     checks.append(("shock admissibility", not bad, "shock at %.6g fails: %s" % bad[-1] if bad else ""))
 
-    # (6) turning bookkeeping per sector
-    ok6 = True
-    worst6 = 0.0
-    for sec in sectors:
-        T = _piece_turning(flow, sec.theta_start, sec.theta_end, limits)
-        expect = (sec.theta_end - sec.theta_start) - pi
-        gap = abs(T - expect)
-        worst6 = max(worst6, gap)
-        if gap > STRUCTURE_TOL:
-            ok6 = False
-    checks.append(("sector turning", ok6, worst6))
+    # (6) turning bookkeeping per sector, summed in the pass above
+    checks.append(("sector turning", worst6 <= STRUCTURE_TOL, worst6))
 
     return StructureReport(checks=tuple(checks), sectors=sectors, jumps=jumps)
 

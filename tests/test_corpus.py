@@ -13,10 +13,14 @@ tests/corpus/mutations.json holds the same record for `build` and `verify`
 on each config of the seeded mutation generator tests/corpus/mutate.py
 (which writes it); each is replayed here too, every run keeps main's
 exit-code contract, and each mutant that builds passes the benchmark's
-jump, closure and circle-integral checks on evaluate.
+jump, closure and circle-integral checks on evaluate. A derandomized
+hypothesis test holds the same contract on generated input: configs under
+mutate.py's operators, odd float text in the solver commands' flags, and
+--out paths that cannot be written.
 """
 
 import contextlib
+import copy
 import hashlib
 import importlib.util
 import io
@@ -24,11 +28,13 @@ import json
 import os
 import platform
 import sys
+import tempfile
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sectorflow.cli import main, parse_config
 from sectorflow.flowfield import build_flow, evaluate
@@ -257,8 +263,12 @@ def check_exit_contract(command, code, stdout, stderr):
     if code == 0:
         assert stderr == ""
     elif code == 1:
-        # only a failed audit: a flow that builds exits 0 from `build`
-        assert command == "verify" and json.loads(stdout)["verdict"] == "fail"
+        # only a detached shock, or a failed audit: a flow that builds exits 0 from `build`
+        if command == "shock-solve":
+            assert stdout == "" and stderr.startswith("no attached shock:"), stderr
+            assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        else:
+            assert command == "verify" and json.loads(stdout)["verdict"] == "fail"
     else:
         prefixes = ("config error:",) if code == 3 else ("closure failure:", "construction failure:")
         assert stdout == ""
@@ -301,3 +311,101 @@ def test_built_mutant_meets_the_benchmark_physics(name, checks):
     checks.check_closure(state_at, anchor_theta, (a["rho"], a["u"], a["v"], a["p"]))
     ends = [t for p in flow.interval_pieces for t in (p.theta_start, p.theta_end)]
     checks.check_circle_integral(state_at, gamma, anchor_theta, shocks + contacts + ends)
+
+
+# ------------------------------------------------------ generated input
+#
+# The exit-code contract on inputs no record holds: configs under one or two
+# of mutate.py's operators, solver command lines with odd float text, and
+# --out paths that cannot be written. mutate.py's operators scale a number by
+# at most 2 or put a non-integer in its place, so every count a config draws
+# (steps, samples) stays far below cli's ceilings and no draw starts a long
+# march. No draw asks for -h, which leaves main through SystemExit(0).
+
+FLOAT_TEXT = ("nan", "inf", "-inf", "-0", "0", "1e-320", "1e400", "10deg", "deg", "1", "1.4", "3")
+CONFIG_COMMANDS = (
+    ["build"], ["verify"], ["analyze"],
+    ["export", "--format", "csv"], ["export", "--format", "json"], ["export", "--format", "svg"],
+)
+OUT_COMMANDS = {
+    "build": ["build", "configs/two_sector.json"],
+    "verify": ["verify", "configs/two_sector.json"],
+    "analyze": ["analyze", "configs/uniform.json"],
+    "export": ["export", "configs/uniform.json", "--format", "svg"],
+    "pm-trace": ["pm-trace", "--gamma", "1.4", "--mach", "2"],
+}
+# a missing directory, a directory given as a file, a file given as a directory
+OUT_PATHS = ("missing/out.txt", "missing/deeper", "configs", ".", "configs/uniform.json",
+             "configs/uniform.json/out.txt")
+
+_odd_text = st.one_of(st.sampled_from(FLOAT_TEXT), st.floats().map(repr))
+
+
+def _radians(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr), st.floats(lo, hi).map("{!r}deg".format))
+
+
+# per flag, values a command can succeed with; each flag draws odd text a third of the time
+PLAUSIBLE = {
+    "--gamma": st.floats(1.0, 3.0).map(repr),
+    "--mach": st.floats(0.5, 6.0).map(repr),
+    "--deflection": _radians(-1.0, 1.0),
+    "--rho": st.floats(1e-3, 1e3).map(repr),
+    "--p": st.floats(1e-3, 1e3).map(repr),
+    "--span": _radians(0.0, 7.0),
+}
+
+
+@st.composite
+def _mutated_config(draw):
+    """(argv, config text): a shipped config under one or two of mutate.py's operators."""
+    rng = draw(st.randoms(use_true_random=False))
+    doc = copy.deepcopy(MUTATE._shipped()[draw(st.sampled_from(MUTATE.SHIPPED))])
+    operators = [op for op, weight in MUTATE._OPERATORS for _ in range(weight)]
+    for _ in range(draw(st.integers(1, 2))):
+        try:
+            rng.choice(operators)(rng, doc)
+        except (KeyError, IndexError, TypeError, AttributeError):
+            break  # the first operator left no site of the shape the second one needs
+    command = draw(st.sampled_from(CONFIG_COMMANDS))
+    return [command[0], "mutant.json", *command[1:]], MUTATE._text(doc)
+
+
+@st.composite
+def _solver_argv(draw):
+    """(argv, None): a solver command whose flag values are drawn float text."""
+    def flag(name):
+        return [name, draw(st.one_of(_odd_text, PLAUSIBLE[name], PLAUSIBLE[name]))]
+
+    command = draw(st.sampled_from(("shock-solve", "max-turn", "pm-trace")))
+    argv = [command] + flag("--gamma")
+    if command == "shock-solve":
+        argv += flag("--mach") + flag("--deflection")
+        argv += draw(st.sampled_from(([], ["--branch", "weak"], ["--branch", "strong"])))
+    elif command == "max-turn":
+        argv += flag("--mach") if draw(st.booleans()) else []
+    else:
+        argv += flag("--mach")
+        for name in ("--rho", "--p", "--span"):
+            argv += flag(name) if draw(st.booleans()) else []
+        argv += draw(st.sampled_from(([], ["--orientation", "backward"])))
+        argv += draw(st.sampled_from(([], ["--steps", "1"], ["--steps", "64"], ["--steps", "0"])))
+    return argv, None
+
+
+@st.composite
+def _out_argv(draw):
+    """(argv, None): a command that writes, given an --out path that may not be writable."""
+    command = draw(st.sampled_from(sorted(OUT_COMMANDS)))
+    return OUT_COMMANDS[command] + ["--out", draw(st.sampled_from(OUT_PATHS))], None
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=st.one_of(_mutated_config(), _solver_argv(), _out_argv()))
+def test_generated_input_keeps_the_exit_code_contract(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as workdir:
+        if text is not None:
+            (Path(workdir) / "mutant.json").write_text(text, encoding="utf-8")
+        code, stdout, stderr, _ = run_argv(argv, workdir)
+    check_exit_contract(argv[0], code, stdout, stderr)

@@ -17,9 +17,7 @@ from sectorflow.gas import (
 from sectorflow.polar import from_polar, to_polar
 from sectorflow.pmwave import (
     PMWave,
-    WaveKind,
     _sonic_rhs,
-    classify_pm,
     fan_end,
     integrate_pm,
     pm_state_derivative,
@@ -445,6 +443,22 @@ def test_zero_length_wave(gas):
             integrate_pm(start, 0.9, 1.2, Orientation.FORWARD, gas, steps=steps)
 
 
+def test_wave_too_narrow_for_its_steps(gas):
+    # steps under the float spacing of the angles give two nodes one angle, so
+    # the Hermite interval between them has width 0: evaluating the wave there
+    # divided by zero, and so did the search for an L zero between them
+    start = _sonic_start(gas, 0.9, 1.0)
+    for end in (1.0 + 4e-16, 1.0 + 2e-16):
+        with pytest.raises(ValueError, match="narrower than its angles resolve"):
+            integrate_pm(start, 1.0, end, Orientation.FORWARD, gas)
+    turn = _sonic_start(gas, 0.0, 0.00390625, orient=Orientation.BACKWARD)
+    with pytest.raises(ValueError, match="narrower than its angles resolve"):
+        integrate_pm(turn, 0.00390625, 0.003906250000000001, Orientation.BACKWARD, gas)
+    # one step over the same span resolves, and the wave evaluates at both ends
+    w = integrate_pm(start, 1.0, 1.0 + 4e-16, Orientation.FORWARD, gas, steps=1)
+    assert pm_wave_state(w, w.theta_end) == w.end_state()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     L0=st.floats(0.2, 2.0, allow_nan=False, allow_infinity=False),
@@ -479,47 +493,3 @@ def test_wave_first_integral(L0, rho0, p0, span, forward):
     for rho, L in zip(w.rhos, w.Ls):
         assert invariant(rho, L) == pytest.approx(b0, rel=1e-8)
 
-
-# ------------------------------------------------------------- classification
-
-
-def _wave(gas, L0, theta0, span, orient):
-    start = _sonic_start(gas, L0, theta0, orient=orient)
-    return integrate_pm(start, theta0, theta0 + span, orient, gas)
-
-
-def test_classify_forward_expansion(gas):
-    w = _wave(gas, 0.9, 1.0, 0.5, Orientation.FORWARD)
-    # L stays positive on [1.0, 1.5]; any theta_bar at or past the end works
-    assert classify_pm(w, w.theta_end) is WaveKind.EXPANSION
-    assert classify_pm(w, w.theta_end + 0.3) is WaveKind.EXPANSION
-
-
-def test_classify_forward_compression(gas):
-    w = _wave(gas, -0.2, 1.0, 0.4, Orientation.FORWARD)
-    assert classify_pm(w, 1.0) is WaveKind.COMPRESSION
-    assert classify_pm(w, 0.8) is WaveKind.COMPRESSION
-
-
-def test_classify_backward(gas):
-    # mirror of the forward cases: L keeps its sign under reflection while
-    # the interval lands on the other side of the turn
-    wexp = _wave(gas, 0.2, 1.0, 0.5, Orientation.BACKWARD)
-    assert classify_pm(wexp, 1.0) is WaveKind.EXPANSION
-    wcmp = _wave(gas, -0.9, 1.0, 0.4, Orientation.BACKWARD)
-    assert classify_pm(wcmp, wcmp.theta_end) is WaveKind.COMPRESSION
-
-
-def test_classify_wave_ending_at_sonic_turn(gas):
-    theta0 = 1.0
-    start = _sonic_start(gas, 0.3, theta0)
-    end = L_zero_angle(gas, start, theta0, Orientation.FORWARD)
-    w = integrate_pm(start, theta0, end, Orientation.FORWARD, gas)
-    assert classify_pm(w, w.theta_end) is WaveKind.EXPANSION
-
-
-def test_classify_rejects_misplaced_wave(gas):
-    w = _wave(gas, 0.9, 1.0, 0.5, Orientation.FORWARD)
-    # expansion interval must not extend past theta_bar
-    with pytest.raises(ValueError, match="inconsistent"):
-        classify_pm(w, 1.2)

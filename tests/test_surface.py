@@ -18,6 +18,9 @@ name, so no module imports another's underscored name.
 numpy is imported by the audit (verify), the Roe algebra (roe) and the two
 array routines the audit calls; the builder, the exporters and analyze run
 on plain floats through evaluate, so a cold build never loads it.
+
+The audit reads a flow through evaluate: outside evaluate_many, verify
+reads no stored state or wave node value of a piece.
 """
 
 import ast
@@ -151,3 +154,33 @@ def test_each_export_is_defined_in_the_module_its_table_names():
         home = importlib.import_module("sectorflow." + module)
         for name in names:
             assert getattr(home, name).__module__ == home.__name__, name
+
+
+# a piece's stored values, which the audit does not read outside evaluate_many
+STORED = {"state", "rhos", "Ls", "drhos", "dLs", "s_ref"}
+
+
+def test_the_audit_reads_a_flow_through_evaluate():
+    """Aim 3: the audit checks what evaluate returns, not what the builder stored.
+
+    Outside evaluate_many, the batched evaluate, verify reads a piece's
+    angles, kind and orientation only: no stored state, node value, slope
+    or isentrope constant. From pmwave it takes the wave type and the two
+    routines that evaluate a wave.
+    """
+    tree = _modules()["verify"]
+    stored = sorted(
+        "%s reads .%s" % (node.name, name)
+        for node in tree.body
+        if getattr(node, "name", None) != "evaluate_many"
+        for name, is_attribute in _reads(node)
+        if is_attribute and name in STORED
+    )
+    assert stored == []
+    from_pmwave = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "pmwave"
+        for alias in node.names
+    }
+    assert from_pmwave == {"PMWave", "pm_wave_arrays", "pm_wave_state"}

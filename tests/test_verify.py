@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectorflow.cli import parse_config
 from sectorflow.flowfield import (
+    ClosureError,
     ConstantPiece,
     FlowDescription,
     FlowField,
     ShockPoint,
     build_flow,
     evaluate,
+    sector_decompose,
 )
-from sectorflow.gas import WEAK_TOL, PhaseBounds, PrimitiveState, make_gas
+from sectorflow.gas import STRUCTURE_TOL, WEAK_TOL, PhaseBounds, PrimitiveState, make_gas
+from sectorflow.pmwave import PMWave, integrate_pm
 from sectorflow.shock import Orientation
-from sectorflow.verify import _residuals, full_audit, smooth_residual
+from sectorflow.verify import _residuals, _wave_kind, full_audit, smooth_residual
 
+from test_corpus import BUILT_MUTANTS, MUTANTS, SHIPPED, corpus_inputs
 from test_flowfield import (
     THREE_SECTOR_BOUNDS,
     TWO_SECTOR_WAVE_B,
@@ -26,6 +31,7 @@ from test_flowfield import (
     three_sector_description,
     two_sector_description,
 )
+from test_pmwave import L_zero_angle, _sonic_start
 
 TWO_PI = 2.0 * math.pi
 
@@ -342,3 +348,136 @@ def test_full_audit_fails_a_perturbed_neighbour_of_each_jump(two_sector, k, eps)
     assert rep.verdict == "fail"
     assert max(rep.weak_residual_max) > WEAK_TOL
     assert full_audit(_denser_right_of(two_sector, k, 1e-2 * eps)).ok
+
+
+# -------------------------------------------------------- wave classification
+#
+# The audit judges a wave from L at its two ends. node_scan_kind is the
+# judge it replaced, which scanned L at every stored node; on a sonic wave
+# L is monotone, so the two must agree wherever a wave can be built.
+
+
+def node_scan_kind(wave, theta_bar, tol=STRUCTURE_TOL):
+    """The reference judge: the largest |L|, and L of both signs, over every stored node."""
+    lo, hi = wave.theta_start, wave.theta_end
+    scale = max(1.0, max(abs(x) for x in wave.Ls))
+    has_pos = any(L > tol * scale for L in wave.Ls)
+    has_neg = any(L < -tol * scale for L in wave.Ls)
+    if has_pos and has_neg:
+        return None, "wave straddles the tangential-velocity zero"
+    forward = wave.orientation.sign > 0
+    if not has_neg and (hi <= theta_bar + tol if forward else lo >= theta_bar - tol):
+        return "expansion", ""
+    if not has_pos and (lo >= theta_bar - tol if forward else hi <= theta_bar + tol):
+        return "compression", ""
+    return None, "wave position and tangential sign are inconsistent"
+
+
+def _wave(gas, L0, theta0, span, orient):
+    start = _sonic_start(gas, L0, theta0, orient=orient)
+    return integrate_pm(start, theta0, theta0 + span, orient, gas)
+
+
+def test_classify_forward_expansion(gas):
+    w = _wave(gas, 0.9, 1.0, 0.5, Orientation.FORWARD)
+    # L stays positive on [1.0, 1.5]; any theta_bar at or past the end works
+    assert _wave_kind(w, w.theta_end) == ("expansion", "")
+    assert _wave_kind(w, w.theta_end + 0.3) == ("expansion", "")
+
+
+def test_classify_forward_compression(gas):
+    w = _wave(gas, -0.2, 1.0, 0.4, Orientation.FORWARD)
+    assert _wave_kind(w, 1.0) == ("compression", "")
+    assert _wave_kind(w, 0.8) == ("compression", "")
+
+
+def test_classify_backward(gas):
+    # mirror of the forward cases: L keeps its sign under reflection while
+    # the interval lands on the other side of the turn
+    wexp = _wave(gas, 0.2, 1.0, 0.5, Orientation.BACKWARD)
+    assert _wave_kind(wexp, 1.0) == ("expansion", "")
+    wcmp = _wave(gas, -0.9, 1.0, 0.4, Orientation.BACKWARD)
+    assert _wave_kind(wcmp, wcmp.theta_end) == ("compression", "")
+
+
+def test_classify_wave_ending_at_sonic_turn(gas):
+    theta0 = 1.0
+    start = _sonic_start(gas, 0.3, theta0)
+    end = L_zero_angle(gas, start, theta0, Orientation.FORWARD)
+    w = integrate_pm(start, theta0, end, Orientation.FORWARD, gas)
+    assert _wave_kind(w, w.theta_end) == ("expansion", "")
+
+
+def test_classify_rejects_misplaced_wave(gas):
+    w = _wave(gas, 0.9, 1.0, 0.5, Orientation.FORWARD)
+    # expansion interval must not extend past theta_bar
+    kind, reason = _wave_kind(w, 1.2)
+    assert kind is None and "inconsistent" in reason
+
+
+def _waves_beside_their_sectors(flow):
+    """(wave, theta_bar) of every wave of a flow, at each sector's theta_bar and one turn below."""
+    waves = [p for p in flow.interval_pieces if isinstance(p, PMWave)]
+    return [
+        (w, sec.theta_bar - shift)
+        for sec in sector_decompose(flow)
+        for w in waves
+        for shift in (0.0, TWO_PI)
+    ]
+
+
+def test_end_judge_agrees_with_the_node_scan_on_built_flows():
+    """Every wave of the shipped flows and of the mutation entries that build."""
+    texts = [text for name, text in corpus_inputs().items() if name in SHIPPED]
+    texts += [MUTANTS[name][1] for name in BUILT_MUTANTS]
+    judged = 0
+    for text in texts:
+        cfg = parse_config(text)
+        try:
+            flow = build_flow(cfg.gas, cfg.description)
+        except ClosureError:
+            continue  # three_sector_g14
+        for wave, theta_bar in _waves_beside_their_sectors(flow):
+            assert _wave_kind(wave, theta_bar) == node_scan_kind(wave, theta_bar)
+            judged += 1
+    assert judged > 0
+
+
+def _thetas_around(wave):
+    """theta_bar on and around the wave: its ends, a tolerance either side, its middle, far off."""
+    lo, hi = wave.theta_start, wave.theta_end
+    near = (0.0, 0.5, 1.0, 2.0)
+    out = [lo + s * k * STRUCTURE_TOL for s in (-1.0, 1.0) for k in near]
+    out += [hi + s * k * STRUCTURE_TOL for s in (-1.0, 1.0) for k in near]
+    return out + [0.5 * (lo + hi), lo - 0.3, hi + 0.3]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    L0=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+    theta0=st.floats(-4.0, 8.0, allow_nan=False, allow_infinity=False),
+    span=st.floats(1e-3, 0.6, allow_nan=False, allow_infinity=False),
+    forward=st.booleans(),
+    steps=st.one_of(st.none(), st.integers(1, 64)),
+)
+def test_end_judge_agrees_with_the_node_scan_on_sonic_waves(L0, theta0, span, forward, steps):
+    """A sonic start of either L sign, either orientation, any step count; a wave
+    whose L reaches 0 inside the span ends there, at the sector turn."""
+    g = make_gas(
+        1.4,
+        PhaseBounds(rho_min=1e-3, rho_max=1e3, p_min=1e-3, p_max=1e3,
+                    speed_max=1e3, e_min=1e-9),
+    )
+    orient = Orientation.FORWARD if forward else Orientation.BACKWARD
+    start = _sonic_start(g, L0, theta0, orient=orient)
+    zero = L_zero_angle(g, start, theta0, orient)
+    end = zero if theta0 < zero < theta0 + span else theta0 + span
+    try:
+        wave = integrate_pm(start, theta0, end, orient, g, steps)
+    except ValueError as exc:
+        # a coarse march can cross L = 0 short of the closed form's turn, and
+        # a turn a few ulp past the start leaves steps no angle can resolve
+        assert "changes sign inside" in str(exc) or "angles resolve" in str(exc)
+        return
+    for theta_bar in _thetas_around(wave):
+        assert _wave_kind(wave, theta_bar) == node_scan_kind(wave, theta_bar), theta_bar
