@@ -542,6 +542,14 @@ def analyze_to_document(flow, samples=DEFAULT_SAMPLES):
 # -------------------------------------------------------------- commands
 
 
+def _decomposed(fn, flow, *args):
+    """fn(flow, *args), with sector_decompose's refusal as a BuildError (exit 2)."""
+    try:
+        return fn(flow, *args)
+    except ValueError as exc:
+        raise BuildError("construction failure: %s" % exc)
+
+
 def _summarize(flow):
     consts = sum(1 for p in flow.interval_pieces if isinstance(p, ConstantPiece))
     waves = len(flow.interval_pieces) - consts
@@ -574,7 +582,7 @@ def _cmd_build(ns):
     """Summary and artifacts, all or nothing: a failed write removes the ones written."""
     cfg = _load_config(ns.config)
     flow = _build(cfg)
-    lines = [_summarize(flow)]
+    lines = [_decomposed(_summarize, flow)]
     if ns.out is not None:
         try:
             os.makedirs(ns.out, exist_ok=True)
@@ -612,7 +620,7 @@ def _cmd_analyze(ns):
 
     cfg = _load_config(ns.config)
     flow = _build(cfg)
-    doc = analyze_to_document(flow, cfg.samples)
+    doc = _decomposed(analyze_to_document, flow, cfg.samples)
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", ns.out)
     return 0
 

@@ -34,8 +34,8 @@ from itertools import product
 from math import asin, atan2, ceil, hypot, isfinite, pi, sqrt
 
 from .gas import (
-    MATCH_TOL, NO_JUMP_TOL, PrimitiveState, primitive_to_conserved, relative_gap,
-    require_in_phase_space,
+    ANGLE_TOL, MATCH_TOL, N_SIGN_FLOOR, NO_JUMP_TOL, PROBE_INSET, PrimitiveState,
+    primitive_to_conserved, relative_gap, require_in_phase_space,
 )
 from .polar import PolarState, TWO_PI, from_polar, to_polar, wrap_angle, wrap_signed
 from .pmwave import PMWave, fan_end, integrate_pm, pm_wave_state
@@ -49,10 +49,9 @@ from .shock import (
     strength_ratios,
 )
 
-# Tolerances of the march and of closure shooting (its accidental jumps are
-# gas.MATCH_TOL's). Within _ANGLE_MARGIN an event reaches the seam, a wave
-# start the march's angle, and the next angle with a given N the current one.
-_ANGLE_MARGIN = 1e-12
+# Tolerances of closure shooting; the march's are gas.MATCH_TOL and
+# gas.ANGLE_TOL. Within ANGLE_TOL an event reaches the seam, a wave start
+# the march's angle, and the next angle with a given N the current one.
 # The closure scan takes a wave's end state from the closed form only when
 # the RK4 march it stands for steps at most _EXACT_MAX_STEP rad. The two seam
 # mismatches then differ by at most about 5.5e-3 h^4, so 5.2e-9 (measured on
@@ -223,7 +222,7 @@ def _next_angle_with_normal(u, v, target_N, above, L_sign=None):
             "normal velocity %.6g" % (q, target_N),
             "constant state ... never reaches the required normal velocity",
         )
-    s = asin(max(-1.0, min(1.0, target_N / q)))
+    s = asin(target_N / q)
     bases = []
     if L_sign is None or L_sign > 0:
         bases.append(phi + s)
@@ -231,7 +230,7 @@ def _next_angle_with_normal(u, v, target_N, above, L_sign=None):
         bases.append(phi + pi - s)
     best = None
     for base in bases:
-        cand = base + TWO_PI * ceil((above + _ANGLE_MARGIN - base) / TWO_PI)
+        cand = base + TWO_PI * ceil((above + ANGLE_TOL - base) / TWO_PI)
         if best is None or cand < best:
             best = cand
     return best
@@ -264,22 +263,24 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
     orientation, gas, steps) gives a wave (None to leave it out) and its end
     state. Phase checks: the anchor's is build_flow's, a shock's sides
     shock_sides', a wave's end the wave march's, so a wave's start needs
-    none; only a contact's far side is checked here. A ValueError while an
-    event is resolved leaves as a MarchError that names the event's piece.
+    none; only a contact's far side is checked here. Each event makes its
+    own advance test and seam test: it refuses an angle that does not
+    advance the march, and one within ANGLE_TOL of the seam. It then names
+    where the constant before it ends (None for a wave that starts where the
+    march stands), the piece it lays, and the state and angle it leaves, and
+    one tail holds, lays and advances. A ValueError while an event is
+    resolved leaves as a MarchError that names the event's piece.
     """
-    theta0 = desc.anchor_theta
     state = desc.anchor_state
     pieces = [] if keep else None
-    cur_start = theta0
-    horizon = theta0 + TWO_PI
+    cur_start = desc.anchor_theta
+    horizon = cur_start + TWO_PI
     g = gas.gamma
 
     def hold(theta_end):
-        # the constant from cur_start; unkept, its interval is checked here
+        # the constant from cur_start
         if keep:
             pieces.append(ConstantPiece(cur_start, theta_end, PrimitiveState(*state)))
-        elif not theta_end > cur_start:
-            raise ValueError("constant piece needs a nonempty interval")
 
     for idx, ev in enumerate(desc.events):
         rho, u, v, p = state
@@ -321,7 +322,7 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                     theta_s = _next_angle_with_normal(u, v, target, cur_start, ev.L_sign)
                     _, L_cur = to_polar(u, v, theta_s)
 
-                if theta_s >= horizon - _ANGLE_MARGIN:
+                if theta_s >= horizon - ANGLE_TOL:
                     raise ValueError("event angle passes the closure seam")
 
                 # the shock stands on its front side; a forward shock's front
@@ -344,16 +345,11 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                     left, right = (behind, front) if back else (front, behind)
                 if relative_gap(left, state) > MATCH_TOL:
                     raise ValueError("shock does not match the marching state")
-
-                hold(theta_s)
-                if keep:
-                    pieces.append(ShockPoint(theta_s, ev.orientation))
-                state = right
-                cur_start = theta_s
+                stop, piece, new, at = theta_s, ShockPoint(theta_s, ev.orientation), right, theta_s
 
             elif isinstance(ev, ContactEvent):
                 theta_c = _next_angle_with_normal(u, v, 0.0, cur_start)
-                if theta_c >= horizon - _ANGLE_MARGIN:
+                if theta_c >= horizon - ANGLE_TOL:
                     raise ValueError("contact angle passes the closure seam")
                 _, L_left = to_polar(u, v, theta_c)
                 if abs(ev.L) <= 0.0 or not ev.rho > 0.0:
@@ -364,17 +360,13 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                     )
                 new = (ev.rho, *from_polar(0.0, ev.L, theta_c), p)
                 require_in_phase_space(*new, gas, "post-contact state")
-                hold(theta_c)
-                if keep:
-                    pieces.append(ContactPoint(theta_c))
-                state = new
-                cur_start = theta_c
+                stop, piece, at = theta_c, ContactPoint(theta_c), theta_c
 
             elif isinstance(ev, PMEvent):
                 sign = ev.orientation.sign
                 if ev.theta_start is not None:
                     a = ev.theta_start
-                    if a < cur_start - _ANGLE_MARGIN:
+                    if a < cur_start - ANGLE_TOL:
                         raise ValueError("wave start angle precedes the march")
                 else:
                     c_cur = sqrt(g * p / rho)
@@ -388,26 +380,24 @@ def _march(gas, desc, march_wave=_rk4_wave, keep=False):
                                 "wave's sonic start %.6g lies past its end angle %.6g"
                                 % (a, ev.theta_end), "wave's sonic start lies past its end angle"
                             )
-                if ev.theta_end >= horizon - _ANGLE_MARGIN:
+                if ev.theta_end >= horizon - ANGLE_TOL:
                     raise ValueError("wave end passes the closure seam")
                 # the wave march checks the span and that the state is sonic at a
-                wave, end = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
-                if a > cur_start + _ANGLE_MARGIN:
-                    hold(a)
-                if keep:
-                    pieces.append(wave)
-                state = end
-                cur_start = ev.theta_end
+                piece, new = march_wave(state, a, ev.theta_end, ev.orientation, gas, ev.steps)
+                stop, at = (a if a > cur_start + ANGLE_TOL else None), ev.theta_end
 
             else:
                 raise ValueError("unknown event type %r" % (ev,))
+            if stop is not None:
+                hold(stop)
+            if keep:
+                pieces.append(piece)
+            state, cur_start = new, at
         except ValueError as e:
             raise MarchError(
                 "piece %d: %s" % (idx, e), "piece %d: %s" % (idx, getattr(e, "reason", e))
             )
 
-    if cur_start >= horizon - _ANGLE_MARGIN:
-        raise MarchError("events fill the whole circle, leaving no closure seam")
     hold(horizon)
     return pieces, state
 
@@ -472,11 +462,8 @@ def _shooting_roots(gas, desc):
         f = marched(x, _exact_wave)
         return f if f is None or abs(f) >= _SCAN_RECHECK else rk4_at(x)
 
-    def brent(a, b):
-        def f(x):
-            return rk4[x] if x in rk4 else mismatch(x)
-
-        return brentq(f, a, b, xtol=1e-13)
+    def rk4_or_march(x):
+        return rk4[x] if x in rk4 else mismatch(x)
 
     n_scan = 65
     xs = [lo + (hi - lo) * k / (n_scan - 1) for k in range(n_scan)]
@@ -489,7 +476,7 @@ def _shooting_roots(gas, desc):
         fa, fb = rk4_at(a), rk4_at(b)
         if fa is None or fb is None or not fa * fb < 0.0 or abs(fa - fb) > pi:
             continue
-        roots.append(lambda a=a, b=b: brent(a, b))
+        roots.append(lambda a=a, b=b: brentq(rk4_or_march, a, b, xtol=1e-13))
     if roots:
         return roots
     detail = ""
@@ -585,25 +572,24 @@ def sector_decompose(flow):
     if len(boundaries) > 3:
         raise ValueError("%d contacts violates maximum-sector theorem" % len(boundaries))
 
-    eps = 1e-7
     sectors = []
     for k, a in enumerate(boundaries):
         b = boundaries[(k + 1) % len(boundaries)]
         if b <= a:
             b += TWO_PI
-        # N's sign from probes eps inside the ends of each piece in the sector,
-        # at most pi/2 apart: a constant's N = |V| sin(theta - phi) has zeros
-        # pi apart, and a wave's N = +-c never vanishes
+        # N's sign from probes PROBE_INSET inside the ends of each piece in
+        # the sector, at most pi/2 apart: a constant's N = |V| sin(theta - phi)
+        # has zeros pi apart, and a wave's N = +-c never vanishes
         N = []
         for shift, p in product((0.0, TWO_PI), flow.interval_pieces):
             lo, hi = max(p.theta_start + shift, a), min(p.theta_end + shift, b)
             if hi > lo:
-                d = min(eps, 0.5 * (hi - lo))
+                d = min(PROBE_INSET, 0.5 * (hi - lo))
                 n = max(1, ceil((hi - lo - 2.0 * d) / (0.5 * pi)))
                 for t in (lo + d + (hi - lo - 2.0 * d) * j / n for j in range(n + 1)):
                     s = evaluate(flow, t)
                     N.append(to_polar(s.u, s.v, t)[0])
-        N = [x for x in N if abs(x) > 1e-12]
+        N = [x for x in N if abs(x) > N_SIGN_FLOOR]
         if not N:
             raise ValueError("sector with vanishing N throughout")
         sign = 1.0 if N[0] > 0.0 else -1.0
@@ -611,12 +597,12 @@ def sector_decompose(flow):
             raise ValueError("sector with sign-inconsistent N")
         direction = Orientation.FORWARD if sign > 0 else Orientation.BACKWARD
         # L enters with N's sign and leaves with the other
-        if not sign * _L_at(flow, a + eps) > 0.0 > sign * _L_at(flow, b - eps):
+        if not sign * _L_at(flow, a + PROBE_INSET) > 0.0 > sign * _L_at(flow, b - PROBE_INSET):
             raise ValueError("%s sector tangential signs are wrong" % direction.value)
 
         # L is monotone and continuous inside the sector, and the signs
         # checked above bracket its zero
-        theta_bar = brentq(lambda t: _L_at(flow, t), a + eps, b - eps, xtol=1e-15)
+        theta_bar = brentq(lambda t: _L_at(flow, t), a + PROBE_INSET, b - PROBE_INSET, xtol=1e-15)
         sectors.append(Sector(a, b, direction, theta_bar))
     return sectors
 

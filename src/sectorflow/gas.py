@@ -117,6 +117,9 @@ NO_JUMP_TOL = 1e-9  # two states within this relative_gap are not a jump
 ZERO_N_TOL = 1e-9  # a normal velocity under this share of max(|V|, c) is zero
 CONTACT_P_TOL = 1e-12  # a contact's pressure match, relative to max(1, p_left)
 FLUX_JUMP_TOL = 1e-8  # the largest flux jump a discontinuity may have, per row, over max(1, |flux|)
+ANGLE_TOL = 1e-12  # two angles closer than this are one
+PROBE_INSET = 1e-7  # how far inside a sector's or piece's ends sector_decompose reads N and L
+N_SIGN_FLOOR = 1e-12  # a probed |N| at or below this has no sign
 
 
 class ConservedState(namedtuple("ConservedState", "rho mom_x mom_y energy")):

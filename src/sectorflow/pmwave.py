@@ -33,7 +33,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from math import atan2, ceil, cos, hypot, inf, pi, sin, sqrt
 
-from .gas import MATCH_TOL, PrimitiveState, require_in_phase_space
+from .gas import ANGLE_TOL, MATCH_TOL, PrimitiveState, require_in_phase_space
 from .polar import from_polar, to_polar
 from .shock import brentq
 
@@ -87,7 +87,7 @@ class PMWave(
     def reduced_at(self, theta):
         """Hermite-interpolated (rho, L) at an interior angle."""
         ts = self.thetas
-        if not (ts[0] - 1e-12 <= theta <= ts[-1] + 1e-12):
+        if not (ts[0] - ANGLE_TOL <= theta <= ts[-1] + ANGLE_TOL):
             raise ValueError("angle outside the wave interval")
         i = min(max(bisect_right(ts, theta) - 1, 0), len(ts) - 2)
         return _hermite(ts, i, theta, ((self.rhos, self.drhos), (self.Ls, self.dLs)))

@@ -49,7 +49,7 @@ from .flowfield import (
     sector_decompose,
     shock_separation_floor,
 )
-from .gas import ENTROPY_TOL, NO_JUMP_TOL, SMOOTH_TOL, STRUCTURE_TOL, WEAK_TOL
+from .gas import ANGLE_TOL, ENTROPY_TOL, NO_JUMP_TOL, SMOOTH_TOL, STRUCTURE_TOL, WEAK_TOL
 from .gas import ray_fluxes, relative_gap
 from .pmwave import PMWave, pm_wave_arrays, pm_wave_state
 from .polar import TWO_PI, to_polar, wrap_signed
@@ -65,7 +65,6 @@ _SMOOTH_STEP = 1e-5  # smooth_residual's difference step
 
 _MAX_PANEL = 0.25
 _SAME_BREAK = 1e-13  # breakpoints closer than this are one panel edge
-_INSIDE = 1e-12  # how far inside an interval a piece must reach to be in it
 
 
 def evaluate_many(flow, thetas):
@@ -201,18 +200,19 @@ def _pieces_in(flow, a, b):
     """Pieces intersecting the unwrapped interval [a, b].
 
     b may exceed anchor_theta + 2 pi; pieces reached through the seam come
-    back with the matching shift. Entries are (sort angle, piece, shift).
+    back with the matching shift. Entries are (sort angle, piece, shift). A
+    piece is in [a, b] when it reaches more than ANGLE_TOL inside it.
     """
     out = []
     for shift in (0.0, TWO_PI):
         for p in flow.pieces:
             if isinstance(p, (ShockPoint, ContactPoint)):
                 t = p.theta + shift
-                if a + _INSIDE < t < b - _INSIDE:
+                if a + ANGLE_TOL < t < b - ANGLE_TOL:
                     out.append((t, p, shift))
             else:
                 s, e = p.theta_start + shift, p.theta_end + shift
-                if e > a + _INSIDE and s < b - _INSIDE:
+                if e > a + ANGLE_TOL and s < b - ANGLE_TOL:
                     out.append((max(s, a), p, shift))
     out.sort(key=lambda q: q[0])
     return out

@@ -34,6 +34,7 @@ from sectorflow.gas import PrimitiveState, make_gas
 from sectorflow.pmwave import PMWave
 from sectorflow.polar import TWO_PI
 from sectorflow.shock import Orientation, deflection_angle
+from test_corpus import check_exit_contract
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -731,6 +732,23 @@ def test_build_leaves_no_artifact_when_one_cannot_be_written(tmp_path, capsys):
     )
     assert [p.name for p in out.iterdir()] == ["two_sector.json"]
     assert list((out / "two_sector.json").iterdir()) == []
+
+
+@pytest.mark.parametrize("contact", [5, 13])
+@pytest.mark.parametrize("argv", [["build"], ["build", "--out", "out"], ["analyze"]])
+def test_flow_without_sectors_is_a_construction_failure(
+    tmp_path, capsys, monkeypatch, contact, argv
+):
+    """two_sector without a contact marker does not split into sectors: exit 2, nothing written."""
+    flow = _shipped_flow("two_sector")
+    broken = flow._replace(pieces=flow.pieces[:contact] + flow.pieces[contact + 1:])
+    monkeypatch.setattr(cli_module, "_build", lambda cfg: broken)
+    monkeypatch.chdir(tmp_path)
+    code = main([argv[0], str(CONFIGS / "two_sector.json"), *argv[1:]])
+    captured = capsys.readouterr()
+    check_exit_contract(argv[0], code, captured.out, captured.err)
+    assert (code, captured.err) == (2, "construction failure: sector with sign-inconsistent N\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_are_byte_deterministic(tmp_path):

@@ -1243,6 +1243,8 @@ def test_three_sector_structure(three_sector):
     assert passed and margin == pytest.approx(0.1077186636572082, rel=1e-5)
     passed, gap = rep.named("sector turning")
     assert passed and gap < 1e-12
+    with pytest.raises(KeyError):
+        rep.named("no such check")
 
 
 def test_three_sector_is_pure_saltus(three_sector):

@@ -38,6 +38,8 @@ def test_bounds_validation():
         PhaseBounds(0.1, 10.0, -1.0, 10.0, 5.0, 1e-3)
     with pytest.raises(ValueError, match="speed"):
         PhaseBounds(0.1, 10.0, 0.1, 10.0, 0.0, 1e-3)
+    with pytest.raises(ValueError, match="e_min"):
+        PhaseBounds(0.1, 10.0, 0.1, 10.0, 5.0, 0.0)
 
 
 def test_precomputed_constants(gas):
@@ -119,6 +121,9 @@ def test_conserved_to_primitive_rejects_bad_energy(gas):
     # kinetic energy alone is 2.0 > total, so p would be negative
     with pytest.raises(ValueError, match="pressure"):
         conserved_to_primitive(c, gas)
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError, match="nonpositive density"):
+            conserved_to_primitive(c._replace(rho=rho), gas)
 
 
 def test_flux_oracle(gas):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sectorflow import flowfield, pmwave
 from sectorflow.cli import parse_config
 from sectorflow.gas import (
+    ANGLE_TOL,
     PhaseBounds,
     PrimitiveState,
     make_gas,
@@ -232,6 +233,12 @@ def test_dense_output_accuracy(gas):
         rho_f, L_f = fine.reduced_at(t)
         assert rho_i == pytest.approx(rho_f, abs=1e-6)
         assert L_i == pytest.approx(L_f, abs=1e-6)
+    # within ANGLE_TOL of an end is still the wave; beyond it is not
+    w.reduced_at(theta0 - 0.5 * ANGLE_TOL)
+    w.reduced_at(theta0 + span + 0.5 * ANGLE_TOL)
+    for t in (theta0 - 2.0 * ANGLE_TOL, theta0 + span + 2.0 * ANGLE_TOL):
+        with pytest.raises(ValueError, match="angle outside the wave interval"):
+            w.reduced_at(t)
 
 
 def test_kernel_residual_along_wave(gas):

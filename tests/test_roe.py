@@ -146,11 +146,29 @@ def test_steady_shock_pair_has_zero_acoustic_eigenvalue(gas):
 
 def test_average_sound_speed_positive_even_for_opposed_jets():
     # the weighted average satisfies a Jensen inequality, so the averaged
-    # sound speed stays positive for any physical pair, however extreme
+    # sound speed stays positive for any physical pair, however extreme,
+    # while c^2 is not lost to rounding against the kinetic enthalpy
     g = _wide()
     a = PrimitiveState(rho=1.0, u=900.0, v=0.0, p=1e-3)
     b = PrimitiveState(rho=1.0, u=-900.0, v=0.0, p=1e-3)
     assert roe_average(a, b, g, 0.0).c_bar > 0.0
+
+
+def test_average_sound_speed_lost_to_rounding_is_refused():
+    # in a box as wide as the solver commands' (rho up to 1e6, p down to 1e-6)
+    # c^2 / (gamma - 1) = 3.5e-12 is under half an ulp of the kinetic
+    # enthalpy 5e5, so the averaged c^2 rounds to 0
+    s = PrimitiveState(rho=1e6, u=1e3, v=0.0, p=1e-6)
+    with pytest.raises(ValueError, match="averaged sound speed is not positive"):
+        roe_average(s, s, _wide(), 0.0)
+
+
+def test_eigensystem_rejects_a_nonpositive_sound_speed():
+    s = PrimitiveState(rho=1.0, u=2.0, v=0.5, p=1.0)
+    avg = roe_average(s, s, _wide(), 0.3)
+    for c_bar in (0.0, -1.0):
+        with pytest.raises(ValueError, match="degenerate averaged sound speed"):
+            eigensystem(avg._replace(c_bar=c_bar), 0.3, _wide())
 
 
 @settings(max_examples=80)

@@ -187,6 +187,8 @@ def test_inversion_domains():
     # the back normal Mach can never reach sqrt((gamma-1)/(2 gamma))
     with pytest.raises(ValueError, match="subsonic"):
         strength_from_normal_mach(math.sqrt(0.4 / 2.8) * 0.999, 1.4, "back")
+    with pytest.raises(ValueError, match="side must be 'front' or 'back'"):
+        strength_from_normal_mach(2.0, 1.4, "left")
 
 
 def test_downstream_normal_mach_limits():
